@@ -205,8 +205,10 @@ class CsvWriter:
                 fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def _downsample(n: int, limit: int = 4001) -> int:
-    return max(1, int(np.ceil(n / limit)))
+def _rows(n: int, limit: int = 4001) -> np.ndarray:
+    """Indices of about ``limit`` evenly strided rows of n, always ending at n - 1."""
+    idx = np.arange(0, n, max(1, int(np.ceil(n / limit))))
+    return idx if idx[-1] == n - 1 else np.append(idx, n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -276,20 +278,28 @@ def _run_lz(cfg: ExperimentConfig, outdir: Path, summary: dict, threads: int):
                     {"model": "lz", "protocol": proto, "tau": tau,
                      "final_fidelity": rep.final_fidelity,
                      "integrated_cost": rep.integrated_cost})
-            t = next(iter(trajs.values())).times
-            stride = _downsample(len(t))
+            # rows sit on the uniform nodes, which every protocol's grid holds
+            # (BOB's also has its kick edges): take each protocol's row at t
+            nodes = np.linspace(0.0, tau, cfg.trajectory_steps + 1)
+            t = nodes[_rows(len(nodes))]
+            at = {}
+            for p, traj in trajs.items():
+                j = np.searchsorted(traj.times, t)
+                if not np.array_equal(traj.times[j], t):
+                    raise RuntimeError(f"{p} trajectory grid lacks the uniform nodes")
+                at[p] = j
             builders = {"cd": lz_cd, "lcd": lz_lcd}
             scheds = [builders[p](lzc) for p in spectra_protocols]
-            for i in range(0, len(t), stride):
-                fid.add(tau, t[i], *[trajs[p].fidelity[i] if p in trajs else np.nan
-                                     for p in trajectory_protocols])
-                rate.add(tau, t[i], *[trajs[p].cost_rate[i] if p in trajs else np.nan
-                                      for p in trajectory_protocols])
+            for i, ti in enumerate(t):
+                fid.add(tau, ti, *[trajs[p].fidelity[at[p][i]] if p in trajs else np.nan
+                                   for p in trajectory_protocols])
+                rate.add(tau, ti, *[trajs[p].cost_rate[at[p][i]] if p in trajs else np.nan
+                                    for p in trajectory_protocols])
                 energies = []
                 for sched in scheds:
-                    _, _, em, ep = instantaneous_eigenstates(sched, t[i])
+                    _, _, em, ep = instantaneous_eigenstates(sched, ti)
                     energies += [em, ep]
-                spec.add(tau, t[i], *energies)
+                spec.add(tau, ti, *energies)
         for w in (fid, rate, spec):
             w.write()
         return
@@ -304,7 +314,7 @@ def _run_lz(cfg: ExperimentConfig, outdir: Path, summary: dict, threads: int):
         w.add(taus[i], *[scan[p][i] for p in scan_protocols])
     w.write()
     if {"cd", "lcd"} <= set(scan_protocols):
-        summary["crossover_cd_lcd"] = find_cd_lcd_crossover(base, taus)
+        summary["crossover_cd_lcd"] = find_cd_lcd_crossover(base, scan=scan)
     at_qsl = replace(base, tau=tqsl, ramp=None)
     kicks = optimize_bob_kicks(at_qsl, g_q)
     sched = lz_bob(at_qsl, bob_pulse(g_q, tqsl, (kicks.phi1, kicks.phi2)))
@@ -336,8 +346,7 @@ def _run_oscillator(cfg: ExperimentConfig, outdir: Path, summary: dict, threads:
         if not series:
             continue
         t = next(iter(series.values()))[0]
-        stride = _downsample(len(t))
-        for i in range(0, len(t), stride):
+        for i in _rows(len(t)):
             w.add(t[i], *[series[p_][1][i] if p_ in series else np.nan
                           for p_ in protocols])
         w.write()
@@ -398,8 +407,7 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path, summary: dict, threads: int):
             {"model": "jc", "protocol": proto, "tau": jc.tau, "n": 0,
              "final_fidelity": ffin, "integrated_cost": cost})
     t = next(iter(curves.values())).times
-    stride = _downsample(len(t))
-    for i in range(0, len(t), stride):
+    for i in _rows(len(t)):
         w.add(t[i], *[curves[p_].fidelity[i] for p_ in protocols])
     w.write()
 
@@ -417,8 +425,7 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path, summary: dict, threads: int):
              "ensemble_cost": res.cost})
     if ens_curves:
         t = next(iter(ens_curves.values())).times
-        stride = _downsample(len(t))
-        for i in range(0, len(t), stride):
+        for i in _rows(len(t)):
             w.add(t[i], *[ens_curves[p_].fidelity[i] for p_ in ens_protocols])
         w.write()
 
@@ -539,6 +546,17 @@ def _env_default(name: str, fallback):
     return os.environ.get(ENV_PREFIX + name, fallback)
 
 
+def _int_setting(name: str, flag, fallback):
+    """The flag's value, else CTRLCOST_<name>, else fallback, as an int (or None)."""
+    value = flag if flag is not None else _env_default(name, fallback)
+    if value is None:
+        return None
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{ENV_PREFIX}{name} must be an integer, got {value!r}") from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ctrlcost",
@@ -577,6 +595,9 @@ def main(argv=None) -> int:
         else:
             raise ValueError("give a preset name or --config FILE")
         cfg = parse_config(raw)
+        if args.command == "run":
+            seed = _int_setting("SEED", args.seed, None)
+            threads = _int_setting("THREADS", args.threads, 1)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -584,19 +605,22 @@ def main(argv=None) -> int:
     if args.command == "validate":
         report = validate(cfg)
         print(json.dumps(report, indent=1, sort_keys=True))
+        if not report["valid"]:
+            failed = [c["check"] for c in report["checks"] if not c["ok"]]
+            print(f"error: invalid config, failed checks: {', '.join(failed)}",
+                  file=sys.stderr)
+            return 1
         return 0
 
     out = args.out if args.out is not None else _env_default("OUT", None)
-    seed = args.seed if args.seed is not None else _env_default("SEED", None)
-    threads = args.threads if args.threads is not None else _env_default("THREADS", 1)
     if out is not None:
         cfg.out = out
     elif cfg.preset and cfg.out == "out":
         cfg.out = f"out_{cfg.preset}"
     if seed is not None:
-        cfg.seed = int(seed)
+        cfg.seed = seed
     try:
-        outdir = run(cfg, threads=max(1, int(threads)))
+        outdir = run(cfg, threads=max(1, threads))
     except (ValueError, OscillatorError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

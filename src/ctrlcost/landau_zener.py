@@ -22,7 +22,7 @@ from .ramps import (Ramp, BobPulse, bob_pulse, poly_smooth_ramp, cd_na_ramp,
                     cd_a_ramp, cd_blended_ramp)
 from .twolevel import (PauliSchedule, CostReport, propagate,
                        converged_final_state, fidelity, integrated_cost,
-                       _su2_steps, _eigvec_pair)
+                       _su2_steps, _qmul, _apply, _eigvec_pair)
 
 __all__ = [
     "LzConfig",
@@ -182,15 +182,15 @@ class BobKicks:
 
 
 def _bob_final_state(delta, g_q, tau, phi1, phi2, psi0):
-    """Exact three-segment propagation (each segment is constant)."""
+    """Exact three-segment propagation (each segment is constant).
+
+    phi1 and phi2 are scalars or equal-length 1-d arrays of kick angles.
+    """
     tb1, tb2 = phi1 / g_q, phi2 / g_q
-    U1 = _su2_steps(np.float64(0.0), np.float64(delta), np.float64(0.0),
-                    np.float64(g_q), np.float64(tb1))
-    Um = _su2_steps(np.float64(0.0), np.float64(delta), np.float64(0.0),
-                    np.float64(0.0), np.float64(tau - tb1 - tb2))
-    U2 = _su2_steps(np.float64(0.0), np.float64(delta), np.float64(0.0),
-                    np.float64(-g_q), np.float64(tb2))
-    return U2 @ (Um @ (U1 @ psi0))
+    kick1 = _su2_steps(delta, 0.0, g_q, tb1)
+    free = _su2_steps(delta, 0.0, 0.0, tau - tb1 - tb2)
+    kick2 = _su2_steps(delta, 0.0, -g_q, tb2)
+    return _apply(_qmul(kick2, _qmul(free, kick1)), psi0)
 
 
 def optimize_bob_kicks(cfg: LzConfig, g_q: float = DEFAULT_GQ,
@@ -214,12 +214,11 @@ def optimize_bob_kicks(cfg: LzConfig, g_q: float = DEFAULT_GQ,
         return abs(np.vdot(psit, psi)) ** 2
 
     angles = np.linspace(0.0, phimax, grid, endpoint=False)
-    best_f, best = -1.0, (0.0, 0.0)
-    for p1 in angles:
-        for p2 in angles:
-            f = fid(p1, p2)
-            if f > best_f:
-                best_f, best = f, (p1, p2)
+    p1, p2 = (a.ravel() for a in np.meshgrid(angles, angles, indexing="ij"))
+    cells = np.abs(_bob_final_state(cfg.delta, g_q, cfg.tau, p1, p2, psi0)
+                   @ psit.conj()) ** 2
+    k = int(np.argmax(cells))   # the first best cell, phi1-major
+    best_f, best = float(cells[k]), (float(p1[k]), float(p2[k]))
 
     res = minimize(lambda x: -fid(x[0], x[1]), np.array(best),
                    method="Nelder-Mead",
@@ -344,11 +343,19 @@ def bisect_sign_change(f, a: float, b: float, tol: float = 1e-3) -> float:
 
 def find_cd_lcd_crossover(cfg: LzConfig, taus: Optional[Sequence[float]] = None,
                           tol: float = 1e-3,
-                          quadrature_steps: int = 8192) -> Optional[float]:
-    """Duration tau* where C_CD(tau) = C_LCD(tau), or None if none bracketed."""
-    if taus is None:
-        taus = np.geomspace(0.5, 100.0, 25)
-    scan = cost_scan(cfg, taus, ("cd", "lcd"), quadrature_steps)
+                          quadrature_steps: int = 8192,
+                          scan: Optional[dict] = None) -> Optional[float]:
+    """Duration tau* where C_CD(tau) = C_LCD(tau), or None if none bracketed.
+
+    The bracket is read from ``scan``, a :func:`cost_scan` result with "cd"
+    and "lcd" columns made at the same ``quadrature_steps``, when one is
+    given (``taus`` is then unused); otherwise that scan of ``taus`` is
+    computed here.
+    """
+    if scan is None:
+        if taus is None:
+            taus = np.geomspace(0.5, 100.0, 25)
+        scan = cost_scan(cfg, taus, ("cd", "lcd"), quadrature_steps)
     diff = scan["cd"] - scan["lcd"]
     idx = np.where(np.sign(diff[:-1]) != np.sign(diff[1:]))[0]
     if len(idx) == 0:

@@ -22,11 +22,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.optimize import minimize
 
 from .landau_zener import LzConfig, lz_ground_state, qsl_time
-from .twolevel import _su2_steps, _ordered_product
+from .twolevel import _su2_steps, _ordered_product, _apply
 
 __all__ = ["OcProblem", "OcResult", "objective", "evaluate", "optimize",
            "refine_result", "tau_scan"]
@@ -58,6 +57,8 @@ class OcProblem:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        if self.steps < 2:
+            raise ValueError(f"steps must be >= 2, got {self.steps}")
         cfg = self.config
         tqsl = qsl_time(cfg.delta, lz_ground_state(cfg.delta, cfg.g0),
                         lz_ground_state(cfg.delta, cfg.g1))
@@ -67,8 +68,24 @@ class OcProblem:
                 f"got tau = {cfg.tau}")
 
 
+def _simpson_weights(n: int, h: float) -> np.ndarray:
+    """Weights w with w @ y == scipy.integrate.simpson(y, dx=h) for n + 1 >= 3 points.
+
+    Composite Simpson on the first even number of intervals; for an odd
+    count, scipy's (Cartwright) correction for the last interval.
+    """
+    m = n - n % 2
+    w = np.zeros(n + 1)
+    w[0:m + 1:2] = 2.0 * h / 3.0
+    w[1:m:2] = 4.0 * h / 3.0
+    w[0] = w[m] = h / 3.0
+    if n % 2:
+        w[-3:] += h * np.array([-1.0 / 12.0, 2.0 / 3.0, 5.0 / 12.0])
+    return w
+
+
 class _Evaluator:
-    """Precomputed basis matrices for fast repeated (q, C) evaluation."""
+    """Precomputed basis and quadrature weights for fast repeated (q, C) evaluation."""
 
     def __init__(self, problem: OcProblem, steps: Optional[int] = None):
         cfg = problem.config
@@ -78,15 +95,18 @@ class _Evaluator:
         self.gamma = problem.gamma
         self.steps = steps or problem.steps
         self.t = np.linspace(0.0, self.tau, self.steps + 1)
-        self.tm = 0.5 * (self.t[:-1] + self.t[1:])
         self.dt = self.tau / self.steps
-        nvec = np.arange(1, self.n_max + 1)
-        self.Sm = np.sin(np.pi * np.outer(self.tm, nvec) / self.tau)
-        self.Cm = np.cos(np.pi * np.outer(self.tm, nvec) / self.tau)
-        self.Sn = np.sin(np.pi * np.outer(self.t, nvec) / self.tau)
-        self.Cn = np.cos(np.pi * np.outer(self.t, nvec) / self.tau)
-        self.lin_m = cfg.g0 - 2.0 * cfg.g0 * self.tm / self.tau
-        self.lin_n = cfg.g0 - 2.0 * cfg.g0 * self.t / self.tau
+        # rows: the step midpoints (propagation), then the nodes (cost);
+        # built in place, so the peak stays at the basis plus one argument table
+        tt = np.concatenate([0.5 * (self.t[:-1] + self.t[1:]), self.t])
+        arg = np.outer(tt, np.arange(1, self.n_max + 1))
+        arg *= np.pi
+        arg /= self.tau
+        self.basis = np.empty((len(tt), 2 * self.n_max))
+        np.sin(arg, out=self.basis[:, :self.n_max])
+        np.cos(arg, out=self.basis[:, self.n_max:])
+        self.lin = cfg.g0 - 2.0 * cfg.g0 * tt / self.tau
+        self.weights = _simpson_weights(self.steps, self.dt) / self.tau
         self.psi0 = lz_ground_state(cfg.delta, cfg.g0)
         self.psit = lz_ground_state(cfg.delta, cfg.g1)
         self.nfev = 0
@@ -98,15 +118,11 @@ class _Evaluator:
         self.nfev += 1
         a = params[:self.n_max]
         ph = params[self.n_max:]
-        a_cos, a_sin = a * np.cos(ph), a * np.sin(ph)
-        gm = self.lin_m + self.Sm @ a_cos + self.Cm @ a_sin
-        gn = self.lin_n + self.Sn @ a_cos + self.Cn @ a_sin
-        zeros = np.zeros_like(gm)
-        delta_arr = np.full_like(gm, self.delta)
-        U = _su2_steps(zeros, delta_arr, zeros, gm, self.dt)
-        psi = _ordered_product(U) @ self.psi0
+        g = self.lin + self.basis @ np.concatenate([a * np.cos(ph), a * np.sin(ph)])
+        gm, gn = g[:self.steps], g[self.steps:]
+        psi = _apply(_ordered_product(_su2_steps(self.delta, 0.0, gm, self.dt)), self.psi0)
         q = 1.0 - abs(np.vdot(self.psit, psi)) ** 2
-        C = float(simpson(np.sqrt((self.delta**2 + gn * gn) / 2.0), x=self.t) / self.tau)
+        C = float(self.weights @ np.sqrt((self.delta**2 + gn * gn) / 2.0))
         return float(q), C
 
     def combined(self, q: float, C: float) -> float:

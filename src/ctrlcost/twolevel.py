@@ -7,9 +7,20 @@ The Hamiltonian convention throughout is
 with all coefficients real (angular frequency units, hbar = 1). Propagation
 uses piecewise-exact stepping: on each substep the exact 2x2 exponential of
 H evaluated at the substep midpoint is applied, so the evolution is unitary
-by construction and converges at second order in the step size. Schedules
-may declare interior breakpoints (e.g. rectangular kicks); the time grid
-then snaps to them and stepping stays exact on piecewise-constant parts.
+by construction and converges at second order in the step size. The time
+grid is the uniform one, linspace(0, tau, steps + 1); a schedule's interior
+breakpoints (e.g. rectangular kicks) are inserted as extra nodes, so
+stepping stays exact on piecewise-constant parts.
+
+Each step's SU(2) part is a unit quaternion of four reals,
+(a0, a) <-> a0 * 1 - i a . sigma with a0 = cos(r dt/2) and
+a = sin(r dt/2)/r * (cx, cy, cz); products of steps are quaternion
+products. The identity part exp(-i c0 dt) commutes with everything and is
+carried as one phase: exp(-i sum c0 dt) for a final state, and
+exp(-i cumsum(c0 dt)) along a trajectory. Final states reduce the steps
+pairwise; trajectories take an inclusive prefix scan of them (Hillis-Steele,
+log2 n vectorized levels; Blelloch, "Prefix sums and their applications",
+1990) and apply each prefix to the initial state in closed form.
 """
 
 from __future__ import annotations
@@ -129,52 +140,86 @@ class CostReport:
 # grids and SU(2) steps
 
 def _segment_grid(duration: float, breakpoints, steps: int):
-    """Node grid snapped to breakpoints, >= 8 steps per segment."""
-    edges = [0.0] + sorted(float(b) for b in breakpoints
-                           if 0.0 < float(b) < duration) + [duration]
-    edges = np.array(edges)
-    lengths = np.diff(edges)
+    """Uniform nodes linspace(0, duration, steps + 1) plus the interior breakpoints."""
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
-    nseg = len(lengths)
-    alloc = np.maximum(8, np.rint(steps * lengths / duration).astype(int)) if nseg > 1 \
-        else np.array([steps])
-    nodes = [np.array([0.0])]
-    for (a, b), n in zip(zip(edges[:-1], edges[1:]), alloc):
-        nodes.append(np.linspace(a, b, n + 1)[1:])
-    return np.concatenate(nodes)
+    t = np.linspace(0.0, duration, steps + 1)
+    inner = [float(b) for b in breakpoints if 0.0 < float(b) < duration]
+    return np.union1d(t, inner) if inner else t
 
 
-def _su2_steps(c0, cx, cy, cz, dt):
-    """Exact exponentials exp(-i H dt) for arrays of Pauli coefficients."""
+def _su2_steps(cx, cy, cz, dt):
+    """Exact exponentials exp(-i (c . sigma/2) dt) as quaternion rows (a0, ax, ay, az).
+
+    a0 = cos(r dt/2) and a = sin(r dt/2)/r * (cx, cy, cz), with r = |c| and
+    the r -> 0 limit a = (dt/2) c. Arguments broadcast against each other.
+    Rows are stored component-major (each component contiguous), the layout
+    every helper below keeps.
+    """
     r = np.sqrt(cx * cx + cy * cy + cz * cz)
     half = 0.5 * r * dt
-    # sin(r dt/2)/r, with the r -> 0 limit dt/2
     s = np.where(r > 0.0, np.sin(half) / np.where(r > 0.0, r, 1.0), 0.5 * dt)
-    c = np.cos(half)
-    phase = np.exp(-1j * c0 * dt)
-    U = np.empty(r.shape + (2, 2), dtype=complex)
-    U[..., 0, 0] = phase * (c - 1j * s * cz)
-    U[..., 0, 1] = phase * (-1j * s * (cx - 1j * cy))
-    U[..., 1, 0] = phase * (-1j * s * (cx + 1j * cy))
-    U[..., 1, 1] = phase * (c + 1j * s * cz)
-    return U
+    return np.stack([np.cos(half), s * cx, s * cy, s * cz]).T
 
 
-def _ordered_product(U: np.ndarray) -> np.ndarray:
-    """Product U[-1] @ ... @ U[0] by pairwise reduction."""
-    while U.shape[0] > 1:
-        n = U.shape[0]
-        if n % 2:
-            tail = U[-1]
-            U = np.matmul(U[1::2], U[0:-1:2])
-            U = np.concatenate([U, tail[None]], axis=0)
-        else:
-            U = np.matmul(U[1::2], U[0::2])
-    return U[0]
+def _structure_constants() -> np.ndarray:
+    """T with (a b)_k = sum_ij T[k, 4 i + j] a_i b_j for quaternions a, b.
+
+    (a0, a)(b0, b) = (a0 b0 - a.b, a0 b + b0 a + a x b), the SU(2) product.
+    """
+    T = np.zeros((4, 4, 4))
+    T[0, 0, 0] = 1.0
+    for i in (1, 2, 3):
+        T[0, i, i] = -1.0
+        T[i, 0, i] = T[i, i, 0] = 1.0
+    for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        T[k, i, j], T[k, j, i] = 1.0, -1.0
+    return T.reshape(4, 16)
 
 
-def _step_matrices(schedule: PauliSchedule, t_nodes: np.ndarray) -> np.ndarray:
+_QMUL = _structure_constants()
+
+
+def _qmul(a, b):
+    """Quaternion products a b of single quaternions (4,) or rows (m, 4): A @ B.
+
+    The 16 elementwise products a_i b_j are contracted with the structure
+    constants in one real matrix product: a few numpy calls per level of a
+    reduction, whatever its length.
+    """
+    a, b = a.T, b.T
+    return (_QMUL @ (a[:, None] * b[None, :]).reshape(16, *a.shape[1:])).T
+
+
+def _ordered_product(q: np.ndarray) -> np.ndarray:
+    """Product q[-1] ... q[0] of quaternion rows by pairwise reduction."""
+    while len(q) > 1:
+        head = _qmul(q[1::2], q[0:-1:2])
+        q = np.concatenate([head, q[-1:]]) if len(q) % 2 else head
+    return q[0]
+
+
+def _prefix_scan(q: np.ndarray) -> np.ndarray:
+    """Inclusive prefix products P[k] = q[k] ... q[0] (Hillis-Steele, log2 n levels).
+
+    After the level with stride d, P[k] holds the product of q[k-2d+1..k].
+    """
+    d = 1
+    while d < len(q):
+        q = np.concatenate([q[:d], _qmul(q[d:], q[:-d])])
+        d *= 2
+    return q
+
+
+def _apply(q, psi):
+    """(a0 - i a.sigma) psi for one quaternion (4,) or quaternion rows (n, 4)."""
+    a0, ax, ay, az = q.T
+    return np.stack([(a0 - 1j * az) * psi[0] - (ay + 1j * ax) * psi[1],
+                     (ay - 1j * ax) * psi[0] + (a0 + 1j * az) * psi[1]], axis=-1)
+
+
+def _schedule_steps(schedule: PauliSchedule, t_nodes: np.ndarray):
+    """SU(2) steps at the substep midpoints and the identity angles c0 dt."""
     tm = 0.5 * (t_nodes[:-1] + t_nodes[1:])
     dt = np.diff(t_nodes)
     c0, cx, cy, cz = schedule.coefficients(tm)
@@ -184,7 +229,7 @@ def _step_matrices(schedule: PauliSchedule, t_nodes: np.ndarray) -> np.ndarray:
             raise ValueError(
                 f"non-finite coefficient {name} at t={tm[bad][0]!r}"
                 + (f" (schedule {schedule.label})" if schedule.label else ""))
-    return _su2_steps(c0, cx, cy, cz, dt)
+    return _su2_steps(cx, cy, cz, dt), c0 * dt
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +333,11 @@ def propagate(schedule: PauliSchedule, psi0, steps: int = DEFAULT_STEPS,
     if abs(float(np.vdot(psi0, psi0).real) - 1.0) > _NORM_TOL:
         raise ValueError("initial state not normalized")
     t = _segment_grid(schedule.duration, schedule.breakpoints, steps)
-    U = _step_matrices(schedule, t)
-    n = len(t)
-    states = np.empty((n, 2), dtype=complex)
+    q, theta = _schedule_steps(schedule, t)
+    states = np.empty((len(t), 2), dtype=complex)
     states[0] = psi0
-    psi = psi0
-    for k in range(n - 1):
-        psi = U[k] @ psi
-        states[k + 1] = psi
+    states[1:] = (np.exp(-1j * np.cumsum(theta))[:, None]
+                  * _apply(_prefix_scan(q), psi0))
 
     ref = reference if reference is not None else schedule
     _, rcx, rcy, rcz = ref.coefficients(t)
@@ -309,10 +351,11 @@ def propagate(schedule: PauliSchedule, psi0, steps: int = DEFAULT_STEPS,
 
 
 def final_state(schedule: PauliSchedule, psi0, steps: int = DEFAULT_STEPS) -> np.ndarray:
-    """Final state only; pairwise-reduced product of all step matrices."""
+    """Final state only; pairwise-reduced product of all steps."""
     psi0 = np.asarray(psi0, dtype=complex)
     t = _segment_grid(schedule.duration, schedule.breakpoints, steps)
-    return _ordered_product(_step_matrices(schedule, t)) @ psi0
+    q, theta = _schedule_steps(schedule, t)
+    return np.exp(-1j * theta.sum()) * _apply(_ordered_product(q), psi0)
 
 
 def converged_final_state(schedule: PauliSchedule, psi0,

@@ -1,10 +1,17 @@
 """CLI runner: config parsing, validation, presets, determinism."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from ctrlcost.cli import parse_config, validate, run, PRESETS, main
+from ctrlcost.landau_zener import LzConfig, find_cd_lcd_crossover
+
+
+def read_csv(path):
+    return np.genfromtxt(path, delimiter=",", names=True, skip_header=1)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +125,45 @@ def test_threads_do_not_change_output(tmp_path):
     assert (out1 / "cost_scan.csv").read_bytes() == (out2 / "cost_scan.csv").read_bytes()
 
 
+def test_fig1_bob_rows_sit_at_their_times_off_preset(tmp_path):
+    # at these inputs the kick edges used to cost the BOB grid a node, and the
+    # run failed with an IndexError; elsewhere its rows drifted off the t column
+    delta, g, g_q = 0.10044, 0.19476, 100.0
+    cfg = parse_config({"preset": "fig1", "out": str(tmp_path / "o"),
+                        "params": {"delta": delta, "g0": -g, "g1": g, "g_q": g_q}})
+    outdir = run(cfg)
+    summary = json.loads((outdir / "summary.json").read_text())
+    tqsl, bob = summary["tau_qsl"], summary["bob"]
+    rate = read_csv(outdir / "cost_rate.csv")
+    at_qsl = rate["tau"] == tqsl
+    t, dc = rate["t"][at_qsl], rate["dC_bob"][at_qsl]
+    kick = (t < bob["phi1"] / g_q) | (t > tqsl - bob["phi2"] / g_q)
+    ref = np.where(kick, math.sqrt((delta**2 + g_q**2) / 2.0), delta / math.sqrt(2.0))
+    assert t.size > 1000
+    assert np.max(np.abs(dc - ref) / ref) < 1e-12
+    fid = read_csv(outdir / "fidelity.csv")
+    at_qsl = fid["tau"] == tqsl
+    assert fid["t"][at_qsl][-1] == tqsl
+    assert fid["F_bob"][at_qsl][-1] == pytest.approx(bob["fidelity"], abs=1e-9)
+
+
+def test_fig4_qstar_rows_end_at_tau(tmp_path):
+    cfg = parse_config({"preset": "fig4", "protocols": ["ie"], "tau": [2.0],
+                        "out": str(tmp_path / "o")})
+    outdir = run(cfg)
+    for tau in (1.6, 2.5):
+        table = read_csv(outdir / f"qstar_tau{tau:g}.csv")
+        assert table["t"][-1] == tau
+        assert np.all(np.diff(table["t"]) > 0)
+
+
+def test_fig3_crossover_matches_a_fresh_scan(tmp_path):
+    cfg = parse_config({"preset": "fig3", "out": str(tmp_path / "o")})
+    summary = json.loads((run(cfg) / "summary.json").read_text())
+    base = LzConfig(tau=cfg.tau[0])
+    assert summary["crossover_cd_lcd"] == find_cd_lcd_crossover(base, cfg.tau)
+
+
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -141,6 +187,26 @@ def test_main_errors_on_missing_input(capsys):
 
 def test_main_errors_on_unknown_preset(capsys):
     assert main(["run", "fig9"]) == 2
+
+
+@pytest.mark.parametrize("name", ["SEED", "THREADS"])
+def test_main_errors_on_non_integer_env_setting(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(f"CTRLCOST_{name}", "abc")
+    assert main(["run", "smoke", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"CTRLCOST_{name}" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_validate_exits_nonzero_when_invalid(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": "oscillator", "tau": [1.0]}))
+    assert main(["validate", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["valid"] is False
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "cd_validity tau=1" in captured.err
 
 
 def test_main_run_smoke(tmp_path, capsys):

@@ -261,6 +261,13 @@ def test_cost_hierarchy_and_crossover():
     assert tstar is not None and 1.0 < tstar < 50.0
 
 
+def test_crossover_from_a_given_scan_matches_its_own_scan():
+    cfg = LzConfig(tau=1.0)
+    taus = np.geomspace(0.5, 100.0, 25)
+    scan = cost_scan(cfg, taus, ("cd", "lcd", "cd-blend"))
+    assert find_cd_lcd_crossover(cfg, scan=scan) == find_cd_lcd_crossover(cfg, taus)
+
+
 def test_crossover_moves_left_when_gap_doubles():
     t1 = find_cd_lcd_crossover(LzConfig(tau=1.0, delta=0.1))
     t2 = find_cd_lcd_crossover(LzConfig(tau=1.0, delta=0.2))

@@ -4,13 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 
 from ctrlcost.landau_zener import LzConfig, lz_bare, lz_ground_state
 from ctrlcost.ramps import oc_fourier_ramp
 from ctrlcost.twolevel import converged_final_state, fidelity, integrated_cost
 from ctrlcost.oc import (OcProblem, objective, evaluate, optimize,
-                         refine_result, tau_scan, _Evaluator)
+                         refine_result, tau_scan, _Evaluator, _simpson_weights)
 
 
 def make_problem(tau=30.0, **kw):
@@ -37,6 +37,16 @@ def test_rejects_bad_gamma_and_nmax():
         make_problem(gamma=0.0)
     with pytest.raises(ValueError, match="n_max"):
         make_problem(n_max=0)
+    with pytest.raises(ValueError, match="steps"):
+        make_problem(steps=1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 4096])
+def test_simpson_weights_match_scipy(n):
+    t = np.linspace(0.0, 3.7, n + 1)
+    y = np.random.default_rng(n).normal(size=n + 1)
+    w = _simpson_weights(n, t[1] - t[0])
+    assert w @ y == pytest.approx(simpson(y, x=t), rel=1e-13, abs=1e-13)
 
 
 def test_parameter_length_checked():

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from ctrlcost.twolevel import (PauliSchedule, qubit_state, fidelity, propagate,
                                final_state, converged_final_state,
                                instantaneous_eigenstates, cost_rate,
-                               integrated_cost, trajectory_to_csv)
+                               integrated_cost, trajectory_to_csv,
+                               _su2_steps, _ordered_product, _prefix_scan)
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -141,6 +143,69 @@ def test_nan_coefficient_aborts_with_timestamp():
     sched = PauliSchedule(duration=1.0, cx=bad, cz=lambda t: np.zeros_like(np.asarray(t)))
     with pytest.raises(ValueError, match="non-finite coefficient"):
         propagate(sched, KET0, steps=64)
+
+
+# ---------------------------------------------------------------------------
+# quaternion step core
+
+SIGMA = (np.array([[0, 1], [1, 0]], dtype=complex),
+         np.array([[0, -1j], [1j, 0]]),
+         np.array([[1, 0], [0, -1]], dtype=complex))
+
+
+def su2_matrix(q):
+    """a0 * 1 - i a.sigma for one quaternion (a0, ax, ay, az)."""
+    return q[0] * np.eye(2) - 1j * sum(a * s for a, s in zip(q[1:], SIGMA))
+
+
+def random_steps(n, seed):
+    """Coefficients and step widths with c0 != 0, cy != 0 and exact r = 0 steps."""
+    rng = np.random.default_rng(seed)
+    c0, cx, cy, cz = rng.normal(0.0, 2.0, (4, n))
+    cx[::5] = cy[::5] = cz[::5] = 0.0
+    return c0, cx, cy, cz, rng.uniform(0.01, 0.3, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 129])
+def test_ordered_product_matches_expm(n):
+    c0, cx, cy, cz, dt = random_steps(n, seed=n)
+    ref = np.eye(2, dtype=complex)
+    for k in range(n):
+        H = c0[k] * np.eye(2) + 0.5 * (cx[k] * SIGMA[0] + cy[k] * SIGMA[1]
+                                       + cz[k] * SIGMA[2])
+        ref = expm(-1j * H * dt[k]) @ ref
+    q = _ordered_product(_su2_steps(cx, cy, cz, dt))
+    U = np.exp(-1j * np.sum(c0 * dt)) * su2_matrix(q)
+    assert np.max(np.abs(U - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 6, 333])
+def test_prefix_scan_matches_sequential_loop(n):
+    _, cx, cy, cz, dt = random_steps(n, seed=100 + n)
+    q = _su2_steps(cx, cy, cz, dt)
+    scan = _prefix_scan(q)
+    assert scan.shape == q.shape
+    P = np.eye(2, dtype=complex)
+    for k in range(n):
+        P = su2_matrix(q[k]) @ P
+        assert np.max(np.abs(su2_matrix(scan[k]) - P)) < 1e-12
+    assert np.max(np.abs(scan[-1] - _ordered_product(q))) < 1e-13
+
+
+def test_quaternion_norm_drift_at_20k_steps():
+    _, cx, cy, cz, dt = random_steps(20_000, seed=5)
+    q = _su2_steps(cx, cy, cz, dt)
+    norms = np.sum(_prefix_scan(q) ** 2, axis=1)
+    assert np.max(np.abs(norms - 1.0)) < 1e-12
+    assert abs(np.sum(_ordered_product(q) ** 2) - 1.0) < 1e-12
+
+
+def test_breakpoints_are_extra_nodes_of_the_uniform_grid():
+    sched = PauliSchedule(duration=2.0, cx=lambda t: np.full_like(t, 1.0),
+                          cz=lambda t: np.zeros_like(t), breakpoints=(0.0123, 1.5, 2.0))
+    traj = propagate(sched, KET0, steps=8)
+    uniform = np.linspace(0.0, 2.0, 9)
+    assert np.array_equal(traj.times, np.union1d(uniform, [0.0123]))
 
 
 # ---------------------------------------------------------------------------
