@@ -3,8 +3,9 @@
 Configs are JSON files (nested key-value); unknown keys are rejected so
 typos fail loudly. Every CSV starts with a comment line carrying the hash
 of the resolved config, and reruns with the same config and seed are
-byte-identical. Environment variables with the CTRLCOST_ prefix override
-the corresponding flags (CTRLCOST_OUT, CTRLCOST_SEED, CTRLCOST_THREADS).
+byte-identical. CTRLCOST_OUT, CTRLCOST_SEED and CTRLCOST_THREADS stand in
+for the --out, --seed and --threads flags: a flag given on the command line
+wins, then the environment variable, then the config or default value.
 
 Subcommands: run, validate, list-presets.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -75,6 +77,34 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
 
 
+def _durations(values) -> list:
+    """Floats from a list of durations, each finite and positive."""
+    try:
+        if not isinstance(values, (list, tuple, np.ndarray)):
+            raise TypeError
+        out = [float(t) for t in values]
+    except (TypeError, ValueError):
+        raise ValueError(f"tau must be a list of numbers or a grid, got {values!r}") from None
+    bad = [t for t in out if not (math.isfinite(t) and t > 0.0)]
+    if bad:
+        raise ValueError(f"tau values must be finite and positive, got {bad[0]!r}")
+    return out
+
+
+def _parse_tau(tau) -> list:
+    """Durations from a list or a {min, max, num, log} grid."""
+    if isinstance(tau, dict):
+        extra = set(tau) - {"min", "max", "num", "log"}
+        if extra:
+            raise ValueError(f"unknown tau grid keys: {sorted(extra)}")
+        num = tau.get("num")
+        if not isinstance(num, int) or isinstance(num, bool) or num < 1:
+            raise ValueError(f"tau grid 'num' must be an integer >= 1, got {num!r}")
+        lo, hi = _durations([tau.get("min"), tau.get("max")])
+        tau = (np.geomspace if tau.get("log", True) else np.linspace)(lo, hi, num)
+    return _durations(tau)
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     unknown = set(raw) - _TOP_KEYS
     if unknown:
@@ -99,15 +129,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     bad = set(params) - _MODEL_KEYS[model]
     if bad:
         raise ValueError(f"unknown params for model {model!r}: {sorted(bad)}")
-    tau = raw.get("tau", [])
-    if isinstance(tau, dict):
-        extra = set(tau) - {"min", "max", "num", "log"}
-        if extra:
-            raise ValueError(f"unknown tau grid keys: {sorted(extra)}")
-        if tau.get("log", True):
-            tau = list(np.geomspace(tau["min"], tau["max"], tau["num"]))
-        else:
-            tau = list(np.linspace(tau["min"], tau["max"], tau["num"]))
+    tau = _parse_tau(raw.get("tau", []))
     mode = raw.get("mode", "")
     if mode not in ("", "trajectory", "scan"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -118,7 +140,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         ramp_from_dict(ramp)  # fail early on malformed descriptions
     return ExperimentConfig(model=model,
                             protocols=list(raw.get("protocols", [])),
-                            tau=[float(t) for t in tau],
+                            tau=tau,
                             params=params,
                             seed=int(raw.get("seed", 0)),
                             out=raw.get("out", "out"),
@@ -289,17 +311,14 @@ def _run_lz(cfg: ExperimentConfig, outdir: Path, summary: dict, threads: int):
                     raise RuntimeError(f"{p} trajectory grid lacks the uniform nodes")
                 at[p] = j
             builders = {"cd": lz_cd, "lcd": lz_lcd}
-            scheds = [builders[p](lzc) for p in spectra_protocols]
+            energies = [e for p in spectra_protocols
+                        for e in instantaneous_eigenstates(builders[p](lzc), t)[2:]]
             for i, ti in enumerate(t):
                 fid.add(tau, ti, *[trajs[p].fidelity[at[p][i]] if p in trajs else np.nan
                                    for p in trajectory_protocols])
                 rate.add(tau, ti, *[trajs[p].cost_rate[at[p][i]] if p in trajs else np.nan
                                     for p in trajectory_protocols])
-                energies = []
-                for sched in scheds:
-                    _, _, em, ep = instantaneous_eigenstates(sched, ti)
-                    energies += [em, ep]
-                spec.add(tau, ti, *energies)
+                spec.add(tau, ti, *[e[i] for e in energies])
         for w in (fid, rate, spec):
             w.write()
         return

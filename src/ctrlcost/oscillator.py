@@ -11,6 +11,16 @@ protocol cost is the time average of the mean energy
 the operator norm being infinite for the unbounded spectrum. For local
 counterdiabatic driving the frequency omega is replaced by the effective
 Omega both in the prefactor and inside Q*.
+
+X and Y are the columns of one fundamental matrix [[Y, X], [Y', X']] of
+(x, x')' = A(t) (x, x'), A = [[0, 1], [-omega^2, 0]]. Each step is the
+fourth-order commutator-free Magnus step with two Gauss nodes (Blanes &
+Moan, Appl. Numer. Math. 56, 1519 (2006)), a product of two closed-form
+2x2 exponentials, so every step is unimodular and the Wronskian is -1 to
+round-off. The steps are carried near the identity, E = M - I, and their
+running products come from the Hillis-Steele prefix scan of the qubit
+core (``twolevel._prefix_scan``). The Ermakov route keeps its own RK4 loop,
+an oracle independent of the transfer matrices.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .landau_zener import bisect_sign_change
+from .twolevel import _prefix_scan
 
 __all__ = [
     "FrequencySchedule",
@@ -137,36 +148,60 @@ def default_steps(sched: FrequencySchedule) -> int:
     return int(min(400_000, max(8_000, 400 * wmax * sched.tau)))
 
 
-def _rk4_pair(omega2_at, tau: float, steps: int, ics):
-    """RK4 on x'' = -omega^2(t) x for one initial-condition pair."""
+# Gauss nodes (fractions of the step) and CF4 weights alpha_1 > 0 > alpha_2
+_GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_ALPHA = (0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0)
+
+
+def _exp_minus_identity(h: float, b: np.ndarray) -> np.ndarray:
+    """exp([[0, h/2], [-b, 0]]) - I as rows (c - 1, (h/2) S, -b S, c - 1).
+
+    With z = b h/2: c = cos(sqrt z), S = sin(sqrt z)/sqrt z for z > 0;
+    cosh and sinh for z < 0, where the Gauss combination b turns negative;
+    c = S = 1 at z = 0. c - 1 = -2 sin^2(sqrt(z)/2) (+2 sinh^2 for z < 0)
+    keeps its relative precision for small steps. Rows are stored
+    component-major, as the prefix scan keeps them.
+    """
+    z = 0.5 * h * b
+    k = np.sqrt(np.abs(z))
+    trig = z >= 0.0
+    safe_k = np.where(k > 0.0, k, 1.0)
+    s = np.where(k > 0.0, np.where(trig, np.sin(k), np.sinh(k)) / safe_k, 1.0)
+    half = np.where(trig, np.sin(0.5 * k), np.sinh(0.5 * k))
+    cm1 = np.where(trig, -2.0, 2.0) * half * half
+    return np.stack([cm1, 0.5 * h * s, -b * s, cm1]).T
+
+
+def _near_identity_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(I + a)(I + b) - I = a + b + a b for 2x2 rows (m00, m01, m10, m11)."""
+    a0, a1, a2, a3 = a.T
+    b0, b1, b2, b3 = b.T
+    return np.stack([a0 + b0 + (a0 * b0 + a1 * b2), a1 + b1 + (a0 * b1 + a1 * b3),
+                     a2 + b2 + (a2 * b0 + a3 * b2), a3 + b3 + (a2 * b1 + a3 * b3)]).T
+
+
+def _fundamental_matrix(omega2_at, tau: float, steps: int):
+    """Grid and the components (Y - 1, X, Y', X' - 1) of [[Y, X], [Y', X']] - I on it.
+
+    One CF4 step is exp(h(a2 A1 + a1 A2)) exp(h(a1 A1 + a2 A2)), with A1, A2
+    at the Gauss nodes of the step.
+    """
     h = tau / steps
     t = np.linspace(0.0, tau, steps + 1)
-    w2_a = omega2_at(t[:-1])
-    w2_m = omega2_at(t[:-1] + 0.5 * h)
-    w2_b = omega2_at(t[1:])
-    x, v = float(ics[0]), float(ics[1])
-    xs = np.empty(steps + 1)
-    vs = np.empty(steps + 1)
-    xs[0], vs[0] = x, v
-    for k in range(steps):
-        a0, am, a1 = w2_a[k], w2_m[k], w2_b[k]
-        k1x, k1v = v, -a0 * x
-        x2 = x + 0.5 * h * k1x
-        k2x, k2v = v + 0.5 * h * k1v, -am * x2
-        x3 = x + 0.5 * h * k2x
-        k3x, k3v = v + 0.5 * h * k2v, -am * x3
-        x4 = x + h * k3x
-        k4x, k4v = v + h * k3v, -a1 * x4
-        x += h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v += h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        xs[k + 1], vs[k + 1] = x, v
-    return t, xs, vs
+    w1 = omega2_at(t[:-1] + _GAUSS[0] * h)
+    w2 = omega2_at(t[:-1] + _GAUSS[1] * h)
+    a1, a2 = _ALPHA
+    first = _exp_minus_identity(h, h * (a1 * w1 + a2 * w2))
+    second = _exp_minus_identity(h, h * (a2 * w1 + a1 * w2))
+    E = _prefix_scan(_near_identity_product(second, first), _near_identity_product)
+    return t, np.concatenate([np.zeros((4, 1)), E.T], axis=1)
 
 
 def classical_solutions(sched: FrequencySchedule, steps: Optional[int] = None,
                         omega2: Optional[Callable] = None) -> OscillatorSolution:
-    """Integrate both auxiliary solutions X (X0=0, X'0=1) and Y (Y0=1, Y'0=0).
+    """Both auxiliary solutions X (X0=0, X'0=1) and Y (Y0=1, Y'0=0) on a uniform grid.
 
+    They are the columns of the CF4 fundamental matrix (module docstring).
     ``omega2`` overrides the squared frequency (used for the LCD effective
     trap); by default it is sched.omega(t)^2. The Wronskian is checked and
     the grid refined once if the drift exceeds the tolerance.
@@ -177,8 +212,8 @@ def classical_solutions(sched: FrequencySchedule, steps: Optional[int] = None,
         raise ValueError(f"steps must be >= 2, got {steps}")
     w2 = omega2 if omega2 is not None else (lambda t: sched.omega(t) ** 2)
     for attempt in range(2):
-        t, X, Xd = _rk4_pair(w2, sched.tau, steps, (0.0, 1.0))
-        _, Y, Yd = _rk4_pair(w2, sched.tau, steps, (1.0, 0.0))
+        t, E = _fundamental_matrix(w2, sched.tau, steps)
+        Y, X, Yd, Xd = 1.0 + E[0], E[1], E[2], 1.0 + E[3]
         drift = float(np.max(np.abs(X * Yd - Xd * Y + 1.0)))
         if drift <= WRONSKIAN_TOL:
             return OscillatorSolution(times=t, X=X, Xd=Xd, Y=Y, Yd=Yd)
@@ -191,7 +226,8 @@ def ermakov_solve(sched: FrequencySchedule, steps: Optional[int] = None) -> Osci
     """Integrate b'' + omega^2 b = omega0^2 / b^3 with b(0)=1, b'(0)=0.
 
     The initial conditions are those of thermal equilibrium in the initial
-    trap. Uses the same RK4 stepper as the classical solutions.
+    trap. Classical RK4 on its own step loop, kept apart from the transfer
+    matrices of ``classical_solutions`` so that it checks them independently.
     """
     if steps is None:
         steps = default_steps(sched)

@@ -25,7 +25,6 @@ log2 n vectorized levels; Blelloch, "Prefix sums and their applications",
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -199,14 +198,16 @@ def _ordered_product(q: np.ndarray) -> np.ndarray:
     return q[0]
 
 
-def _prefix_scan(q: np.ndarray) -> np.ndarray:
+def _prefix_scan(q: np.ndarray, mul=_qmul) -> np.ndarray:
     """Inclusive prefix products P[k] = q[k] ... q[0] (Hillis-Steele, log2 n levels).
 
     After the level with stride d, P[k] holds the product of q[k-2d+1..k].
+    ``mul(later, earlier)`` multiplies rows; the oscillator passes its own
+    2x2 product.
     """
     d = 1
     while d < len(q):
-        q = np.concatenate([q[:d], _qmul(q[d:], q[:-d])])
+        q = np.concatenate([q[:d], mul(q[d:], q[:-d])])
         d *= 2
     return q
 
@@ -260,18 +261,19 @@ def _eigvec_pair(cx, cy, cz):
     return fix_phase(exc), fix_phase(gnd), r
 
 
-def instantaneous_eigenstates(schedule: PauliSchedule, t: float):
-    """Eigenpairs (ground, excited, E_minus, E_plus) of H(t).
+def instantaneous_eigenstates(schedule: PauliSchedule, t):
+    """Eigenpairs (ground, excited, E_minus, E_plus) of H(t), at one time or an array.
 
-    Energies are E_pm = c0 +- sqrt(cx^2 + cy^2 + cz^2)/2. Degenerate points
-    are rejected.
+    Energies are E_pm = c0 +- sqrt(cx^2 + cy^2 + cz^2)/2; for an array of n
+    times the states have shape (n, 2). Degenerate points are rejected.
     """
-    c0, cx, cy, cz = (float(np.asarray(f(np.float64(t))))
-                      for f in (schedule.c0, schedule.cx, schedule.cy, schedule.cz))
-    if math.sqrt(cx * cx + cy * cy + cz * cz) < 1e-14:
-        raise ValueError(f"degenerate spectrum at t={t}: (cx, cy, cz) = 0")
+    c0, cx, cy, cz = schedule.coefficients(t)
+    bad = np.atleast_1d(np.sqrt(cx * cx + cy * cy + cz * cz) < 1e-14)
+    if bad.any():
+        raise ValueError(f"degenerate spectrum at t={np.atleast_1d(t)[bad][0]}: "
+                         "(cx, cy, cz) = 0")
     exc, gnd, r = _eigvec_pair(cx, cy, cz)
-    return gnd, exc, c0 - 0.5 * float(r), c0 + 0.5 * float(r)
+    return gnd, exc, c0 - 0.5 * r, c0 + 0.5 * r
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,21 @@ def test_tau_grid_expansion():
     assert cfg.tau == pytest.approx([1.0, 10.0, 100.0])
 
 
+@pytest.mark.parametrize("tau", [{"min": 1.0, "max": 2.0, "num": 0},
+                                 [float("nan"), 5.0], [0.0], [float("inf")],
+                                 {"min": -1.0, "max": 2.0, "num": 3}])
+def test_bad_tau_rejected_with_one_line_error(tau, tmp_path, capsys):
+    with pytest.raises(ValueError, match="tau"):
+        parse_config({"model": "lz", "tau": tau})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": "lz", "tau": tau,
+                                "out": str(tmp_path / "o")}))
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: tau") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_preset_resolution_and_param_merge():
     cfg = parse_config({"preset": "fig5", "params": {"n_cut": 50}})
     assert cfg.model == "jc"
@@ -197,6 +212,19 @@ def test_main_errors_on_non_integer_env_setting(name, tmp_path, monkeypatch, cap
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"CTRLCOST_{name}" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_flag_wins_over_env_which_wins_over_default(tmp_path, monkeypatch):
+    monkeypatch.setenv("CTRLCOST_SEED", "5")
+    monkeypatch.setenv("CTRLCOST_OUT", str(tmp_path / "env"))
+    assert main(["run", "smoke", "--seed", "3", "--out", str(tmp_path / "flag")]) == 0
+    assert json.loads((tmp_path / "flag" / "summary.json").read_text())["seed"] == 3
+    assert not (tmp_path / "env").exists()
+    assert main(["run", "smoke"]) == 0
+    assert json.loads((tmp_path / "env" / "summary.json").read_text())["seed"] == 5
+    monkeypatch.delenv("CTRLCOST_SEED")
+    assert main(["run", "smoke", "--out", str(tmp_path / "default")]) == 0
+    assert json.loads((tmp_path / "default" / "summary.json").read_text())["seed"] == 0
 
 
 def test_validate_exits_nonzero_when_invalid(tmp_path, capsys):

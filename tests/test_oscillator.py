@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from ctrlcost.oscillator import (FrequencySchedule, classical_solutions,
                                  ermakov_solve, husimi_qstar, qstar_cd,
@@ -86,6 +87,54 @@ def test_fourth_order_convergence():
     r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
     assert 12.0 < r1 < 21.0
     assert 12.0 < r2 < 21.0
+
+
+@pytest.mark.parametrize("tau", [1.6, 2.5])
+@pytest.mark.parametrize("protocol", ["bare", "lcd"])
+def test_classical_pair_matches_solve_ivp(tau, protocol):
+    sched = FrequencySchedule.quintic(W0, W1, tau)
+    omega2 = (lambda t: lcd_frequency(sched, t)) if protocol == "lcd" else None
+    w2 = omega2 or (lambda t: sched.omega(t) ** 2)
+    sol = classical_solutions(sched, omega2=omega2)
+    at = np.arange(0, len(sol.times), 97)
+    ref = solve_ivp(lambda t, y: [y[1], -w2(t) * y[0], y[3], -w2(t) * y[2]],
+                    (0.0, tau), [0.0, 1.0, 1.0, 0.0], method="DOP853",
+                    rtol=1e-12, atol=1e-12, t_eval=sol.times[at])
+    got = np.array([sol.X[at], sol.Xd[at], sol.Y[at], sol.Yd[at]])
+    assert np.max(np.abs(got - ref.y)) < 1e-10
+
+
+def test_inverted_trap_closed_forms():
+    # omega^2 = -kappa^2 < 0 takes the cosh branch of every step
+    kappa = 1.5
+    sched = FrequencySchedule.constant(W0, 2.0)
+    sol = classical_solutions(sched, steps=4000,
+                              omega2=lambda t: np.full_like(t, -kappa**2))
+    t = sol.times
+    assert np.allclose(sol.X, np.sinh(kappa * t) / kappa, rtol=1e-12, atol=0.0)
+    assert np.allclose(sol.Xd, np.cosh(kappa * t), rtol=1e-12, atol=0.0)
+    assert np.allclose(sol.Y, np.cosh(kappa * t), rtol=1e-12, atol=0.0)
+    assert np.allclose(sol.Yd, kappa * np.sinh(kappa * t), rtol=1e-12, atol=0.0)
+
+
+def test_free_particle_closed_forms():
+    # omega^2 = 0 takes the k -> 0 limit of every step: X = t, Y = 1
+    sched = FrequencySchedule.constant(W0, 3.0)
+    sol = classical_solutions(sched, steps=4000, omega2=np.zeros_like)
+    t = sol.times
+    assert np.max(np.abs(sol.X - t)) < 1e-12
+    assert np.max(np.abs(sol.Xd - 1.0)) < 1e-12
+    assert np.max(np.abs(sol.Y - 1.0)) < 1e-12
+    assert np.max(np.abs(sol.Yd)) < 1e-12
+
+
+def test_wronskian_round_off_at_40k_steps():
+    for sched in (FrequencySchedule.quintic(W0, W1, 1.6),
+                  FrequencySchedule.quintic(W0, W1, 2.5),
+                  FrequencySchedule.quintic(W0, W1, 50.0),
+                  random_smooth_schedule()):
+        sol = classical_solutions(sched, steps=40_000)
+        assert np.max(np.abs(sol.wronskian() + 1.0)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,20 @@ def test_degenerate_point_rejected():
     s = constant_schedule()
     with pytest.raises(ValueError, match="degenerate"):
         instantaneous_eigenstates(s, 0.25)
+    crossing = PauliSchedule(1.0, cx=lambda t: 0.0 * t, cz=lambda t: t - 0.5)
+    with pytest.raises(ValueError, match=r"degenerate spectrum at t=0\.5:"):
+        instantaneous_eigenstates(crossing, np.linspace(0.0, 1.0, 5))
+
+
+def test_eigenstates_over_an_array_match_each_time():
+    sched = random_smooth_schedule(seed=7)
+    t = np.linspace(0.0, 3.0, 9)
+    gnd, exc, em, ep = instantaneous_eigenstates(sched, t)
+    assert gnd.shape == exc.shape == (9, 2) and em.shape == ep.shape == (9,)
+    for i, ti in enumerate(t):
+        g, e, m, p = instantaneous_eigenstates(sched, ti)
+        assert np.allclose(gnd[i], g, atol=1e-14) and np.allclose(exc[i], e, atol=1e-14)
+        assert em[i] == pytest.approx(m, rel=1e-14) and ep[i] == pytest.approx(p, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
