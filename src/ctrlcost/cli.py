@@ -459,14 +459,11 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path, summary: dict, threads: int):
 
     weights = coherent_weights(jc.alpha, jc.n_cut)
     w = CsvWriter(outdir / "cost_scan_coherent.csv", ["tau", "C_cd", "C_lcd"], h)
-    builders = {"cd": jc_cd_block, "lcd": jc_lcd_block}
+    blocks = np.arange(jc.n_cut + 1)
     for tau in taus:
         jc_t = replace(jc, tau=float(tau))
-        row = [tau]
-        for proto in ("cd", "lcd"):
-            row.append(sum(weights[n] * integrated_cost(builders[proto](jc_t, n).schedule)
-                           for n in range(jc.n_cut + 1)))
-        w.add(*row)
+        w.add(tau, *[float(weights @ integrated_cost(build(jc_t, blocks).schedule))
+                     for build in (jc_cd_block, jc_lcd_block)])
     w.write()
 
 

@@ -17,13 +17,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.integrate import simpson
 
 from .ramps import Ramp, poly_smooth_ramp
 from .twolevel import (PauliSchedule, propagate, converged_final_state,
-                       integrated_cost, fidelity)
+                       integrated_cost, cost_rate,
+                       _segment_grid, _midpoints, _steps, _trajectory)
 from .landau_zener import bisect_sign_change
 
 __all__ = [
@@ -69,16 +72,48 @@ class JcConfig:
         return poly_smooth_ramp(self.g0, self.g1 - self.g0, self.tau)
 
 
+class _RampRows:
+    """g, g' and g'' of a ramp at fixed times, each evaluated on first use.
+
+    Time enters a block's coefficients only through these rows, so blocks
+    that share a ramp and a time grid share one evaluation of it.
+    """
+
+    def __init__(self, ramp: Ramp, t):
+        self.ramp, self.t = ramp, np.asarray(t, dtype=float)
+
+    @cached_property
+    def g(self):
+        return self.ramp.value(self.t)
+
+    @cached_property
+    def gd(self):
+        return self.ramp.deriv1(self.t)
+
+    @cached_property
+    def gdd(self):
+        return self.ramp.deriv2(self.t)
+
+
+def _photon_index(n):
+    """n as a float, or an array of indices as a (blocks, 1) column that broadcasts over times."""
+    n = np.asarray(n)
+    if np.any(n < 0):
+        raise ValueError("photon index must be >= 0")
+    return n.astype(float)[:, None] if n.ndim else float(n)
+
+
 @dataclass(frozen=True)
 class JcBlock:
-    """One excitation block as a two-level schedule.
+    """One excitation block, or a batch of blocks, as a two-level schedule.
 
     The schedule lives in the rotated dressed frame: cx = delta,
     cz = -Omega_R(t), c0 = (2n+1) omega / 2. The initial dressed state
-    |e,n> is (1, 1)/sqrt(2) in this frame.
+    |e,n> is (1, 1)/sqrt(2) in this frame. For an array of photon indices
+    ``n`` the schedule's coefficients have shape (blocks, times).
     """
 
-    n: int
+    n: "int | np.ndarray"
     kind: str
     schedule: PauliSchedule
     config: JcConfig
@@ -88,58 +123,85 @@ class JcBlock:
         return np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
     def rabi(self, t):
-        return 2.0 * self.config.ramp_or_default().value(t) * math.sqrt(self.n + 1.0)
+        return 2.0 * self.config.ramp_or_default().value(t) * np.sqrt(_photon_index(self.n) + 1.0)
 
 
-def _block_parts(cfg: JcConfig, n: int):
+def _constant(value):
+    """A coefficient constant in time, as a read-only view broadcast over the rows' times."""
+    def f(rows):
+        return np.broadcast_to(value, np.broadcast_shapes(np.shape(value), rows.t.shape))
+    return f
+
+
+def _fields(cfg: JcConfig, kind: str, n):
+    """Coefficients (c0, cx, cy, cz) of block(s) n as functions of _RampRows.
+
+    The closed forms are given on jc_block, jc_cd_block and jc_lcd_block.
+    """
+    n = _photon_index(n)
+    np1 = n + 1.0
+    rt = np.sqrt(np1)
+    d = cfg.delta
+    c0 = _constant((2 * n + 1) * cfg.omega / 2.0)
+
+    def cz_bare(r):
+        return -2.0 * rt * r.g
+
+    if kind == "bare":
+        return c0, _constant(d), _constant(0.0), cz_bare
+
+    if kind == "cd":
+        def cy(r):
+            # sigma_y/2 coefficient = 2 * theta_n_dot
+            return 2.0 * r.gd * rt * d / (d * d + 4.0 * np1 * r.g * r.g)
+
+        return c0, _constant(d), cy, cz_bare
+
+    def cx(r):
+        den = (d * d + 4.0 * np1 * r.g * r.g) ** 2
+        return np.sqrt(d * d + 4.0 * np1 * r.gd * r.gd * d * d / den)
+
+    def cz(r):
+        # in place, so that a batch of blocks keeps few (blocks, times) temporaries
+        g, gd = r.g, r.gd
+        r2 = d * d + 4.0 * np1 * g * g
+        corr = r2 * r.gdd - 8.0 * np1 * g * gd * gd
+        r2 *= r2
+        r2 += 4.0 * np1 * gd * gd
+        corr /= r2
+        corr += g
+        corr *= -2.0 * rt
+        return corr
+
+    return c0, cx, _constant(0.0), cz
+
+
+def _block(cfg: JcConfig, kind: str, n) -> JcBlock:
     ramp = cfg.ramp_or_default()
-    rt = math.sqrt(n + 1.0)
-    c0val = (2 * n + 1) * cfg.omega / 2.0
-
-    def c0(t):
-        t = np.asarray(t, dtype=float)
-        return np.full(t.shape, c0val) if t.shape else np.float64(c0val)
-
-    def cx_const(t):
-        t = np.asarray(t, dtype=float)
-        return np.full(t.shape, cfg.delta) if t.shape else np.float64(cfg.delta)
-
-    def cz_bare(t):
-        return -2.0 * rt * ramp.value(t)
-
-    return ramp, rt, c0, cx_const, cz_bare
+    c0, cx, cy, cz = ((lambda t, f=f: f(_RampRows(ramp, t))) for f in _fields(cfg, kind, n))
+    label = f"jc-{kind}-n{n}" if np.ndim(n) == 0 else f"jc-{kind}-n{np.min(n)}..{np.max(n)}"
+    return JcBlock(n, kind, PauliSchedule(duration=cfg.tau, cx=cx, cz=cz, cy=cy, c0=c0,
+                                          label=label), cfg)
 
 
-def jc_block(cfg: JcConfig, n: int) -> JcBlock:
-    """Bare block: H_n = (2n+1) omega/2 + delta sx/2 - Omega_R(t) sz/2."""
-    if n < 0:
-        raise ValueError("photon index must be >= 0")
-    _, _, c0, cx, cz = _block_parts(cfg, n)
-    return JcBlock(n, "bare",
-                   PauliSchedule(duration=cfg.tau, cx=cx, cz=cz, c0=c0,
-                                 label=f"jc-bare-n{n}"), cfg)
+def jc_block(cfg: JcConfig, n) -> JcBlock:
+    """Bare block: H_n = (2n+1) omega/2 + delta sx/2 - Omega_R(t) sz/2.
+
+    ``n`` is a photon index or an array of them (a batch of blocks).
+    """
+    return _block(cfg, "bare", n)
 
 
-def jc_cd_block(cfg: JcConfig, n: int) -> JcBlock:
+def jc_cd_block(cfg: JcConfig, n) -> JcBlock:
     """Block with the counterdiabatic field added.
 
     The sigma_y coefficient is g' sqrt(n+1) delta / (delta^2 + 4 (n+1) g^2),
     equal to the mixing-angle rate theta_n-dot.
     """
-    ramp, rt, c0, cx, cz = _block_parts(cfg, n)
-    d = cfg.delta
-
-    def cy(t):
-        g = ramp.value(t)
-        # sigma_y/2 coefficient = 2 * theta_n_dot
-        return 2.0 * ramp.deriv1(t) * rt * d / (d * d + 4.0 * (n + 1.0) * g * g)
-
-    return JcBlock(n, "cd",
-                   PauliSchedule(duration=cfg.tau, cx=cx, cz=cz, cy=cy, c0=c0,
-                                 label=f"jc-cd-n{n}"), cfg)
+    return _block(cfg, "cd", n)
 
 
-def jc_lcd_block(cfg: JcConfig, n: int) -> JcBlock:
+def jc_lcd_block(cfg: JcConfig, n) -> JcBlock:
     """Block with the local counterdiabatic schedule.
 
     cx = sqrt(delta^2 + 4 (n+1) g'^2 delta^2 / (delta^2 + 4 (n+1) g^2)^2)
@@ -148,27 +210,7 @@ def jc_lcd_block(cfg: JcConfig, n: int) -> JcBlock:
 
     Reduces to the bare block wherever g' = g'' = 0.
     """
-    ramp, rt, c0, _, _ = _block_parts(cfg, n)
-    d = cfg.delta
-    np1 = n + 1.0
-
-    def cx(t):
-        g = ramp.value(t)
-        gd = ramp.deriv1(t)
-        den = (d * d + 4.0 * np1 * g * g) ** 2
-        return np.sqrt(d * d + 4.0 * np1 * gd * gd * d * d / den)
-
-    def cz(t):
-        g = ramp.value(t)
-        gd = ramp.deriv1(t)
-        gdd = ramp.deriv2(t)
-        r2 = d * d + 4.0 * np1 * g * g
-        corr = (r2 * gdd - 8.0 * np1 * g * gd * gd) / (r2 * r2 + 4.0 * np1 * gd * gd)
-        return -2.0 * rt * (g + corr)
-
-    return JcBlock(n, "lcd",
-                   PauliSchedule(duration=cfg.tau, cx=cx, cz=cz, c0=c0,
-                                 label=f"jc-lcd-n{n}"), cfg)
+    return _block(cfg, "lcd", n)
 
 
 def mixing_angle_rate(cfg: JcConfig, n: int, t):
@@ -238,46 +280,46 @@ def ensemble_run(cfg: JcConfig, protocol: str, steps: Optional[int] = None,
     (cost_mode="direct-sum" gives the unweighted direct-sum Frobenius norm
     instead). Identity offsets are excluded throughout. The photon-number
     cutoff must leave a tail below 1e-12.
+
+    The ramp is evaluated once on the step midpoints and once on the nodes;
+    every block's coefficients follow from those rows, and the blocks are
+    scanned one at a time, so memory stays at one block's steps. The block
+    costs come from one batched quadrature over all blocks.
     """
+    if cost_mode not in ("weighted", "direct-sum"):
+        raise ValueError(f"unknown cost_mode {cost_mode!r}")
     weights = coherent_weights(cfg.alpha, cfg.n_cut)
     tail = max(0.0, 1.0 - float(weights.sum()))
     if tail > TAIL_TOL:
         raise ValueError(
             f"cutoff tail {tail:.3e} above {TAIL_TOL}: increase n_cut for alpha={cfg.alpha}")
     build = _builder(protocol)
-    blocks = [build(cfg, n) for n in range(cfg.n_cut + 1)]
+    fastest = build(cfg, cfg.n_cut)  # largest Rabi frequency
+    psi0 = fastest.initial_state
     if steps is None:
-        # converge on the fastest block (largest Rabi frequency), reuse for all
-        _, steps = converged_final_state(blocks[-1].schedule, blocks[-1].initial_state)
+        # converge on the fastest block, reuse for all
+        _, steps = converged_final_state(fastest.schedule, psi0)
 
-    fid_w = None
-    times = None
-    bf = np.empty(cfg.n_cut + 1)
-    bc = np.empty(cfg.n_cut + 1)
-    for n, blk in enumerate(blocks):
-        ref = jc_block(cfg, n).schedule
-        traj = propagate(blk.schedule, blk.initial_state, steps, reference=ref)
-        if fid_w is None:
-            times = traj.times
-            fid_w = weights[n] * traj.fidelity
-        else:
-            fid_w = fid_w + weights[n] * traj.fidelity
-        bf[n] = traj.fidelity[-1]
-        bc[n] = integrated_cost(blk.schedule)
-
+    blocks = build(cfg, np.arange(cfg.n_cut + 1)).schedule
+    bc = integrated_cost(blocks)
     if cost_mode == "weighted":
         cost = float(weights @ bc)
-    elif cost_mode == "direct-sum":
-        # Frobenius norm of the block direct sum, grows with the cutoff
-        from scipy.integrate import simpson
-        from .twolevel import cost_rate
-        t = np.linspace(0.0, cfg.tau, 4097)
-        total = np.zeros_like(t)
-        for blk in blocks:
-            total += np.asarray(cost_rate(blk.schedule, t), dtype=float) ** 2
-        cost = float(simpson(np.sqrt(total), x=t) / cfg.tau)
     else:
-        raise ValueError(f"unknown cost_mode {cost_mode!r}")
+        # Frobenius norm of the block direct sum, grows with the cutoff
+        t = np.linspace(0.0, cfg.tau, 4097)
+        cost = float(simpson(np.sqrt(np.sum(cost_rate(blocks, t) ** 2, axis=0)), x=t) / cfg.tau)
+
+    ramp = cfg.ramp_or_default()
+    times = _segment_grid(cfg.tau, (), steps)
+    mid, nodes = _RampRows(ramp, _midpoints(times)), _RampRows(ramp, times)
+    fid_w = np.zeros(len(times))
+    bf = np.empty(cfg.n_cut + 1)
+    for n in range(cfg.n_cut + 1):
+        _, fid = _trajectory(
+            _steps([f(mid) for f in _fields(cfg, protocol, n)], times, f"jc-{protocol}-n{n}"),
+            [f(nodes) for f in _fields(cfg, "bare", n)], times, psi0)
+        fid_w += weights[n] * fid
+        bf[n] = fid[-1]
     # population-weighted fidelity normalized by captured mass
     fid = fid_w / weights.sum()
     return JcEnsembleResult(times=times, fidelity=fid, cost=cost, weights=weights,

@@ -18,7 +18,7 @@ fourth-order commutator-free Magnus step with two Gauss nodes (Blanes &
 Moan, Appl. Numer. Math. 56, 1519 (2006)), a product of two closed-form
 2x2 exponentials, so every step is unimodular and the Wronskian is -1 to
 round-off. The steps are carried near the identity, E = M - I, and their
-running products come from the Hillis-Steele prefix scan of the qubit
+running products come from the work-efficient prefix scan of the qubit
 core (``twolevel._prefix_scan``). The Ermakov route keeps its own RK4 loop,
 an oracle independent of the transfer matrices.
 """
@@ -343,13 +343,25 @@ def lcd_is_valid(sched: FrequencySchedule, samples: int = 4001) -> bool:
 
 
 def cd_validity_edge(omega0: float = 1.0, omega1: float = 10.0,
-                     bracket=(0.5, 5.0), tol: float = 1e-4) -> float:
-    """Smallest quintic-ramp duration with no trap inversion, by bisection."""
+                     tol: float = 1e-4) -> float:
+    """Smallest quintic-ramp duration with no trap inversion, by bisection.
+
+    The sweep is valid when tau > h(x) = 15 |w1 - w0| x^2 (1 - x)^2 / w(x)^2
+    for all x = t/tau, so the edge max h lies between h(1/2) and
+    15 |w1 - w0| / (16 min(w0, w1)^2); the bisection brackets it by these
+    bounds, widened by 10%. A constant frequency (w0 = w1) is valid at any
+    duration: the edge is 0.
+    """
+    if omega0 == omega1:
+        return 0.0
+    scale = 15.0 * abs(omega1 - omega0) / 16.0
+    lo = scale / (0.5 * (omega0 + omega1)) ** 2
+    hi = scale / min(omega0, omega1) ** 2
 
     def sign(tau):
         return 1.0 if cd_is_valid(FrequencySchedule.quintic(omega0, omega1, tau)) else -1.0
 
-    return bisect_sign_change(sign, bracket[0], bracket[1], tol)
+    return bisect_sign_change(sign, 0.9 * lo, 1.1 * hi, tol)
 
 
 def ie_energy(sched: FrequencySchedule, sol: OscillatorSolution, beta: float, t=None):

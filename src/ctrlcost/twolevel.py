@@ -18,9 +18,16 @@ a = sin(r dt/2)/r * (cx, cy, cz); products of steps are quaternion
 products. The identity part exp(-i c0 dt) commutes with everything and is
 carried as one phase: exp(-i sum c0 dt) for a final state, and
 exp(-i cumsum(c0 dt)) along a trajectory. Final states reduce the steps
-pairwise; trajectories take an inclusive prefix scan of them (Hillis-Steele,
-log2 n vectorized levels; Blelloch, "Prefix sums and their applications",
-1990) and apply each prefix to the initial state in closed form.
+pairwise; trajectories take a work-efficient inclusive prefix scan of them
+(an up-sweep of pairwise products and a down-sweep, about 2n products;
+Ladner & Fischer, JACM 27, 831 (1980); Blelloch, "Prefix sums and their
+applications", 1990) and apply each prefix to the initial state in closed
+form.
+
+A schedule may carry a leading block axis: coefficient callables that
+return (blocks, times) arrays for a times array describe a batch of
+independent blocks on one time grid. ``cost_rate`` then gives one rate row
+per block and ``integrated_cost`` one cost per block.
 """
 
 from __future__ import annotations
@@ -75,13 +82,15 @@ class PauliSchedule:
     label: str = ""
 
     def coefficients(self, t):
+        """(c0, cx, cy, cz) at times t, broadcast to one shape.
+
+        The shape is t's, or (blocks, times) for a batched schedule. Constant
+        coefficients come back as read-only broadcast views.
+        """
         t = np.asarray(t, dtype=float)
-        shape = t.shape
-        out = []
-        for f in (self.c0, self.cx, self.cy, self.cz):
-            c = np.asarray(f(t), dtype=float)
-            out.append(np.broadcast_to(c, shape).astype(float) if c.shape != shape else c)
-        return tuple(out)
+        cs = [np.asarray(f(t), dtype=float) for f in (self.c0, self.cx, self.cy, self.cz)]
+        shape = np.broadcast_shapes(t.shape, *(c.shape for c in cs))
+        return tuple(c if c.shape == shape else np.broadcast_to(c, shape) for c in cs)
 
 
 def qubit_state(alpha, beta) -> np.ndarray:
@@ -199,17 +208,23 @@ def _ordered_product(q: np.ndarray) -> np.ndarray:
 
 
 def _prefix_scan(q: np.ndarray, mul=_qmul) -> np.ndarray:
-    """Inclusive prefix products P[k] = q[k] ... q[0] (Hillis-Steele, log2 n levels).
+    """Inclusive prefix products P[k] = q[k] ... q[0], work-efficient (about 2n products).
 
-    After the level with stride d, P[k] holds the product of q[k-2d+1..k].
-    ``mul(later, earlier)`` multiplies rows; the oscillator passes its own
-    2x2 product.
+    Up-sweep: the pair products q[2i+1] q[2i] are scanned recursively, which
+    gives the odd prefixes P[2i+1]. Down-sweep: each even prefix is
+    P[2i] = q[2i] P[2i-1]. An odd tail q[n-1] is left out of the pairs and
+    reached by the down-sweep, so no identity element is needed (the
+    oscillator's M - I rows have none). ``mul(later, earlier)`` multiplies
+    rows; the oscillator passes its own 2x2 product.
     """
-    d = 1
-    while d < len(q):
-        q = np.concatenate([q[:d], mul(q[d:], q[:-d])])
-        d *= 2
-    return q
+    if len(q) < 2:
+        return q
+    odd = _prefix_scan(mul(q[1::2], q[0:-1:2]), mul)
+    out = np.empty_like(q)
+    out[0] = q[0]
+    out[1::2] = odd
+    out[2::2] = mul(q[2::2], odd[:(len(q) - 1) // 2])
+    return out
 
 
 def _apply(q, psi):
@@ -219,18 +234,51 @@ def _apply(q, psi):
                      (ay - 1j * ax) * psi[0] + (a0 + 1j * az) * psi[1]], axis=-1)
 
 
-def _schedule_steps(schedule: PauliSchedule, t_nodes: np.ndarray):
-    """SU(2) steps at the substep midpoints and the identity angles c0 dt."""
-    tm = 0.5 * (t_nodes[:-1] + t_nodes[1:])
-    dt = np.diff(t_nodes)
-    c0, cx, cy, cz = schedule.coefficients(tm)
+def _midpoints(t_nodes: np.ndarray) -> np.ndarray:
+    return 0.5 * (t_nodes[:-1] + t_nodes[1:])
+
+
+def _steps(coefficients, t_nodes: np.ndarray, label: str):
+    """SU(2) steps and identity angles c0 dt from (c0, cx, cy, cz) at the substep midpoints."""
+    c0, cx, cy, cz = coefficients
     for name, c in (("c0", c0), ("cx", cx), ("cy", cy), ("cz", cz)):
         bad = ~np.isfinite(c)
         if bad.any():
             raise ValueError(
-                f"non-finite coefficient {name} at t={tm[bad][0]!r}"
-                + (f" (schedule {schedule.label})" if schedule.label else ""))
+                f"non-finite coefficient {name} at t={_midpoints(t_nodes)[bad][0]!r}"
+                + (f" (schedule {label})" if label else ""))
+    dt = np.diff(t_nodes)
     return _su2_steps(cx, cy, cz, dt), c0 * dt
+
+
+def _schedule_steps(schedule: PauliSchedule, t_nodes: np.ndarray):
+    return _steps(schedule.coefficients(_midpoints(t_nodes)), t_nodes, schedule.label)
+
+
+def _trajectory(steps, reference, t_nodes: np.ndarray, psi0):
+    """States on the nodes from psi0, and their fidelity to an adiabatic branch.
+
+    ``steps`` is the (quaternion steps, identity angles) pair of ``_steps``,
+    ``reference`` the reference Hamiltonian's (c0, cx, cy, cz) at the nodes. The tracked
+    branch is the reference eigenstate the initial state overlaps most at
+    t = 0. Its projector is (1 +- n . sigma)/2 with n = c/|c|, so the
+    fidelity is (|psi|^2 +- n . s)/2 for the Bloch vector s of psi, and no
+    eigenvector is formed. ``propagate`` and the Jaynes-Cummings ensemble,
+    which computes the coefficients of many blocks from one ramp
+    evaluation, both propagate through here.
+    """
+    q, theta = steps
+    states = np.empty((len(t_nodes), 2), dtype=complex)
+    states[0] = psi0
+    states[1:] = (np.exp(-1j * np.cumsum(theta))[:, None]
+                  * _apply(_prefix_scan(q), psi0))
+    _, rcx, rcy, rcz = reference
+    a, b = states[:, 0], states[:, 1]
+    ab = 2.0 * a.conj() * b
+    aa, bb = a.real * a.real + a.imag * a.imag, b.real * b.real + b.imag * b.imag
+    ns = ((rcx * ab.real + rcy * ab.imag + rcz * (aa - bb))
+          / np.sqrt(rcx * rcx + rcy * rcy + rcz * rcz))
+    return states, 0.5 * (aa + bb + ns if ns[0] > 0.0 else aa + bb - ns)
 
 
 # ---------------------------------------------------------------------------
@@ -284,20 +332,27 @@ def cost_rate(schedule: PauliSchedule, t, include_identity: bool = False):
 
     ||H||_F = sqrt(2 c0^2 [if included] + (cx^2 + cy^2 + cz^2)/2). Identity
     shifts are excluded by default so that constant energy offsets are free.
+    A batched schedule gives one row of rates per block.
     """
     c0, cx, cy, cz = schedule.coefficients(t)
-    out = (cx * cx + cy * cy + cz * cz) / 2.0
+    # accumulated in place: a batched schedule's (blocks, times) temporaries add up
+    out = cx * cx
+    out += cy * cy
+    out += cz * cz
+    out /= 2.0
     if include_identity:
-        out = out + 2.0 * c0 * c0
+        out += 2.0 * c0 * c0
     return np.sqrt(out)
 
 
 def integrated_cost(schedule: PauliSchedule, quadrature_steps: int = 4096,
-                    include_identity: bool = False) -> float:
+                    include_identity: bool = False):
     """Time-averaged cost C = (1/tau) int_0^tau ||H|| dt.
 
-    Composite Simpson per smooth segment; rectangular segments between
-    breakpoints have a constant integrand so they are integrated exactly.
+    Composite Simpson per smooth segment, along the last (time) axis:
+    a float, or one cost per block for a batched schedule. Rectangular
+    segments between breakpoints have a constant integrand so they are
+    integrated exactly.
     """
     if quadrature_steps < 16:
         raise ValueError(f"quadrature_steps must be >= 16, got {quadrature_steps}")
@@ -335,18 +390,8 @@ def propagate(schedule: PauliSchedule, psi0, steps: int = DEFAULT_STEPS,
     if abs(float(np.vdot(psi0, psi0).real) - 1.0) > _NORM_TOL:
         raise ValueError("initial state not normalized")
     t = _segment_grid(schedule.duration, schedule.breakpoints, steps)
-    q, theta = _schedule_steps(schedule, t)
-    states = np.empty((len(t), 2), dtype=complex)
-    states[0] = psi0
-    states[1:] = (np.exp(-1j * np.cumsum(theta))[:, None]
-                  * _apply(_prefix_scan(q), psi0))
-
     ref = reference if reference is not None else schedule
-    _, rcx, rcy, rcz = ref.coefficients(t)
-    exc, gnd, _ = _eigvec_pair(rcx, rcy, rcz)
-    f_exc0 = abs(np.vdot(exc[0], psi0)) ** 2
-    branch = exc if f_exc0 > 0.5 else gnd
-    fid = np.abs(np.einsum("ij,ij->i", branch.conj(), states)) ** 2
+    states, fid = _trajectory(_schedule_steps(schedule, t), ref.coefficients(t), t, psi0)
     rate = np.asarray(cost_rate(schedule, t), dtype=float)
     return QubitTrajectory(times=t, states=states, fidelity=fid, cost_rate=rate,
                            steps=steps, label=schedule.label)

@@ -172,6 +172,23 @@ def test_fig4_qstar_rows_end_at_tau(tmp_path):
         assert np.all(np.diff(table["t"]) > 0)
 
 
+def test_fig4_runs_where_the_cd_edge_is_below_half(tmp_path, capsys):
+    # omega 2 -> 3 puts the CD validity edge near 0.161, below the bracket
+    # the bisection used to start from; validate and run must agree
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"preset": "fig4", "protocols": ["ie"], "tau": [2.0],
+                                "params": {"omega0": 2.0, "omega1": 3.0},
+                                "out": str(tmp_path / "o")}))
+    assert main(["validate", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["valid"]
+    assert main(["run", "--config", str(path)]) == 0
+    edge = json.loads((tmp_path / "o" / "summary.json").read_text())["cd_validity_edge"]
+    # closed form: max over x of 15 |w1 - w0| x^2 (1 - x)^2 / w(x)^2
+    x = np.linspace(0.0, 1.0, 200_001)
+    w = 2.0 + (10 * x**3 - 15 * x**4 + 6 * x**5)
+    assert edge == pytest.approx(np.max(15.0 * x**2 * (1 - x) ** 2 / w**2), abs=1e-4)
+
+
 def test_fig3_crossover_matches_a_fresh_scan(tmp_path):
     cfg = parse_config({"preset": "fig3", "out": str(tmp_path / "o")})
     summary = json.loads((run(cfg) / "summary.json").read_text())

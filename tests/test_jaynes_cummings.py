@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ctrlcost.landau_zener import LzConfig, lz_cd, lz_lcd
-from ctrlcost.twolevel import propagate
+from ctrlcost.twolevel import integrated_cost, propagate
 from ctrlcost.jaynes_cummings import (JcConfig, jc_block, jc_cd_block,
                                       jc_lcd_block, mixing_angle_rate,
                                       coherent_weights, block_run,
@@ -176,6 +176,51 @@ def test_cutoff_robustness_40_vs_60():
     b = ensemble_run(JcConfig(tau=10.0, alpha=2.0, n_cut=60), "cd", steps=2000)
     assert abs(a.cost - b.cost) < 1e-12
     assert abs(a.fidelity[-1] - b.fidelity[-1]) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# block axis: a batch of photon indices against one block at a time
+
+@pytest.mark.parametrize("tau", [5.0, 10.0, 40.0])
+def test_batched_block_costs_match_each_block(tau):
+    cfg = JcConfig(tau=tau)
+    n = np.arange(41)
+    for build in (jc_cd_block, jc_lcd_block):
+        batched = integrated_cost(build(cfg, n).schedule)
+        single = np.array([integrated_cost(build(cfg, k).schedule) for k in n])
+        assert batched.shape == (41,)
+        assert np.max(np.abs(batched - single) / single) < 1e-12
+
+
+def test_batched_coefficients_have_a_block_axis():
+    cfg = JcConfig(tau=10.0)
+    t = np.linspace(0.0, 10.0, 11)
+    batch = jc_lcd_block(cfg, [0, 3, 7]).schedule.coefficients(t)
+    for k, n in enumerate((0, 3, 7)):
+        one = jc_lcd_block(cfg, n).schedule.coefficients(t)
+        for c_batch, c_one in zip(batch, one):
+            assert c_batch.shape == (3, 11)
+            assert np.array_equal(c_batch[k], c_one)
+    with pytest.raises(ValueError, match="photon index"):
+        jc_cd_block(cfg, [0, -1])
+
+
+@pytest.mark.parametrize("protocol", ["cd", "lcd"])
+def test_ensemble_matches_per_block_propagation(protocol):
+    cfg = JcConfig(tau=10.0, alpha=2.0, n_cut=40)
+    steps = 2000
+    res = ensemble_run(cfg, protocol, steps=steps)
+    build = {"cd": jc_cd_block, "lcd": jc_lcd_block}[protocol]
+    fid_w = np.zeros_like(res.fidelity)
+    for n in range(cfg.n_cut + 1):
+        blk = build(cfg, n)
+        traj = propagate(blk.schedule, blk.initial_state, steps,
+                         reference=jc_block(cfg, n).schedule)
+        assert np.array_equal(traj.times, res.times)
+        fid_w += res.weights[n] * traj.fidelity
+        assert abs(res.block_final_fidelity[n] - traj.fidelity[-1]) < 1e-12
+        assert abs(res.block_costs[n] - integrated_cost(blk.schedule)) < 1e-12 * res.block_costs[n]
+    assert np.max(np.abs(res.fidelity - fid_w / res.weights.sum())) < 1e-12
 
 
 def test_tail_guard_suggests_larger_cutoff():

@@ -201,6 +201,17 @@ def test_cd_validity_edge_location():
     assert not cd_is_valid(FrequencySchedule.quintic(W0, W1, edge * 0.99))
 
 
+def test_cd_validity_edge_off_the_default_sweep():
+    # the bracket follows omega0 and omega1: a compression and the matching
+    # decompression share their edge, and a constant trap has none
+    up, down = cd_validity_edge(2.0, 3.0), cd_validity_edge(3.0, 2.0)
+    assert up == pytest.approx(0.161, abs=1e-3)
+    assert down == pytest.approx(up, abs=2e-4)
+    assert cd_is_valid(FrequencySchedule.quintic(2.0, 3.0, up * 1.01))
+    assert not cd_is_valid(FrequencySchedule.quintic(2.0, 3.0, up * 0.99))
+    assert cd_validity_edge(2.0, 2.0) == 0.0
+
+
 def test_qstar_cd_diverges_toward_violation():
     edge = cd_validity_edge(W0, W1)
     taus = [edge * f for f in (1.5, 1.2, 1.05, 1.01)]
