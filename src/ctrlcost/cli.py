@@ -455,7 +455,7 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path, summary: dict, threads: int):
     for i in range(len(taus)):
         w.add(taus[i], scan["cd"][i], scan["lcd"][i])
     w.write()
-    summary["crossover_n0"] = find_jc_crossover(jc)
+    summary["crossover_n0"] = find_jc_crossover(jc, scan=scan)
 
     weights = coherent_weights(jc.alpha, jc.n_cut)
     w = CsvWriter(outdir / "cost_scan_coherent.csv", ["tau", "C_cd", "C_lcd"], h)

@@ -21,11 +21,10 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .ramps import Ramp, poly_smooth_ramp
 from .twolevel import (PauliSchedule, propagate, converged_final_state,
-                       integrated_cost, cost_rate,
+                       integrated_cost, cost_rate, _simpson_weights,
                        _segment_grid, _midpoints, _steps, _trajectory)
 from .landau_zener import bisect_sign_change
 
@@ -45,6 +44,7 @@ __all__ = [
 ]
 
 TAIL_TOL = 1e-12
+_SCAN_QUADRATURE = 8192   # points per block-cost integral in scans and crossovers
 
 
 @dataclass(frozen=True)
@@ -307,7 +307,8 @@ def ensemble_run(cfg: JcConfig, protocol: str, steps: Optional[int] = None,
     else:
         # Frobenius norm of the block direct sum, grows with the cutoff
         t = np.linspace(0.0, cfg.tau, 4097)
-        cost = float(simpson(np.sqrt(np.sum(cost_rate(blocks, t) ** 2, axis=0)), x=t) / cfg.tau)
+        rate = np.sqrt(np.sum(cost_rate(blocks, t) ** 2, axis=0))
+        cost = float(rate @ _simpson_weights(4096, t[1] - t[0]) / cfg.tau)
 
     ramp = cfg.ramp_or_default()
     times = _segment_grid(cfg.tau, (), steps)
@@ -328,7 +329,7 @@ def ensemble_run(cfg: JcConfig, protocol: str, steps: Optional[int] = None,
 
 def jc_cost_scan(cfg: JcConfig, taus: Sequence[float], n: int = 0,
                  protocols: Sequence[str] = ("cd", "lcd"),
-                 quadrature_steps: int = 8192) -> dict:
+                 quadrature_steps: int = _SCAN_QUADRATURE) -> dict:
     """Integrated block cost per protocol over durations (vacuum: n = 0)."""
     taus = np.asarray(list(taus), dtype=float)
     if np.any(taus <= 0):
@@ -345,11 +346,19 @@ def jc_cost_scan(cfg: JcConfig, taus: Sequence[float], n: int = 0,
 
 def find_jc_crossover(cfg: JcConfig, n: int = 0,
                       taus: Optional[Sequence[float]] = None,
-                      tol: float = 1e-3) -> Optional[float]:
-    """Duration where the block CD and LCD costs cross, or None."""
-    if taus is None:
-        taus = np.geomspace(2.0, 60.0, 25)
-    scan = jc_cost_scan(cfg, taus, n)
+                      tol: float = 1e-3,
+                      scan: Optional[dict] = None) -> Optional[float]:
+    """Duration where the block CD and LCD costs cross, or None.
+
+    As :func:`~ctrlcost.landau_zener.find_cd_lcd_crossover`: the bracket is
+    read from ``scan``, a :func:`jc_cost_scan` of block n at its default
+    quadrature, or from such a scan of ``taus`` made here; the bisection
+    integrates at that quadrature too.
+    """
+    if scan is None:
+        if taus is None:
+            taus = np.geomspace(2.0, 60.0, 25)
+        scan = jc_cost_scan(cfg, taus, n)
     diff = scan["cd"] - scan["lcd"]
     idx = np.where(np.sign(diff[:-1]) != np.sign(diff[1:]))[0]
     if len(idx) == 0:
@@ -358,7 +367,7 @@ def find_jc_crossover(cfg: JcConfig, n: int = 0,
 
     def f(tau):
         c = replace(cfg, tau=float(tau), ramp=None)
-        return (integrated_cost(jc_cd_block(c, n).schedule)
-                - integrated_cost(jc_lcd_block(c, n).schedule))
+        return (integrated_cost(jc_cd_block(c, n).schedule, _SCAN_QUADRATURE)
+                - integrated_cost(jc_lcd_block(c, n).schedule, _SCAN_QUADRATURE))
 
     return bisect_sign_change(f, float(scan["tau"][i]), float(scan["tau"][i + 1]), tol)

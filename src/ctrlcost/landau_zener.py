@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .ramps import (Ramp, BobPulse, bob_pulse, poly_smooth_ramp, cd_na_ramp,
                     cd_a_ramp, cd_blended_ramp)
@@ -197,38 +196,37 @@ def optimize_bob_kicks(cfg: LzConfig, g_q: float = DEFAULT_GQ,
                        grid: int = 64, target: float = 0.999) -> BobKicks:
     """Maximize final target-state fidelity over the two kick angles.
 
-    Deterministic: a coarse grid x grid sweep of [0, 2 pi)^2 followed by
-    Nelder-Mead refinement from the best cell. The protocol is designed for
-    tau at the quantum speed limit; other durations are allowed but may not
-    reach the target fidelity.
+    Deterministic: a coarse grid x grid sweep of [0, phimax)^2, then 9 x 9
+    zoom stencils around the best point, their half-width shrinking 4x per
+    level from one grid cell to 1e-13. Each level is one batched evaluation
+    of the closed-form fidelity; points outside [0, phimax] are left out,
+    and the best point moves only to a point that beats it. The protocol is
+    designed for tau at the quantum speed limit; other durations are
+    allowed but may not reach the target fidelity.
     """
     psi0 = lz_ground_state(cfg.delta, cfg.g0)
     psit = lz_ground_state(cfg.delta, cfg.g1)
+    # keep both kicks inside the protocol duration
     phimax = min(2.0 * math.pi, 0.499 * cfg.tau * g_q)
 
-    def fid(phi1, phi2):
-        # keep the refinement inside the domain of valid kick durations
-        if not (0.0 <= phi1 <= phimax and 0.0 <= phi2 <= phimax):
-            return -1.0
-        psi = _bob_final_state(cfg.delta, g_q, cfg.tau, phi1, phi2, psi0)
-        return abs(np.vdot(psit, psi)) ** 2
+    def best_on(p1, p2):
+        """Best fidelity on the p1 x p2 mesh inside the domain, and its point."""
+        p1, p2 = (a.ravel() for a in np.meshgrid(p1, p2, indexing="ij"))
+        inside = (p1 >= 0.0) & (p1 <= phimax) & (p2 >= 0.0) & (p2 <= phimax)
+        p1, p2 = p1[inside], p2[inside]
+        f = np.abs(_bob_final_state(cfg.delta, g_q, cfg.tau, p1, p2, psi0) @ psit.conj()) ** 2
+        k = int(np.argmax(f))   # the first best point, phi1-major
+        return float(f[k]), (float(p1[k]), float(p2[k]))
 
     angles = np.linspace(0.0, phimax, grid, endpoint=False)
-    p1, p2 = (a.ravel() for a in np.meshgrid(angles, angles, indexing="ij"))
-    cells = np.abs(_bob_final_state(cfg.delta, g_q, cfg.tau, p1, p2, psi0)
-                   @ psit.conj()) ** 2
-    k = int(np.argmax(cells))   # the first best cell, phi1-major
-    best_f, best = float(cells[k]), (float(p1[k]), float(p2[k]))
-
-    res = minimize(lambda x: -fid(x[0], x[1]), np.array(best),
-                   method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 2000})
-    phi1 = float(res.x[0]) % (2.0 * math.pi)
-    phi2 = float(res.x[1]) % (2.0 * math.pi)
-    f = float(fid(phi1, phi2))
-    if f < best_f:
-        (phi1, phi2), f = best, float(best_f)
-    return BobKicks(phi1=phi1, phi2=phi2, fidelity=f, success=f >= target)
+    f, best = best_on(angles, angles)
+    half = phimax / grid
+    while half > 1e-13:
+        fz, zoom = best_on(*(b + np.linspace(-half, half, 9) for b in best))
+        if fz > f:
+            f, best = fz, zoom
+        half /= 4.0
+    return BobKicks(phi1=best[0], phi2=best[1], fidelity=f, success=f >= target)
 
 
 # ---------------------------------------------------------------------------

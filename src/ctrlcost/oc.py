@@ -12,7 +12,10 @@ ramp (the q^gamma factor is nearly flat until q is tiny). The optimizer
 therefore first descends the infidelity to the high-fidelity basin
 (Powell on log10 q), then polishes the combined objective with a local
 simplex pass, and returns the best point that meets the infidelity target.
-Both stages are deterministic given (seed, budget).
+Both stages are deterministic given (seed, budget). They are scipy's
+optimizers, imported when an optimization starts, so that the rest of the
+package loads with numpy alone; the cost quadrature uses the shared
+``twolevel._simpson_weights``.
 """
 
 from __future__ import annotations
@@ -22,10 +25,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .landau_zener import LzConfig, lz_ground_state, qsl_time
-from .twolevel import _su2_steps, _ordered_product, _apply
+from .twolevel import _su2_steps, _ordered_product, _apply, _simpson_weights
 
 __all__ = ["OcProblem", "OcResult", "objective", "evaluate", "optimize",
            "refine_result", "tau_scan"]
@@ -66,22 +68,6 @@ class OcProblem:
             raise ValueError(
                 f"Fourier optimal control requires tau > tau_QSL = {tqsl:.4f}, "
                 f"got tau = {cfg.tau}")
-
-
-def _simpson_weights(n: int, h: float) -> np.ndarray:
-    """Weights w with w @ y == scipy.integrate.simpson(y, dx=h) for n + 1 >= 3 points.
-
-    Composite Simpson on the first even number of intervals; for an odd
-    count, scipy's (Cartwright) correction for the last interval.
-    """
-    m = n - n % 2
-    w = np.zeros(n + 1)
-    w[0:m + 1:2] = 2.0 * h / 3.0
-    w[1:m:2] = 4.0 * h / 3.0
-    w[0] = w[m] = h / 3.0
-    if n % 2:
-        w[-3:] += h * np.array([-1.0 / 12.0, 2.0 / 3.0, 5.0 / 12.0])
-    return w
 
 
 class _Evaluator:
@@ -167,6 +153,7 @@ class OcResult:
 
 def _single_start(problem: OcProblem, ev: _Evaluator, x0, trace, best):
     """Fidelity descent then combined-objective polish from one start."""
+    from scipy.optimize import minimize  # deferred: the rest of the package loads without scipy
 
     def track(params, q, C):
         obj = ev.combined(q, C)

@@ -30,10 +30,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .landau_zener import bisect_sign_change
-from .twolevel import _prefix_scan
+from .twolevel import _prefix_scan, _simpson_weights
 
 __all__ = [
     "FrequencySchedule",
@@ -423,4 +422,4 @@ def oscillator_cost(sched: FrequencySchedule, protocol: str, beta: float = 3.0,
     t, q = qstar_series(sched, protocol, steps)
     coth = 1.0 / math.tanh(beta * sched.omega0 / 2.0)
     w = np.sqrt(lcd_frequency(sched, t)) if protocol == "lcd" else sched.omega(t)
-    return float(simpson(0.5 * w * q * coth, x=t) / sched.tau)
+    return float((0.5 * w * q * coth) @ _simpson_weights(len(t) - 1, t[1] - t[0]) / sched.tau)

@@ -2,12 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ctrlcost
 from ctrlcost.cli import parse_config, validate, run, PRESETS, main
 from ctrlcost.landau_zener import LzConfig, find_cd_lcd_crossover
+from ctrlcost.jaynes_cummings import JcConfig, find_jc_crossover
 
 
 def read_csv(path):
@@ -194,6 +200,39 @@ def test_fig3_crossover_matches_a_fresh_scan(tmp_path):
     summary = json.loads((run(cfg) / "summary.json").read_text())
     base = LzConfig(tau=cfg.tau[0])
     assert summary["crossover_cd_lcd"] == find_cd_lcd_crossover(base, cfg.tau)
+
+
+def test_fig5_crossover_matches_a_fresh_scan(tmp_path):
+    cfg = parse_config({"preset": "fig5", "out": str(tmp_path / "o"),
+                        "tau": [5.0, 10.0, 20.0, 40.0], "trajectory_steps": 1000,
+                        "params": {"alpha": 2.0, "n_cut": 30}})
+    summary = json.loads((run(cfg) / "summary.json").read_text())
+    assert summary["crossover_n0"] == find_jc_crossover(JcConfig(tau=10.0), taus=cfg.tau)
+
+
+def test_fig5_crossover_is_null_outside_the_configured_durations(tmp_path):
+    # tau* ~ 16.6 lies below [20, 40]: nothing to bracket, and no wider scan is made
+    cfg = parse_config({"preset": "fig5", "out": str(tmp_path / "o"),
+                        "tau": [20.0, 40.0], "trajectory_steps": 1000,
+                        "params": {"alpha": 2.0, "n_cut": 30}})
+    assert json.loads((run(cfg) / "summary.json").read_text())["crossover_n0"] is None
+
+
+def test_import_and_numpy_presets_leave_scipy_unloaded(tmp_path):
+    # only optimal control and the test oracles load scipy
+    code = ("import sys\n"
+            "from ctrlcost.cli import parse_config, run\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(loaded())\n"
+            "for name in ('smoke', 'fig1', 'fig3', 'fig4', 'fig5'):\n"
+            "    run(parse_config({'preset': name, 'out': sys.argv[1] + '/' + name}))\n"
+            "    print(name, loaded())\n")
+    src = str(Path(ctrlcost.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split("\n") == ["[]", "smoke []", "fig1 []", "fig3 []", "fig4 []",
+                                        "fig5 []", ""]
 
 
 # ---------------------------------------------------------------------------

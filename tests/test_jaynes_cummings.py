@@ -248,6 +248,29 @@ def test_jc_cost_hierarchy_and_crossover():
     assert 13.6 <= tstar <= 20.4
 
 
+def test_jc_crossover_from_a_given_scan_matches_its_own_scan():
+    cfg = JcConfig(tau=10.0)
+    taus = np.geomspace(5.0, 40.0, 9)
+    scan = jc_cost_scan(cfg, taus)
+    assert find_jc_crossover(cfg, scan=scan) == find_jc_crossover(cfg, taus=taus)
+
+
+def test_jc_crossover_bisects_at_the_scan_quadrature(monkeypatch):
+    import ctrlcost.jaynes_cummings as jcm
+    steps = []
+
+    def spy(schedule, quadrature_steps=4096, **kw):
+        steps.append(quadrature_steps)
+        return integrated_cost(schedule, quadrature_steps, **kw)
+
+    cfg = JcConfig(tau=10.0)
+    given = find_jc_crossover(cfg, scan=jc_cost_scan(cfg, [10.0, 20.0]))
+    monkeypatch.setattr(jcm, "integrated_cost", spy)
+    tstar = find_jc_crossover(cfg, taus=[10.0, 20.0])
+    assert len(steps) > 4 and set(steps) == {8192}
+    assert tstar is not None and tstar == given
+
+
 def test_jc_adiabatic_limit_cost():
     # tau -> infinity: both protocols approach the bare-norm quadrature
     from scipy.integrate import quad

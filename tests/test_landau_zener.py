@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
+from scipy.optimize import minimize
 
 from ctrlcost.ramps import bob_pulse
 from ctrlcost.twolevel import (integrated_cost, instantaneous_eigenstates,
@@ -14,7 +16,8 @@ from ctrlcost.landau_zener import (LzConfig, lz_bare, lz_cd, lz_lcd, lz_bob,
                                    optimize_bob_kicks, cd_cost_decomposition,
                                    decomposition_cost, cost_scan,
                                    find_cd_lcd_crossover, run_protocol,
-                                   blended_ramp_for, bisect_sign_change)
+                                   blended_ramp_for, bisect_sign_change,
+                                   _bob_final_state)
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -191,6 +194,42 @@ def test_bob_kick_cost_analytic_vs_brute_force():
     t = np.linspace(0, tau, 4_000_001)
     brute = np.trapezoid(cost_rate(sched, t), t) / tau
     assert brute == pytest.approx(expected, rel=1e-3)
+
+
+BOB_SWEEPS = [(0.1, 0.2), (0.10044, 0.19476), (0.095, 0.21)]
+
+
+@pytest.mark.parametrize("delta,g", BOB_SWEEPS)
+def test_bob_zoom_refinement_meets_nelder_mead(delta, g):
+    cfg = LzConfig(tau=qsl_time(delta, lz_ground_state(delta, -g), lz_ground_state(delta, g)),
+                   delta=delta, g0=-g, g1=g)
+    g_q, psi0, psit = 100.0, lz_ground_state(delta, -g), lz_ground_state(delta, g)
+    phimax = min(2.0 * math.pi, 0.499 * cfg.tau * g_q)
+
+    def fid(p1, p2):
+        return np.abs(_bob_final_state(delta, g_q, cfg.tau, p1, p2, psi0) @ psit.conj()) ** 2
+
+    angles = np.linspace(0.0, phimax, 64, endpoint=False)
+    p1, p2 = (a.ravel() for a in np.meshgrid(angles, angles, indexing="ij"))
+    cells = fid(p1, p2)
+    k = int(np.argmax(cells))
+    # the oracle: scipy's Nelder-Mead from the best grid cell, kept inside the domain
+    nm = minimize(lambda x: -fid(x[:1], x[1:])[0]
+                  if 0.0 <= x[0] <= phimax and 0.0 <= x[1] <= phimax else 1.0,
+                  [p1[k], p2[k]], method="Nelder-Mead",
+                  options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 2000})
+
+    kicks = optimize_bob_kicks(cfg, g_q)
+    assert 0.0 <= kicks.phi1 <= phimax and 0.0 <= kicks.phi2 <= phimax
+    assert kicks.fidelity >= cells[k]
+    assert kicks.fidelity >= -nm.fun - 1e-12
+    # the reported fidelity is that of the reported angles, by 2x2 exponentials
+    def seg(gz, dt):
+        return expm(-0.5j * dt * np.array([[gz, delta], [delta, -gz]]))
+
+    tb1, tb2 = kicks.phi1 / g_q, kicks.phi2 / g_q
+    u = seg(-g_q, tb2) @ seg(0.0, cfg.tau - tb1 - tb2) @ seg(g_q, tb1)
+    assert abs(np.vdot(psit, u @ psi0)) ** 2 == pytest.approx(kicks.fidelity, abs=1e-12)
 
 
 def test_bob_reports_failure_away_from_speed_limit():

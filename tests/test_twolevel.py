@@ -135,6 +135,22 @@ def test_converged_final_state_agrees():
     assert steps > 256
 
 
+def test_propagate_evaluates_the_schedule_once_on_the_nodes():
+    calls = []
+
+    def cz(t):
+        calls.append(np.shape(t))
+        return np.cos(np.asarray(t, dtype=float))
+
+    sched = PauliSchedule(duration=2.0, cx=lambda t: np.full_like(np.asarray(t, dtype=float), 0.5),
+                          cz=cz)
+    traj = propagate(sched, KET0, steps=100)
+    # once on the step midpoints, once on the nodes for both the fidelity and the cost rate
+    assert sorted(calls) == [(100,), (101,)]
+    assert traj.cost_rate == pytest.approx(np.sqrt((0.25 + np.cos(traj.times) ** 2) / 2.0),
+                                           rel=1e-15)
+
+
 def test_nan_coefficient_aborts_with_timestamp():
     def bad(t):
         t = np.asarray(t, dtype=float)
