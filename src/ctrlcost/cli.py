@@ -6,6 +6,8 @@ of the resolved config, and reruns with the same config and seed are
 byte-identical. CTRLCOST_OUT, CTRLCOST_SEED and CTRLCOST_THREADS stand in
 for the --out, --seed and --threads flags: a flag given on the command line
 wins, then the environment variable, then the config or default value.
+--threads and CTRLCOST_THREADS are parsed and accepted, but every run is
+serial.
 
 Subcommands: run, validate, list-presets.
 """
@@ -18,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -248,7 +249,7 @@ def _lz_config(cfg: ExperimentConfig, tau: float) -> LzConfig:
                     g0=p.get("g0", -0.2), g1=p.get("g1", 0.2), ramp=ramp)
 
 
-def _run_lz(cfg: ExperimentConfig, outdir: Path, summary: dict, threads: int):
+def _run_lz(cfg: ExperimentConfig, outdir: Path, summary: dict):
     h = cfg.digest()
     p0 = cfg.params
     delta = p0.get("delta", 0.1)
@@ -326,7 +327,7 @@ def _run_lz(cfg: ExperimentConfig, outdir: Path, summary: dict, threads: int):
     # scan preset
     base = LzConfig(tau=taus[0], delta=delta, g0=p0.get("g0", -0.2),
                     g1=p0.get("g1", 0.2))
-    scan = cost_scan(base, taus, scan_protocols, threads=threads)
+    scan = cost_scan(base, taus, scan_protocols)
     w = CsvWriter(outdir / "cost_scan.csv",
                   ["tau"] + [f"C_{p}" for p in scan_protocols], h)
     for i in range(len(taus)):
@@ -341,7 +342,7 @@ def _run_lz(cfg: ExperimentConfig, outdir: Path, summary: dict, threads: int):
                       "cost": integrated_cost(sched)}
 
 
-def _run_oscillator(cfg: ExperimentConfig, outdir: Path, summary: dict, threads: int):
+def _run_oscillator(cfg: ExperimentConfig, outdir: Path, summary: dict):
     h = cfg.digest()
     p = cfg.params
     w0, w1, beta = p.get("omega0", 1.0), p.get("omega1", 10.0), p.get("beta", 3.0)
@@ -377,37 +378,22 @@ def _run_oscillator(cfg: ExperimentConfig, outdir: Path, summary: dict, threads:
     cost_protocols = [p_ for p_ in protocols if p_ != "bare"]
     w = CsvWriter(outdir / "cost_scan.csv",
                   ["tau"] + [f"C_{p_}" for p_ in cost_protocols], h)
-
-    def cell(args):
-        tau, proto = args
-        sched = FrequencySchedule.quintic(w0, w1, tau)
-        try:
-            return oscillator_cost(sched, proto, beta), None
-        except OscillatorError as err:
-            return np.nan, str(err)
-
-    cells = [(tau, proto) for tau in taus for proto in cost_protocols]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(cell, cells))
-    else:
-        vals = [cell(c) for c in cells]
-    k = 0
     for tau in taus:
+        sched = FrequencySchedule.quintic(w0, w1, tau)
         row = []
         for proto in cost_protocols:
-            value, reason = vals[k]
-            row.append(value)
-            if reason is not None:
+            try:
+                row.append(oscillator_cost(sched, proto, beta))
+            except OscillatorError as err:
+                row.append(np.nan)
                 summary.setdefault("invalid", []).append(
                     {"model": "oscillator", "protocol": proto, "tau": tau,
-                     "reason": reason})
-            k += 1
+                     "reason": str(err)})
         w.add(tau, *row)
     w.write()
 
 
-def _run_jc(cfg: ExperimentConfig, outdir: Path, summary: dict, threads: int):
+def _run_jc(cfg: ExperimentConfig, outdir: Path, summary: dict):
     h = cfg.digest()
     p = cfg.params
     jc = JcConfig(tau=10.0, omega=p.get("omega", 1.0), delta=p.get("delta", 0.1),
@@ -467,7 +453,7 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path, summary: dict, threads: int):
     w.write()
 
 
-def _run_oc(cfg: ExperimentConfig, outdir: Path, summary: dict, threads: int):
+def _run_oc(cfg: ExperimentConfig, outdir: Path, summary: dict):
     h = cfg.digest()
     p = cfg.params
     base = LzConfig(tau=25.0, delta=p.get("delta", 0.1),
@@ -504,11 +490,12 @@ _RUNNERS = {"lz": _run_lz, "oscillator": _run_oscillator, "jc": _run_jc,
 
 
 def run(cfg: ExperimentConfig, threads: int = 1) -> Path:
+    """Run one config and write its outputs; ``threads`` is accepted, but runs are serial."""
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     summary = {"config_hash": cfg.digest(), "model": cfg.model,
                "preset": cfg.preset, "seed": cfg.seed}
-    _RUNNERS[cfg.model](cfg, outdir, summary, threads)
+    _RUNNERS[cfg.model](cfg, outdir, summary)
     with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
     return outdir
@@ -584,7 +571,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", help="JSON config file")
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=None)
+    p_run.add_argument("--threads", type=int, default=None,
+                       help="accepted for compatibility; runs are serial")
 
     p_val = sub.add_parser("validate", help="schema and physics-validity checks")
     p_val.add_argument("preset", nargs="?")

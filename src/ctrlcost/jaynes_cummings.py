@@ -11,12 +11,16 @@ costs.
 
 Coherent-field initial states |e, alpha> populate blocks with Poisson
 weights p_n; per-block quantities combine by population weighting.
+
+Block n's costs are even in delta, so its cost scan and CD/LCD crossover
+are those of the LZ sweep with Delta = |delta| and g0,1 -> -2 sqrt(n+1) g0,1,
+computed by ``landau_zener.cost_scan`` and ``find_cd_lcd_crossover``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -26,7 +30,7 @@ from .ramps import Ramp, poly_smooth_ramp
 from .twolevel import (PauliSchedule, propagate, converged_final_state,
                        integrated_cost, cost_rate, _simpson_weights,
                        _segment_grid, _midpoints, _steps, _trajectory)
-from .landau_zener import bisect_sign_change
+from .landau_zener import LzConfig, cost_scan, find_cd_lcd_crossover, _check_default_ramp
 
 __all__ = [
     "JcConfig",
@@ -44,7 +48,6 @@ __all__ = [
 ]
 
 TAIL_TOL = 1e-12
-_SCAN_QUADRATURE = 8192   # points per block-cost integral in scans and crossovers
 
 
 @dataclass(frozen=True)
@@ -327,21 +330,20 @@ def ensemble_run(cfg: JcConfig, protocol: str, steps: Optional[int] = None,
                             block_final_fidelity=bf, block_costs=bc, tail=tail)
 
 
+def _lz_equivalent(cfg: JcConfig, n: int) -> LzConfig:
+    """The LZ sweep whose default-ramp costs are block n's (see the module docstring)."""
+    _check_default_ramp(cfg)
+    s = -2.0 * math.sqrt(_photon_index(n) + 1.0)
+    return LzConfig(tau=cfg.tau, delta=abs(cfg.delta), g0=s * cfg.g0, g1=s * cfg.g1)
+
+
 def jc_cost_scan(cfg: JcConfig, taus: Sequence[float], n: int = 0,
                  protocols: Sequence[str] = ("cd", "lcd"),
-                 quadrature_steps: int = _SCAN_QUADRATURE) -> dict:
-    """Integrated block cost per protocol over durations (vacuum: n = 0)."""
-    taus = np.asarray(list(taus), dtype=float)
-    if np.any(taus <= 0):
-        raise ValueError("all tau values must be positive")
-    out = {"tau": taus}
+                 quadrature_steps: int = 8192) -> dict:
+    """Integrated cost of block n (vacuum: n = 0) per protocol over durations."""
     for p in protocols:
-        build = _builder(p)
-        out[p] = np.array([
-            integrated_cost(build(replace(cfg, tau=float(tt), ramp=None), n).schedule,
-                            quadrature_steps)
-            for tt in taus])
-    return out
+        _builder(p)   # block protocols only
+    return cost_scan(_lz_equivalent(cfg, n), taus, protocols, quadrature_steps)
 
 
 def find_jc_crossover(cfg: JcConfig, n: int = 0,
@@ -350,24 +352,9 @@ def find_jc_crossover(cfg: JcConfig, n: int = 0,
                       scan: Optional[dict] = None) -> Optional[float]:
     """Duration where the block CD and LCD costs cross, or None.
 
-    As :func:`~ctrlcost.landau_zener.find_cd_lcd_crossover`: the bracket is
-    read from ``scan``, a :func:`jc_cost_scan` of block n at its default
-    quadrature, or from such a scan of ``taus`` made here; the bisection
-    integrates at that quadrature too.
+    The bracket is read from ``scan``, a :func:`jc_cost_scan` of block n at
+    its default quadrature, or from such a scan of ``taus`` made here.
     """
-    if scan is None:
-        if taus is None:
-            taus = np.geomspace(2.0, 60.0, 25)
-        scan = jc_cost_scan(cfg, taus, n)
-    diff = scan["cd"] - scan["lcd"]
-    idx = np.where(np.sign(diff[:-1]) != np.sign(diff[1:]))[0]
-    if len(idx) == 0:
-        return None
-    i = int(idx[0])
-
-    def f(tau):
-        c = replace(cfg, tau=float(tau), ramp=None)
-        return (integrated_cost(jc_cd_block(c, n).schedule, _SCAN_QUADRATURE)
-                - integrated_cost(jc_lcd_block(c, n).schedule, _SCAN_QUADRATURE))
-
-    return bisect_sign_change(f, float(scan["tau"][i]), float(scan["tau"][i + 1]), tol)
+    if scan is None and taus is None:
+        taus = np.geomspace(2.0, 60.0, 25)
+    return find_cd_lcd_crossover(_lz_equivalent(cfg, n), taus, tol, scan=scan)

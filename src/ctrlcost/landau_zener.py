@@ -5,23 +5,27 @@ crossing from g(0) = g0 to g(tau) = g1. Builders return PauliSchedules for
 the bare sweep, counterdiabatic (CD) and local counterdiabatic (LCD)
 driving, and the bang-off-bang (BOB) pulse; scan helpers integrate the
 norm cost over protocol duration and locate the CD/LCD crossover.
+
+Every ramp here is a function of scaled time s = t/tau, and d/dt =
+(1/tau) d/ds, so a scan evaluates the ramp once on one s grid and gets
+C(tau) = int_0^1 ||H(s; tau)|| ds for all durations from the same rows.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .ramps import (Ramp, BobPulse, bob_pulse, poly_smooth_ramp, cd_na_ramp,
-                    cd_a_ramp, cd_blended_ramp)
+                    cd_a_ramp, cd_blended_ramp, blend_weight)
 from .twolevel import (PauliSchedule, CostReport, propagate,
                        converged_final_state, fidelity, integrated_cost,
-                       _su2_steps, _qmul, _apply, _eigvec_pair)
+                       _su2_steps, _qmul, _apply, _eigvec_pair, _rate,
+                       _simpson_weights)
 
 __all__ = [
     "LzConfig",
@@ -41,10 +45,11 @@ __all__ = [
     "bisect_sign_change",
 ]
 
-PROTOCOLS = ("bare", "cd", "lcd", "bob", "oc")
+PROTOCOLS = ("bare", "cd", "lcd", "cd-blend", "bob")   # what cost_scan and run_protocol take
 DEFAULT_GQ = 100.0
 BLEND_M = 40.0
 BLEND_EPS = 0.1
+_SCAN_CHUNK = 1 << 15   # floats per (durations, s) temporary of a cost scan
 
 
 @dataclass(frozen=True)
@@ -97,12 +102,16 @@ def lz_cd(cfg: LzConfig) -> PauliSchedule:
     delta = cfg.delta
 
     def cy(t):
-        g = ramp.value(t)
-        return -ramp.deriv1(t) * delta / (delta**2 + g * g)
+        return _cd_field(delta, ramp.value(t), ramp.deriv1(t))
 
     return PauliSchedule(duration=cfg.tau,
                          cx=lambda t: np.full_like(np.asarray(t, dtype=float), delta),
                          cz=ramp.value, cy=cy, label="lz-cd")
+
+
+def _cd_field(delta: float, g, gd):
+    """cy = -g' Delta / (Delta^2 + g^2), the sigma_y/2 coefficient of H_CD."""
+    return -gd * delta / (delta**2 + g * g)
 
 
 def _lcd_coefficients(delta: float, g, gd, gdd):
@@ -286,35 +295,74 @@ def _schedule_for(cfg: LzConfig, protocol: str,
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
+def _check_default_ramp(cfg: LzConfig) -> None:
+    if cfg.ramp is not None:
+        raise ValueError("cost scans use the default ramps: a custom ramp cannot be scanned")
+
+
+def _scan_rows(cfg: LzConfig, s: np.ndarray, blend: bool = False):
+    """(g, g', g'') on the s grid for a column of durations, from rows evaluated once.
+
+    A duration only rescales the derivatives, g' = g_s / tau and
+    g'' = g_ss / tau^2, and sets the blend weight.
+    """
+    if not blend:
+        q = poly_smooth_ramp(cfg.g0, cfg.g1 - cfg.g0, 1.0)
+        g, gs, gss = q.value(s), q.deriv1(s), q.deriv2(s)
+        return lambda tau: (g, gs / tau, gss / tau**2)
+    g_a, g_na = cd_a_ramp(cfg.g0, BLEND_M), cd_na_ramp(cfg.delta, cfg.g0, cfg.g1)
+    cd_blended_ramp(g_a, g_na, BLEND_EPS, 1.0)   # rejects unequal boundary values
+    a = [g_a.value(s), g_a.deriv1(s), g_a.deriv2(s)]
+    na = [g_na.value(s), g_na.deriv1(s), g_na.deriv2(s)]
+
+    def rows(tau):
+        f = np.array([[blend_weight(BLEND_EPS, t)] for t in tau[:, 0]])
+        g, gs, gss = (f * x + (1.0 - f) * y for x, y in zip(a, na))
+        return g, gs / tau, gss / tau**2
+
+    return rows
+
+
 def cost_scan(cfg: LzConfig, taus: Sequence[float],
               protocols: Sequence[str] = ("cd", "lcd"),
-              quadrature_steps: int = 8192, threads: int = 1) -> dict:
-    """Integrated cost per protocol over a list of durations.
+              quadrature_steps: int = 8192) -> dict:
+    """Integrated cost per protocol over a list of durations, for the default ramps.
 
-    Returns {"tau": array, protocol: array, ...}. Cells are independent and
-    may be evaluated concurrently.
+    Returns {"tau": array, protocol: array, ...}. All but BOB are scanned in
+    scaled time, C(tau) = int_0^1 ||H(s; tau)|| ds: one Simpson sum per row
+    of (durations, s) chunks, so a cost does not depend on the other
+    durations. BOB optimizes its kicks and integrates its piecewise-constant
+    schedule per duration. A config with a custom ramp is rejected.
     """
+    _check_default_ramp(cfg)
     taus = np.asarray(list(taus), dtype=float)
     if np.any(taus <= 0):
         raise ValueError("all tau values must be positive")
-    cells = [(i, p) for p in protocols for i in range(len(taus))]
-
-    def run_cell(cell):
-        i, p = cell
-        # the default ramp family is rebuilt per duration; a custom fixed
-        # ramp cannot be reused across different tau
-        sched = _schedule_for(replace(cfg, tau=float(taus[i]), ramp=None), p)
-        return integrated_cost(sched, quadrature_steps)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(run_cell, cells))
-    else:
-        values = [run_cell(c) for c in cells]
-
+    for p in protocols:
+        if p not in PROTOCOLS:
+            raise ValueError(f"unknown protocol {p!r}")
+    if quadrature_steps < 16:
+        raise ValueError(f"quadrature_steps must be >= 16, got {quadrature_steps}")
+    n = quadrature_steps + quadrature_steps % 2
+    s = np.linspace(0.0, 1.0, n + 1)
+    w = _simpson_weights(n, 1.0 / n)
+    chunk = max(1, _SCAN_CHUNK // len(s))
+    quintic = _scan_rows(cfg, s)
     out = {"tau": taus}
-    for j, p in enumerate(protocols):
-        out[p] = np.array(values[j * len(taus):(j + 1) * len(taus)])
+    for p in protocols:
+        if p == "bob":
+            out[p] = np.array([integrated_cost(_schedule_for(replace(cfg, tau=float(t)), p),
+                                               quadrature_steps) for t in taus])
+            continue
+        rows = _scan_rows(cfg, s, blend=True) if p == "cd-blend" else quintic
+        costs = np.empty(len(taus))
+        for i in range(0, len(taus), chunk):
+            # the closed forms of lz_bare, lz_cd and lz_lcd
+            g, gd, gdd = rows(taus[i:i + chunk, None])
+            cx, cz = _lcd_coefficients(cfg.delta, g, gd, gdd) if p == "lcd" else (cfg.delta, g)
+            cy = _cd_field(cfg.delta, g, gd) if p in ("cd", "cd-blend") else 0.0
+            costs[i:i + chunk] = (_rate((0.0, cx, cy, cz)) * w).sum(-1)
+        out[p] = costs
     return out
 
 
@@ -348,8 +396,10 @@ def find_cd_lcd_crossover(cfg: LzConfig, taus: Optional[Sequence[float]] = None,
     The bracket is read from ``scan``, a :func:`cost_scan` result with "cd"
     and "lcd" columns made at the same ``quadrature_steps``, when one is
     given (``taus`` is then unused); otherwise that scan of ``taus`` is
-    computed here.
+    computed here. The bisection runs one-duration scans at the same
+    quadrature, so the bracket and the bisection take one route.
     """
+    _check_default_ramp(cfg)
     if scan is None:
         if taus is None:
             taus = np.geomspace(0.5, 100.0, 25)
@@ -361,9 +411,8 @@ def find_cd_lcd_crossover(cfg: LzConfig, taus: Optional[Sequence[float]] = None,
     i = int(idx[0])
 
     def f(tau):
-        c = replace(cfg, tau=float(tau), ramp=None)
-        return (integrated_cost(lz_cd(c), quadrature_steps)
-                - integrated_cost(lz_lcd(c), quadrature_steps))
+        c = cost_scan(cfg, [tau], ("cd", "lcd"), quadrature_steps)
+        return float(c["cd"][0] - c["lcd"][0])
 
     return bisect_sign_change(f, float(scan["tau"][i]), float(scan["tau"][i + 1]), tol)
 

@@ -32,6 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .landau_zener import bisect_sign_change
+from .ramps import poly_smooth_ramp
 from .twolevel import _prefix_scan, _simpson_weights
 
 __all__ = [
@@ -93,36 +94,14 @@ class FrequencySchedule:
 
     @classmethod
     def quintic(cls, omega0: float = 1.0, omega1: float = 10.0, tau: float = 2.5):
-        """Flat-endpoint quintic sweep omega0 -> omega1."""
-        if tau <= 0:
-            raise ValueError(f"duration must be positive, got {tau}")
-        wd = omega1 - omega0
-
-        def om(t):
-            x = np.asarray(t, dtype=float) / tau
-            return omega0 + wd * (10 * x**3 - 15 * x**4 + 6 * x**5)
-
-        def dom(t):
-            x = np.asarray(t, dtype=float) / tau
-            return wd * 30.0 * (x**2 - 2 * x**3 + x**4) / tau
-
-        def ddom(t):
-            x = np.asarray(t, dtype=float) / tau
-            return wd * (60 * x - 180 * x**2 + 120 * x**3) / tau**2
-
-        return cls(om, dom, ddom, omega0, omega1, tau)
+        """Flat-endpoint quintic sweep omega0 -> omega1, the ramp of ``poly_smooth_ramp``."""
+        r = poly_smooth_ramp(omega0, omega1 - omega0, tau)
+        return cls(r.value, r.deriv1, r.deriv2, omega0, omega1, tau)
 
     @classmethod
     def constant(cls, omega0: float, tau: float):
-        def om(t):
-            t = np.asarray(t, dtype=float)
-            return np.full(t.shape, omega0) if t.shape else np.float64(omega0)
-
-        def zero(t):
-            t = np.asarray(t, dtype=float)
-            return np.zeros(t.shape) if t.shape else np.float64(0.0)
-
-        return cls(om, zero, zero, omega0, omega0, tau)
+        """Constant frequency omega0: the quintic sweep omega0 -> omega0."""
+        return cls.quintic(omega0, omega0, tau)
 
 
 @dataclass

@@ -162,17 +162,10 @@ def cd_na_ramp(delta: float, g0: float, g1: float) -> Ramp:
     if delta == 0:
         raise ValueError("delta must be nonzero")
     if g0 == g1:
-        # degenerate boundary: constant schedule
-        def const(s):
-            s = np.asarray(s, dtype=float)
-            return np.full(s.shape, g0) if s.shape else np.float64(g0)
-
-        def zero(s):
-            s = np.asarray(s, dtype=float)
-            return np.zeros(s.shape) if s.shape else np.float64(0.0)
-
-        return Ramp("tan-optimal", 1.0,
-                    {"delta": delta, "g0": g0, "g1": g1}, const, zero, zero)
+        # degenerate boundary: the constant schedule g0 + 0 * quintic
+        q = poly_smooth_ramp(g0, 0.0, 1.0)
+        return Ramp("tan-optimal", 1.0, {"delta": delta, "g0": g0, "g1": g1},
+                    q._value, q._deriv1, q._deriv2)
 
     c1d = math.atan(g1 / delta) - math.atan(g0 / delta)
     c2 = math.atan(g0 / delta) / c1d

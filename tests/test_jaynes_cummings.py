@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ctrlcost.landau_zener import LzConfig, lz_cd, lz_lcd
+from ctrlcost.landau_zener import LzConfig, lz_cd, lz_lcd, cost_scan
+from ctrlcost.ramps import poly_smooth_ramp
 from ctrlcost.twolevel import integrated_cost, propagate
 from ctrlcost.jaynes_cummings import (JcConfig, jc_block, jc_cd_block,
                                       jc_lcd_block, mixing_angle_rate,
@@ -256,19 +257,53 @@ def test_jc_crossover_from_a_given_scan_matches_its_own_scan():
 
 
 def test_jc_crossover_bisects_at_the_scan_quadrature(monkeypatch):
-    import ctrlcost.jaynes_cummings as jcm
+    import ctrlcost.landau_zener as lzm
     steps = []
 
-    def spy(schedule, quadrature_steps=4096, **kw):
+    def spy(cfg, taus, protocols=("cd", "lcd"), quadrature_steps=8192):
         steps.append(quadrature_steps)
-        return integrated_cost(schedule, quadrature_steps, **kw)
+        return cost_scan(cfg, taus, protocols, quadrature_steps)
 
     cfg = JcConfig(tau=10.0)
     given = find_jc_crossover(cfg, scan=jc_cost_scan(cfg, [10.0, 20.0]))
-    monkeypatch.setattr(jcm, "integrated_cost", spy)
+    monkeypatch.setattr(lzm, "cost_scan", spy)
     tstar = find_jc_crossover(cfg, taus=[10.0, 20.0])
     assert len(steps) > 4 and set(steps) == {8192}
     assert tstar is not None and tstar == given
+
+
+@pytest.mark.parametrize("n", [0, 5])
+def test_jc_scan_matches_real_time_blocks(n):
+    taus = [0.1, 3.7, 100.0]
+    scan = jc_cost_scan(JcConfig(tau=1.0), taus, n)
+    for i, tau in enumerate(taus):
+        cfg = JcConfig(tau=tau)
+        for key, build in (("cd", jc_cd_block), ("lcd", jc_lcd_block)):
+            direct = integrated_cost(build(cfg, n).schedule, 8192)
+            assert scan[key][i] == pytest.approx(direct, rel=1e-12)
+
+
+def test_jc_scan_is_even_in_the_detuning():
+    taus = [2.0, 30.0]
+    plus = jc_cost_scan(JcConfig(tau=1.0, delta=0.1), taus, 2)
+    minus = jc_cost_scan(JcConfig(tau=1.0, delta=-0.1), taus, 2)
+    for key, build in (("cd", jc_cd_block), ("lcd", jc_lcd_block)):
+        assert np.array_equal(plus[key], minus[key])
+        direct = integrated_cost(build(JcConfig(tau=2.0, delta=-0.1), 2).schedule, 8192)
+        assert minus[key][0] == pytest.approx(direct, rel=1e-12)
+
+
+def test_jc_scans_reject_a_custom_ramp():
+    cfg = JcConfig(tau=10.0, ramp=poly_smooth_ramp(0.0, 0.3, 10.0))
+    scan = jc_cost_scan(JcConfig(tau=10.0), [5.0, 40.0])
+    for call in (lambda: jc_cost_scan(cfg, [10.0]),
+                 lambda: find_jc_crossover(cfg),
+                 lambda: find_jc_crossover(cfg, scan=scan)):
+        with pytest.raises(ValueError, match="custom ramp") as err:
+            call()
+        assert "\n" not in str(err.value)
+    with pytest.raises(ValueError, match="unknown protocol"):
+        jc_cost_scan(JcConfig(tau=10.0), [10.0], protocols=("cd-blend",))
 
 
 def test_jc_adiabatic_limit_cost():

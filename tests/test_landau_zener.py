@@ -1,6 +1,7 @@
 """Landau-Zener protocols: builders, QSL, BOB, decomposition, scans."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
-from ctrlcost.ramps import bob_pulse
+from ctrlcost.ramps import bob_pulse, oc_fourier_ramp
 from ctrlcost.twolevel import (integrated_cost, instantaneous_eigenstates,
                                cost_rate)
 from ctrlcost.landau_zener import (LzConfig, lz_bare, lz_cd, lz_lcd, lz_bob,
@@ -320,13 +321,43 @@ def test_blended_ramp_cost_dominates_quintic():
     assert np.all(scan["cd-blend"] <= scan["cd"] + 1e-12)
 
 
-def test_cost_scan_threaded_matches_serial():
+@pytest.mark.parametrize("tau", [0.1, 3.7, 100.0])
+def test_scaled_time_scan_matches_real_time_builders(tau):
+    cfg = LzConfig(tau=tau)
+    scan = cost_scan(cfg, [tau], ("bare", "cd", "lcd", "cd-blend"))
+    blend = replace(cfg, ramp=blended_ramp_for(cfg, tau))
+    for key, sched in (("bare", lz_bare(cfg)), ("cd", lz_cd(cfg)),
+                       ("lcd", lz_lcd(cfg)), ("cd-blend", lz_cd(blend))):
+        assert scan[key][0] == pytest.approx(integrated_cost(sched, 8192), rel=1e-12)
+
+
+def test_scan_rows_do_not_depend_on_the_batch():
     cfg = LzConfig(tau=1.0)
-    taus = [0.5, 2.0, 8.0]
-    a = cost_scan(cfg, taus, ("cd", "lcd"), threads=1)
-    b = cost_scan(cfg, taus, ("cd", "lcd"), threads=3)
-    for key in ("cd", "lcd"):
-        assert np.array_equal(a[key], b[key])
+    taus = [0.1, 0.7, 2.0, 3.7, 11.0, 40.0, 100.0]
+    protocols = ("bare", "cd", "lcd", "cd-blend")
+    batch = cost_scan(cfg, taus, protocols)
+    for p in protocols:
+        single = [cost_scan(cfg, [t], (p,))[p][0] for t in taus]
+        assert np.array_equal(batch[p], single)
+    with pytest.raises(ValueError, match="boundary mismatch"):
+        cost_scan(LzConfig(tau=1.0, g1=0.3), [1.0], ("cd-blend",))
+    with pytest.raises(ValueError, match="quadrature_steps must be >= 16"):
+        cost_scan(cfg, [1.0], quadrature_steps=8)
+    with pytest.raises(ValueError, match="positive"):
+        cost_scan(cfg, [1.0, 0.0])
+    with pytest.raises(ValueError, match="unknown protocol"):
+        cost_scan(cfg, [1.0], ("cd", "oc"))
+
+
+def test_scans_reject_a_custom_ramp():
+    cfg = LzConfig(tau=5.0, ramp=oc_fourier_ramp(-0.2, 5.0, [(0.1, 0.0)]))
+    scan = cost_scan(LzConfig(tau=5.0), [1.0, 50.0])
+    for call in (lambda: cost_scan(cfg, [5.0]),
+                 lambda: find_cd_lcd_crossover(cfg),
+                 lambda: find_cd_lcd_crossover(cfg, scan=scan)):
+        with pytest.raises(ValueError, match="custom ramp") as err:
+            call()
+        assert "\n" not in str(err.value)
 
 
 def test_bisect_requires_bracket():
