@@ -15,7 +15,7 @@ from .twolevel import (PauliSchedule, QubitTrajectory, CostReport,
                        qubit_state, fidelity, propagate, final_state,
                        converged_final_state, instantaneous_eigenstates,
                        cost_rate, integrated_cost, trajectory_to_csv)
-from .landau_zener import (LzConfig, lz_bare, lz_cd, lz_lcd, lz_bob,
+from .landau_zener import (LzConfig, lz_fields, lz_bare, lz_cd, lz_lcd, lz_bob,
                            lz_ground_state, qsl_time, optimize_bob_kicks,
                            cd_cost_decomposition, decomposition_cost,
                            cost_scan, find_cd_lcd_crossover, run_protocol)
@@ -35,7 +35,7 @@ __all__ = [
     "fidelity", "propagate", "final_state", "converged_final_state",
     "instantaneous_eigenstates", "cost_rate", "integrated_cost",
     "trajectory_to_csv",
-    "LzConfig", "lz_bare", "lz_cd", "lz_lcd", "lz_bob", "lz_ground_state",
+    "LzConfig", "lz_fields", "lz_bare", "lz_cd", "lz_lcd", "lz_bob", "lz_ground_state",
     "qsl_time", "optimize_bob_kicks", "cd_cost_decomposition",
     "decomposition_cost", "cost_scan", "find_cd_lcd_crossover", "run_protocol",
     "FrequencySchedule", "OscillatorSolution", "classical_solutions",

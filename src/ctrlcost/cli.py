@@ -25,19 +25,18 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, jaynes_cummings, landau_zener, oscillator
 from .ramps import bob_pulse, ramp_from_dict
 from .twolevel import integrated_cost, instantaneous_eigenstates
 from .landau_zener import (LzConfig, lz_cd, lz_lcd, lz_bob,
                            lz_ground_state, qsl_time, optimize_bob_kicks,
                            cost_scan, find_cd_lcd_crossover, run_protocol,
-                           DEFAULT_GQ)
+                           blended_ramp_for, DEFAULT_GQ)
 from .oscillator import (FrequencySchedule, qstar_series, oscillator_cost,
                          cd_validity_edge, cd_is_valid, lcd_is_valid,
                          OscillatorError)
 from .jaynes_cummings import (JcConfig, block_run, ensemble_run, jc_cost_scan,
-                              find_jc_crossover, coherent_weights,
-                              jc_cd_block, jc_lcd_block, TAIL_TOL)
+                              find_jc_crossover, coherent_weights, TAIL_TOL)
 from .oc import OcProblem, optimize, refine_result
 
 ENV_PREFIX = "CTRLCOST_"
@@ -49,6 +48,8 @@ _MODEL_KEYS = {
     "oc": {"delta", "g0", "g1", "n_max", "gamma", "budget", "q_target", "steps",
            "restarts", "polish_budget"},
 }
+_PROTOCOLS = {"lz": landau_zener.PROTOCOLS, "oscillator": oscillator.PROTOCOLS,
+              "jc": jaynes_cummings.PROTOCOLS, "oc": ()}   # oc runs its own pulse
 _TOP_KEYS = {"model", "preset", "protocols", "tau", "params", "seed", "out",
              "trajectory_steps", "scan_points", "description", "mode", "ramp"}
 
@@ -134,13 +135,20 @@ def parse_config(raw: dict) -> ExperimentConfig:
     mode = raw.get("mode", "")
     if mode not in ("", "trajectory", "scan"):
         raise ValueError(f"unknown mode {mode!r}")
+    protocols = raw.get("protocols", [])
+    if not isinstance(protocols, list):
+        raise ValueError(f"protocols must be a list, got {protocols!r}")
+    bad = [p for p in protocols if p not in _PROTOCOLS[model]]
+    if bad:
+        raise ValueError(f"unknown protocol {bad[0]!r} for model {model!r}; "
+                         f"it takes {list(_PROTOCOLS[model])}")
     ramp = raw.get("ramp")
     if ramp is not None:
         if model != "lz":
             raise ValueError("a custom ramp is only supported for the lz model")
         ramp_from_dict(ramp)  # fail early on malformed descriptions
     return ExperimentConfig(model=model,
-                            protocols=list(raw.get("protocols", [])),
+                            protocols=list(protocols),
                             tau=tau,
                             params=params,
                             seed=int(raw.get("seed", 0)),
@@ -237,10 +245,11 @@ def _rows(n: int, limit: int = 4001) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # model runners
 
-def _lz_config(cfg: ExperimentConfig, tau: float) -> LzConfig:
+def _lz_config(cfg: ExperimentConfig, tau: float, with_ramp: bool = False) -> LzConfig:
+    """The sweep of an lz or oc config at duration tau, with its custom ramp if asked."""
     p = cfg.params
     ramp = None
-    if cfg.ramp is not None:
+    if with_ramp and cfg.ramp is not None:
         ramp = ramp_from_dict(cfg.ramp)
         if abs(ramp.duration - tau) > 1e-12:
             raise ValueError(
@@ -249,21 +258,28 @@ def _lz_config(cfg: ExperimentConfig, tau: float) -> LzConfig:
                     g0=p.get("g0", -0.2), g1=p.get("g1", 0.2), ramp=ramp)
 
 
+def _tau_qsl(cfg: ExperimentConfig) -> float:
+    base = _lz_config(cfg, 1.0)
+    return qsl_time(base.delta, lz_ground_state(base.delta, base.g0),
+                    lz_ground_state(base.delta, base.g1))
+
+
+def _lz_trajectory_mode(cfg: ExperimentConfig) -> bool:
+    """Whether an lz config runs trajectories; otherwise it scans costs."""
+    return (cfg.mode == "trajectory" or cfg.preset == "fig1"
+            or (not cfg.tau and cfg.mode != "scan"))
+
+
 def _run_lz(cfg: ExperimentConfig, outdir: Path, summary: dict):
     h = cfg.digest()
-    p0 = cfg.params
-    delta = p0.get("delta", 0.1)
-    psi_i = lz_ground_state(delta, p0.get("g0", -0.2))
-    psi_t = lz_ground_state(delta, p0.get("g1", 0.2))
-    tqsl = qsl_time(delta, psi_i, psi_t)
+    tqsl = _tau_qsl(cfg)
     summary["tau_qsl"] = tqsl
     g_q = cfg.params.get("g_q", DEFAULT_GQ)
 
     taus = cfg.tau or [tqsl, 0.1]
     trajectory_protocols = [p for p in cfg.protocols if p != "cd-blend"]
     scan_protocols = cfg.protocols
-    trajectory_mode = (cfg.mode == "trajectory" or cfg.preset == "fig1"
-                       or (not cfg.tau and cfg.mode != "scan"))
+    trajectory_mode = _lz_trajectory_mode(cfg)
     if cfg.ramp is not None and not trajectory_mode:
         raise ValueError("a custom ramp requires mode='trajectory' "
                          "(scans rebuild the ramp family per duration)")
@@ -278,15 +294,13 @@ def _run_lz(cfg: ExperimentConfig, outdir: Path, summary: dict):
         spec = CsvWriter(outdir / "spectra.csv",
                          ["tau", "t"] + [f"E_{side}_{p}" for p in spectra_protocols
                                          for side in ("minus", "plus")], h)
-        plain = LzConfig(tau=tqsl, delta=delta, g0=p0.get("g0", -0.2),
-                         g1=p0.get("g1", 0.2))
-        kicks = optimize_bob_kicks(plain, g_q) if "bob" in trajectory_protocols \
-            else None
+        kicks = optimize_bob_kicks(_lz_config(cfg, tqsl), g_q) \
+            if "bob" in trajectory_protocols else None
         if kicks is not None:
             summary["bob"] = {"phi1": kicks.phi1, "phi2": kicks.phi2,
                               "fidelity": kicks.fidelity}
         for tau in taus:
-            lzc = _lz_config(cfg, tau)
+            lzc = _lz_config(cfg, tau, with_ramp=True)
             trajs = {}
             for proto in trajectory_protocols:
                 if proto == "bob":
@@ -325,8 +339,7 @@ def _run_lz(cfg: ExperimentConfig, outdir: Path, summary: dict):
         return
 
     # scan preset
-    base = LzConfig(tau=taus[0], delta=delta, g0=p0.get("g0", -0.2),
-                    g1=p0.get("g1", 0.2))
+    base = _lz_config(cfg, taus[0])
     scan = cost_scan(base, taus, scan_protocols)
     w = CsvWriter(outdir / "cost_scan.csv",
                   ["tau"] + [f"C_{p}" for p in scan_protocols], h)
@@ -335,7 +348,7 @@ def _run_lz(cfg: ExperimentConfig, outdir: Path, summary: dict):
     w.write()
     if {"cd", "lcd"} <= set(scan_protocols):
         summary["crossover_cd_lcd"] = find_cd_lcd_crossover(base, scan=scan)
-    at_qsl = replace(base, tau=tqsl, ramp=None)
+    at_qsl = replace(base, tau=tqsl)
     kicks = optimize_bob_kicks(at_qsl, g_q)
     sched = lz_bob(at_qsl, bob_pulse(g_q, tqsl, (kicks.phi1, kicks.phi2)))
     summary["bob"] = {"tau": tqsl, "fidelity": kicks.fidelity,
@@ -443,21 +456,20 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path, summary: dict):
     w.write()
     summary["crossover_n0"] = find_jc_crossover(jc, scan=scan)
 
+    # the population-weighted sum of the block scans
+    scans = [jc_cost_scan(jc, taus, n) for n in range(jc.n_cut + 1)]
     weights = coherent_weights(jc.alpha, jc.n_cut)
+    coherent = [weights @ np.array([s_[p_] for s_ in scans]) for p_ in ("cd", "lcd")]
     w = CsvWriter(outdir / "cost_scan_coherent.csv", ["tau", "C_cd", "C_lcd"], h)
-    blocks = np.arange(jc.n_cut + 1)
-    for tau in taus:
-        jc_t = replace(jc, tau=float(tau))
-        w.add(tau, *[float(weights @ integrated_cost(build(jc_t, blocks).schedule))
-                     for build in (jc_cd_block, jc_lcd_block)])
+    for i, tau in enumerate(taus):
+        w.add(tau, *[c[i] for c in coherent])
     w.write()
 
 
 def _run_oc(cfg: ExperimentConfig, outdir: Path, summary: dict):
     h = cfg.digest()
     p = cfg.params
-    base = LzConfig(tau=25.0, delta=p.get("delta", 0.1),
-                    g0=p.get("g0", -0.2), g1=p.get("g1", 0.2))
+    base = _lz_config(cfg, 25.0)
     taus = cfg.tau or [25.0, 50.0, 100.0]
     w = CsvWriter(outdir / "oc_results.csv", ["tau", "q", "C", "nfev", "success"], h)
     records = []
@@ -523,10 +535,7 @@ def validate(cfg: ExperimentConfig) -> dict:
             check(f"lcd_validity tau={tau:g}", lcd_is_valid(sched),
                   "effective LCD frequency must stay positive")
     elif cfg.model == "oc":
-        base = _lz_config(ExperimentConfig(model="lz", params={
-            k: v for k, v in cfg.params.items() if k in ("delta", "g0", "g1")}), 1.0)
-        tqsl = qsl_time(base.delta, lz_ground_state(base.delta, base.g0),
-                        lz_ground_state(base.delta, base.g1))
+        tqsl = _tau_qsl(cfg)
         for tau in cfg.tau or [25.0, 50.0, 100.0]:
             check(f"tau>tau_qsl tau={tau:g}", tau > tqsl,
                   f"Fourier OC applies only above tau_QSL = {tqsl:.4f}")
@@ -537,9 +546,27 @@ def validate(cfg: ExperimentConfig) -> dict:
         check("cutoff_tail", tail <= TAIL_TOL,
               f"tail mass {tail:.3e} for alpha={alpha}, n_cut={n_cut}")
     elif cfg.model == "lz":
-        for tau in cfg.tau or []:
-            check(f"tau>0 tau={tau:g}", tau > 0)
+        # what _run_lz enforces; a sweep LzConfig rejects raises, as in oc
+        _lz_config(cfg, 1.0)
+        trajectory = _lz_trajectory_mode(cfg)
+        if "cd-blend" in cfg.protocols and not trajectory:
+            err = _error(lambda: blended_ramp_for(_lz_config(cfg, 1.0), 1.0))
+            check("cd-blend boundary", not err, err or "the blended ramp needs g1 = -g0")
+        if cfg.ramp is not None:
+            check("ramp needs trajectory mode", trajectory, "cost scans use the default ramps")
+            for tau in cfg.tau or [_tau_qsl(cfg), 0.1]:
+                err = _error(lambda: _lz_config(cfg, tau, with_ramp=True))
+                check(f"ramp duration tau={tau:g}", not err, err)
     return report
+
+
+def _error(call) -> str:
+    """The message of the ValueError that call() raises, or ''."""
+    try:
+        call()
+    except ValueError as err:
+        return str(err)
+    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -602,12 +629,13 @@ def main(argv=None) -> int:
         if args.command == "run":
             seed = _int_setting("SEED", args.seed, None)
             threads = _int_setting("THREADS", args.threads, 1)
+        else:
+            report = validate(cfg)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
     if args.command == "validate":
-        report = validate(cfg)
         print(json.dumps(report, indent=1, sort_keys=True))
         if not report["valid"]:
             failed = [c["check"] for c in report["checks"] if not c["ok"]]

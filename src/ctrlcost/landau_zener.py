@@ -31,6 +31,7 @@ __all__ = [
     "LzConfig",
     "BobKicks",
     "lz_ground_state",
+    "lz_fields",
     "lz_bare",
     "lz_cd",
     "lz_lcd",
@@ -83,80 +84,67 @@ def lz_ground_state(delta: float, g: float) -> np.ndarray:
     return np.asarray(gnd, dtype=complex)
 
 
-def lz_bare(cfg: LzConfig) -> PauliSchedule:
-    """H0 = Delta sigma_x/2 + g(t) sigma_z/2."""
-    ramp = cfg.ramp_or_default()
-    delta = cfg.delta
-    return PauliSchedule(duration=cfg.tau,
-                         cx=lambda t: np.full_like(np.asarray(t, dtype=float), delta),
-                         cz=ramp.value, label="lz-bare")
+def lz_fields(protocol: str, delta: float, g, gd, gdd):
+    """(cx, cy, cz) of the bare, CD or LCD sweep from the ramp rows g, g', g''.
 
+    bare: cx = Delta, cz = g.
+    cd:   the bare sweep plus the counterdiabatic field
+          H_CD = -[g' Delta / (2 (Delta^2 + g^2))] sigma_y, i.e.
+          cy = -g' Delta / (Delta^2 + g^2).
+    lcd:  cx = P = sqrt(Delta^2 + theta_dot^2), cz = g - eta_dot, with
+          theta = arccot(g/Delta) and eta = arctan(theta_dot/Delta); theta_dot
+          and theta_ddot come from the ramp's closed-form derivatives, never
+          from differencing.
 
-def lz_cd(cfg: LzConfig) -> PauliSchedule:
-    """Bare sweep plus the counterdiabatic field.
-
-    H_CD = -[g'(t) Delta / (2 (Delta^2 + g^2))] sigma_y, i.e. the sigma_y/2
-    coefficient is cy = -g' Delta / (Delta^2 + g^2).
+    The Jaynes-Cummings blocks take the same forms with g -> -2 sqrt(n+1) g.
     """
-    ramp = cfg.ramp_or_default()
-    delta = cfg.delta
-
-    def cy(t):
-        return _cd_field(delta, ramp.value(t), ramp.deriv1(t))
-
-    return PauliSchedule(duration=cfg.tau,
-                         cx=lambda t: np.full_like(np.asarray(t, dtype=float), delta),
-                         cz=ramp.value, cy=cy, label="lz-cd")
-
-
-def _cd_field(delta: float, g, gd):
-    """cy = -g' Delta / (Delta^2 + g^2), the sigma_y/2 coefficient of H_CD."""
-    return -gd * delta / (delta**2 + g * g)
-
-
-def _lcd_coefficients(delta: float, g, gd, gdd):
-    """(P, g - eta_dot) from the analytic derivative chain.
-
-    theta = arccot(g/Delta), eta = arctan(theta_dot/Delta); theta_dot and
-    theta_ddot come from the ramp's closed-form derivatives, never from
-    differencing.
-    """
+    if protocol == "bare":
+        return delta, 0.0, g
     r2 = delta**2 + g * g
+    if protocol == "cd":
+        return delta, -gd * delta / r2, g
+    if protocol != "lcd":
+        raise ValueError(f"unknown protocol {protocol!r}")
     theta_d = -gd * delta / r2
     theta_dd = -delta * (gdd * r2 - 2.0 * g * gd * gd) / (r2 * r2)
     eta_d = theta_dd * delta / (delta**2 + theta_d * theta_d)
-    P = np.sqrt(delta**2 + theta_d * theta_d)
-    return P, g - eta_d
+    return np.sqrt(delta**2 + theta_d * theta_d), 0.0, g - eta_d
+
+
+def _sweep(cfg: LzConfig, protocol: str, label: str) -> PauliSchedule:
+    ramp = cfg.ramp_or_default()
+    return PauliSchedule(duration=cfg.tau, label=label,
+                         fields=lambda t: (0.0, *lz_fields(protocol, cfg.delta, *ramp.rows(t))))
+
+
+def lz_bare(cfg: LzConfig) -> PauliSchedule:
+    """H0 = Delta sigma_x/2 + g(t) sigma_z/2."""
+    return _sweep(cfg, "bare", "lz-bare")
+
+
+def lz_cd(cfg: LzConfig) -> PauliSchedule:
+    """Bare sweep plus the counterdiabatic field (see ``lz_fields``)."""
+    return _sweep(cfg, "cd", "lz-cd")
 
 
 def lz_lcd(cfg: LzConfig) -> PauliSchedule:
     """Local counterdiabatic schedule: H = P(t) sigma_x/2 + [g - eta_dot] sigma_z/2."""
     ramp = cfg.ramp_or_default()
-    delta = cfg.delta
     edge = max(abs(float(ramp.deriv1(0.0))), abs(float(ramp.deriv1(cfg.tau))),
                abs(float(ramp.deriv2(0.0))) * cfg.tau, abs(float(ramp.deriv2(cfg.tau))) * cfg.tau)
     if edge > 1e-9 * max(1.0, abs(cfg.g1 - cfg.g0) / cfg.tau):
         warnings.warn("LCD requires a ramp with flat start and end points; "
                       "target-state fidelity is not guaranteed for this ramp",
                       stacklevel=2)
-
-    def cx(t):
-        return _lcd_coefficients(delta, ramp.value(t), ramp.deriv1(t), ramp.deriv2(t))[0]
-
-    def cz(t):
-        return _lcd_coefficients(delta, ramp.value(t), ramp.deriv1(t), ramp.deriv2(t))[1]
-
-    return PauliSchedule(duration=cfg.tau, cx=cx, cz=cz, label="lz-lcd")
+    return _sweep(cfg, "lcd", "lz-lcd")
 
 
 def lz_bob(cfg: LzConfig, pulse: BobPulse) -> PauliSchedule:
     """Bang-off-bang schedule with rectangular kicks at both ends."""
     if abs(pulse.tau - cfg.tau) > 1e-12:
         raise ValueError("pulse duration differs from config tau")
-    delta = cfg.delta
     return PauliSchedule(duration=cfg.tau,
-                         cx=lambda t: np.full_like(np.asarray(t, dtype=float), delta),
-                         cz=pulse.amplitude,
+                         fields=lambda t: (0.0, cfg.delta, 0.0, pulse.amplitude(t)),
                          breakpoints=(pulse.tau_b1, cfg.tau - pulse.tau_b2),
                          label="lz-bob")
 
@@ -308,12 +296,11 @@ def _scan_rows(cfg: LzConfig, s: np.ndarray, blend: bool = False):
     """
     if not blend:
         q = poly_smooth_ramp(cfg.g0, cfg.g1 - cfg.g0, 1.0)
-        g, gs, gss = q.value(s), q.deriv1(s), q.deriv2(s)
+        g, gs, gss = q.rows(s)
         return lambda tau: (g, gs / tau, gss / tau**2)
     g_a, g_na = cd_a_ramp(cfg.g0, BLEND_M), cd_na_ramp(cfg.delta, cfg.g0, cfg.g1)
     cd_blended_ramp(g_a, g_na, BLEND_EPS, 1.0)   # rejects unequal boundary values
-    a = [g_a.value(s), g_a.deriv1(s), g_a.deriv2(s)]
-    na = [g_na.value(s), g_na.deriv1(s), g_na.deriv2(s)]
+    a, na = g_a.rows(s), g_na.rows(s)
 
     def rows(tau):
         f = np.array([[blend_weight(BLEND_EPS, t)] for t in tau[:, 0]])
@@ -357,11 +344,9 @@ def cost_scan(cfg: LzConfig, taus: Sequence[float],
         rows = _scan_rows(cfg, s, blend=True) if p == "cd-blend" else quintic
         costs = np.empty(len(taus))
         for i in range(0, len(taus), chunk):
-            # the closed forms of lz_bare, lz_cd and lz_lcd
-            g, gd, gdd = rows(taus[i:i + chunk, None])
-            cx, cz = _lcd_coefficients(cfg.delta, g, gd, gdd) if p == "lcd" else (cfg.delta, g)
-            cy = _cd_field(cfg.delta, g, gd) if p in ("cd", "cd-blend") else 0.0
-            costs[i:i + chunk] = (_rate((0.0, cx, cy, cz)) * w).sum(-1)
+            fields = lz_fields("cd" if p == "cd-blend" else p, cfg.delta,
+                               *rows(taus[i:i + chunk, None]))
+            costs[i:i + chunk] = (_rate((0.0, *fields)) * w).sum(-1)
         out[p] = costs
     return out
 

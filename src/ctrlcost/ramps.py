@@ -74,6 +74,10 @@ class Ramp:
 
     __call__ = value
 
+    def rows(self, t):
+        """(value, deriv1, deriv2) at t."""
+        return self.value(t), self.deriv1(t), self.deriv2(t)
+
     def to_dict(self) -> dict:
         return {"kind": self.kind, "parameters": self.params}
 

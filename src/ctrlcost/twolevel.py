@@ -24,10 +24,9 @@ Ladner & Fischer, JACM 27, 831 (1980); Blelloch, "Prefix sums and their
 applications", 1990) and apply each prefix to the initial state in closed
 form.
 
-A schedule may carry a leading block axis: coefficient callables that
-return (blocks, times) arrays for a times array describe a batch of
-independent blocks on one time grid. ``cost_rate`` then gives one rate row
-per block and ``integrated_cost`` one cost per block.
+A schedule is one callable t -> (c0, cx, cy, cz), so a protocol whose
+coefficients share intermediate values (the LCD derivative chain)
+computes them once per evaluation.
 
 Cost integrals are products with composite Simpson weights
 (``_simpson_weights``), which the oscillator and the Jaynes-Cummings
@@ -62,36 +61,28 @@ CONVERGENCE_TOL = 1e-10
 _MAX_DOUBLINGS = 8
 
 
-def _zeros(t):
-    t = np.asarray(t, dtype=float)
-    return np.zeros(t.shape) if t.shape else np.float64(0.0)
-
-
 @dataclass(frozen=True)
 class PauliSchedule:
     """Time-dependent two-level Hamiltonian as Pauli coefficients.
 
-    ``c0``..``cz`` are vectorized callables of time, defined on
-    [0, duration]. ``breakpoints`` lists interior times where coefficients
-    jump; the propagator and the cost quadrature split the interval there.
+    ``fields`` is one vectorized callable t -> (c0, cx, cy, cz) on
+    [0, duration]; a coefficient constant in time may be a scalar.
+    ``breakpoints`` lists interior times where coefficients jump; the
+    propagator and the cost quadrature split the interval there.
     """
 
     duration: float
-    cx: Callable
-    cz: Callable
-    cy: Callable = _zeros
-    c0: Callable = _zeros
+    fields: Callable
     breakpoints: tuple = ()
     label: str = ""
 
     def coefficients(self, t):
-        """(c0, cx, cy, cz) at times t, broadcast to one shape.
+        """(c0, cx, cy, cz) at times t, broadcast to t's shape.
 
-        The shape is t's, or (blocks, times) for a batched schedule. Constant
-        coefficients come back as read-only broadcast views.
+        Constant coefficients come back as read-only broadcast views.
         """
         t = np.asarray(t, dtype=float)
-        cs = [np.asarray(f(t), dtype=float) for f in (self.c0, self.cx, self.cy, self.cz)]
+        cs = [np.asarray(c, dtype=float) for c in self.fields(t)]
         shape = np.broadcast_shapes(t.shape, *(c.shape for c in cs))
         return tuple(c if c.shape == shape else np.broadcast_to(c, shape) for c in cs)
 
@@ -267,8 +258,8 @@ def _trajectory(steps, reference, t_nodes: np.ndarray, psi0):
     t = 0. Its projector is (1 +- n . sigma)/2 with n = c/|c|, so the
     fidelity is (|psi|^2 +- n . s)/2 for the Bloch vector s of psi, and no
     eigenvector is formed. ``propagate`` and the Jaynes-Cummings ensemble,
-    which computes the coefficients of many blocks from one ramp
-    evaluation, both propagate through here.
+    which computes every block's coefficients from one ramp evaluation,
+    both propagate through here.
     """
     q, theta = steps
     states = np.empty((len(t_nodes), 2), dtype=complex)
@@ -350,14 +341,8 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
 def _rate(coefficients, include_identity: bool = False):
     """Frobenius norm of H from its (c0, cx, cy, cz) rows; see ``cost_rate``."""
     c0, cx, cy, cz = coefficients
-    # accumulated in place: a batched schedule's (blocks, times) temporaries add up
-    out = cx * cx
-    out += cy * cy
-    out += cz * cz
-    out /= 2.0
-    if include_identity:
-        out += 2.0 * c0 * c0
-    return np.sqrt(out)
+    out = (cx * cx + cy * cy + cz * cz) / 2.0
+    return np.sqrt(out + 2.0 * c0 * c0 if include_identity else out)
 
 
 def cost_rate(schedule: PauliSchedule, t, include_identity: bool = False):
@@ -365,7 +350,6 @@ def cost_rate(schedule: PauliSchedule, t, include_identity: bool = False):
 
     ||H||_F = sqrt(2 c0^2 [if included] + (cx^2 + cy^2 + cz^2)/2). Identity
     shifts are excluded by default so that constant energy offsets are free.
-    A batched schedule gives one row of rates per block.
     """
     return _rate(schedule.coefficients(t), include_identity)
 
@@ -374,10 +358,9 @@ def integrated_cost(schedule: PauliSchedule, quadrature_steps: int = 4096,
                     include_identity: bool = False):
     """Time-averaged cost C = (1/tau) int_0^tau ||H|| dt.
 
-    Composite Simpson per smooth segment, one product with its weights along
-    the last (time) axis: a float, or one cost per block for a batched
-    schedule. Rectangular segments between breakpoints have a constant
-    integrand so they are integrated exactly.
+    Composite Simpson per smooth segment, one product with its weights.
+    Rectangular segments between breakpoints have a constant integrand so
+    they are integrated exactly.
     """
     if quadrature_steps < 16:
         raise ValueError(f"quadrature_steps must be >= 16, got {quadrature_steps}")

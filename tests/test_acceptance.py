@@ -280,7 +280,7 @@ def test_criterion_10b_jc_cd_coefficient():
     t = np.linspace(0.0, 10.0, 2001)
     worst = 0.0
     for n in (0, 3, 40):
-        cy = jc_cd_block(cfg, n).schedule.cy(t)
+        cy = jc_cd_block(cfg, n).schedule.coefficients(t)[2]
         worst = max(worst, float(np.max(np.abs(cy / 2.0 - mixing_angle_rate(cfg, n, t)))))
     check(10, worst < 1e-12, f"JC CD coefficient vs mixing-angle rate {worst:.2e}")
 

@@ -83,6 +83,69 @@ def test_fig_presets_validate_cleanly():
         assert report["valid"], (name, report)
 
 
+@pytest.mark.parametrize("model,name", [("lz", "ie"), ("jc", "bob"),
+                                        ("oscillator", "foo"), ("oc", "cd")])
+def test_unknown_protocol_rejected_with_one_line_error(model, name, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": model, "protocols": ["cd", name],
+                                "out": str(tmp_path / "o")}))
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unknown protocol {name!r} for model {model!r}")
+        assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("model", ["lz", "oc"])
+def test_validate_rejects_a_bad_sweep_in_one_line(model, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": model, "tau": [30.0], "params": {"delta": -0.1}}))
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: energy gap delta must be positive, got -0.1\n"
+
+
+def test_every_preset_validates(capsys):
+    for name in PRESETS:
+        assert main(["validate", name]) == 0, name
+        assert json.loads(capsys.readouterr().out)["valid"]
+
+
+def test_cd_blend_off_the_antisymmetric_sweep_is_invalid(tmp_path, capsys):
+    raw = {"model": "lz", "protocols": ["cd", "cd-blend"], "tau": [1.0, 5.0],
+           "params": {"g1": 0.3}, "out": str(tmp_path / "o")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    checks = {c["check"]: c for c in json.loads(captured.out)["checks"]}
+    assert not checks["cd-blend boundary"]["ok"]
+    assert "boundary mismatch" in checks["cd-blend boundary"]["detail"]
+    assert captured.err == "error: invalid config, failed checks: cd-blend boundary\n"
+    # run fails on the same config, as validate said it would
+    assert main(["run", "--config", str(path)]) == 1
+    assert "boundary mismatch" in capsys.readouterr().err
+    # the antisymmetric sweep scans, and trajectories leave cd-blend out
+    for change in ({"params": {"g1": 0.2}}, {"mode": "trajectory"}):
+        assert validate(parse_config({**raw, **change}))["valid"]
+
+
+def test_custom_ramp_validation_matches_run(tmp_path):
+    ramp = {"kind": "polynomial", "parameters": {"g0": -0.2, "g_d": 0.4, "tau": 2.0}}
+    base = {"model": "lz", "protocols": ["cd"], "ramp": ramp, "out": str(tmp_path / "o")}
+    for change, failed in (({"mode": "scan", "tau": [2.0]}, "ramp needs trajectory mode"),
+                           ({"mode": "trajectory", "tau": [2.0, 3.0]}, "ramp duration tau=3"),
+                           ({}, "ramp duration tau=0.1")):   # tau_QSL and 0.1 by default
+        cfg = parse_config({**base, **change})
+        report = validate(cfg)
+        assert not report["valid"]
+        assert failed in [c["check"] for c in report["checks"] if not c["ok"]]
+        with pytest.raises(ValueError):
+            run(cfg)
+    assert validate(parse_config({**base, "mode": "trajectory", "tau": [2.0]}))["valid"]
+
+
 def test_oscillator_cd_below_edge_flagged():
     cfg = parse_config({"model": "oscillator", "tau": [1.0]})
     report = validate(cfg)

@@ -23,15 +23,15 @@ def test_block_coefficients_and_rabi():
     blk = jc_block(cfg, 0)
     # g(tau) = 0.2 -> Omega_R = 2 g sqrt(n+1) = 0.4 for n = 0
     assert float(blk.rabi(np.float64(10.0))) == pytest.approx(0.4, rel=1e-12)
-    assert float(blk.schedule.cz(np.float64(10.0))) == pytest.approx(-0.4, rel=1e-12)
+    assert float(blk.schedule.coefficients(np.float64(10.0))[3]) == pytest.approx(-0.4, rel=1e-12)
     blk3 = jc_block(cfg, 3)
     assert float(blk3.rabi(np.float64(10.0))) == pytest.approx(0.8, rel=1e-12)
     # identity offset (2n+1) omega / 2 recorded on the schedule
-    assert float(blk3.schedule.c0(np.float64(1.0))) == pytest.approx(3.5)
+    assert float(blk3.schedule.coefficients(np.float64(1.0))[0]) == pytest.approx(3.5)
     # g = 0: block diagonal in the dressed basis with gap delta
     t0 = np.float64(0.0)
-    assert float(blk.schedule.cz(t0)) == 0.0
-    assert float(blk.schedule.cx(t0)) == pytest.approx(0.1)
+    assert float(blk.schedule.coefficients(t0)[3]) == 0.0
+    assert float(blk.schedule.coefficients(t0)[1]) == pytest.approx(0.1)
 
 
 def test_block_rejects_negative_index():
@@ -46,7 +46,7 @@ def test_cd_coefficient_matches_mixing_angle_rate():
     cfg = JcConfig(tau=10.0)
     t = np.linspace(0.0, 10.0, 1001)
     for n in (0, 1, 5, 40):
-        cy = jc_cd_block(cfg, n).schedule.cy(t)
+        cy = jc_cd_block(cfg, n).schedule.coefficients(t)[2]
         # the appendix closed form must equal theta_n-dot exactly
         assert np.max(np.abs(cy / 2.0 - mixing_angle_rate(cfg, n, t))) < 1e-12
 
@@ -54,8 +54,8 @@ def test_cd_coefficient_matches_mixing_angle_rate():
 def test_cd_term_vanishes_at_flat_endpoints():
     cfg = JcConfig(tau=10.0)
     sched = jc_cd_block(cfg, 2).schedule
-    assert float(sched.cy(np.float64(0.0))) == 0.0
-    assert float(sched.cy(np.float64(10.0))) == 0.0
+    assert float(sched.coefficients(np.float64(0.0))[2]) == 0.0
+    assert float(sched.coefficients(np.float64(10.0))[2]) == 0.0
 
 
 @pytest.mark.parametrize("protocol", ["cd", "lcd"])
@@ -80,8 +80,8 @@ def test_lcd_block_reduces_to_lz_builder(n):
     jc_sched = jc_lcd_block(cfg, n).schedule
     lz_sched = lz_lcd(_mapped_lz(cfg, n))
     t = np.linspace(0.0, 10.0, 801)
-    assert np.max(np.abs(jc_sched.cx(t) - lz_sched.cx(t))) < 1e-12
-    assert np.max(np.abs(jc_sched.cz(t) - lz_sched.cz(t))) < 1e-12
+    assert np.max(np.abs(jc_sched.coefficients(t)[1] - lz_sched.coefficients(t)[1])) < 1e-12
+    assert np.max(np.abs(jc_sched.coefficients(t)[3] - lz_sched.coefficients(t)[3])) < 1e-12
 
 
 @pytest.mark.parametrize("n", [0, 2, 7])
@@ -90,7 +90,7 @@ def test_cd_block_reduces_to_lz_builder(n):
     jc_sched = jc_cd_block(cfg, n).schedule
     lz_sched = lz_cd(_mapped_lz(cfg, n))
     t = np.linspace(0.0, 10.0, 801)
-    assert np.max(np.abs(jc_sched.cy(t) - lz_sched.cy(t))) < 1e-12
+    assert np.max(np.abs(jc_sched.coefficients(t)[2] - lz_sched.coefficients(t)[2])) < 1e-12
 
 
 def test_lcd_block_reduces_to_bare_at_endpoints():
@@ -99,8 +99,10 @@ def test_lcd_block_reduces_to_bare_at_endpoints():
         lcd = jc_lcd_block(cfg, n).schedule
         bare = jc_block(cfg, n).schedule
         for t in (np.float64(0.0), np.float64(10.0)):
-            assert float(lcd.cx(t)) == pytest.approx(float(bare.cx(t)), rel=1e-14)
-            assert float(lcd.cz(t)) == pytest.approx(float(bare.cz(t)), rel=1e-14, abs=1e-14)
+            _, lcd_x, _, lcd_z = lcd.coefficients(t)
+            _, bare_x, _, bare_z = bare.coefficients(t)
+            assert float(lcd_x) == pytest.approx(float(bare_x), rel=1e-14)
+            assert float(lcd_z) == pytest.approx(float(bare_z), rel=1e-14, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -180,31 +182,7 @@ def test_cutoff_robustness_40_vs_60():
 
 
 # ---------------------------------------------------------------------------
-# block axis: a batch of photon indices against one block at a time
-
-@pytest.mark.parametrize("tau", [5.0, 10.0, 40.0])
-def test_batched_block_costs_match_each_block(tau):
-    cfg = JcConfig(tau=tau)
-    n = np.arange(41)
-    for build in (jc_cd_block, jc_lcd_block):
-        batched = integrated_cost(build(cfg, n).schedule)
-        single = np.array([integrated_cost(build(cfg, k).schedule) for k in n])
-        assert batched.shape == (41,)
-        assert np.max(np.abs(batched - single) / single) < 1e-12
-
-
-def test_batched_coefficients_have_a_block_axis():
-    cfg = JcConfig(tau=10.0)
-    t = np.linspace(0.0, 10.0, 11)
-    batch = jc_lcd_block(cfg, [0, 3, 7]).schedule.coefficients(t)
-    for k, n in enumerate((0, 3, 7)):
-        one = jc_lcd_block(cfg, n).schedule.coefficients(t)
-        for c_batch, c_one in zip(batch, one):
-            assert c_batch.shape == (3, 11)
-            assert np.array_equal(c_batch[k], c_one)
-    with pytest.raises(ValueError, match="photon index"):
-        jc_cd_block(cfg, [0, -1])
-
+# the ensemble against one block at a time
 
 @pytest.mark.parametrize("protocol", ["cd", "lcd"])
 def test_ensemble_matches_per_block_propagation(protocol):

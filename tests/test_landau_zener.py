@@ -44,9 +44,9 @@ def test_bare_schedule_coefficients():
     cfg = LzConfig(tau=2.0)
     sched = lz_bare(cfg)
     t = np.linspace(0, 2, 9)
-    assert np.allclose(sched.cx(t), 0.1)
-    assert float(sched.cz(np.float64(0.0))) == pytest.approx(-0.2)
-    assert float(sched.cz(np.float64(2.0))) == pytest.approx(0.2, abs=1e-15)
+    assert np.allclose(sched.coefficients(t)[1], 0.1)
+    assert float(sched.coefficients(np.float64(0.0))[3]) == pytest.approx(-0.2)
+    assert float(sched.coefficients(np.float64(2.0))[3]) == pytest.approx(0.2, abs=1e-15)
     _, _, em, ep = instantaneous_eigenstates(sched, 1.0)  # crossing
     assert ep - em == pytest.approx(0.1, rel=1e-12)
     assert float(cost_rate(sched, 0.0)) == pytest.approx(0.1581, abs=5e-5)
@@ -82,11 +82,12 @@ def test_cd_coefficient_endpoints_and_midpoint():
     cfg = LzConfig(tau=tau)
     sched = lz_cd(cfg)
     # quintic has flat endpoints -> no CD field there
-    assert float(sched.cy(np.float64(0.0))) == 0.0
-    assert float(sched.cy(np.float64(tau))) == 0.0
+    assert float(sched.coefficients(np.float64(0.0))[2]) == 0.0
+    assert float(sched.coefficients(np.float64(tau))[2]) == 0.0
     # at the crossing g = 0: cy = -gdot/Delta with gdot = 1.875 g_d / tau
     gdot = 1.875 * 0.4 / tau
-    assert float(sched.cy(np.float64(tau / 2))) == pytest.approx(-gdot / 0.1, rel=1e-12)
+    cy_mid = sched.coefficients(np.float64(tau / 2))[2]
+    assert float(cy_mid) == pytest.approx(-gdot / 0.1, rel=1e-12)
 
 
 def test_cd_gap_at_crossing_dual_route():
@@ -120,8 +121,10 @@ def test_lcd_reduces_to_bare_at_endpoints():
     lcd, bare = lz_lcd(cfg), lz_bare(cfg)
     for t in (0.0, 0.7):
         t = np.float64(t)
-        assert float(lcd.cx(t)) == pytest.approx(float(bare.cx(t)), rel=1e-14)
-        assert float(lcd.cz(t)) == pytest.approx(float(bare.cz(t)), rel=1e-14)
+        _, lcd_x, _, lcd_z = lcd.coefficients(t)
+        _, bare_x, _, bare_z = bare.coefficients(t)
+        assert float(lcd_x) == pytest.approx(float(bare_x), rel=1e-14)
+        assert float(lcd_z) == pytest.approx(float(bare_z), rel=1e-14)
 
 
 def test_lcd_theta_dot_midpoint_value():
@@ -129,7 +132,7 @@ def test_lcd_theta_dot_midpoint_value():
     # sweep gdot = 7.5 so theta_dot = -75 and P = sqrt(Delta^2 + 75^2)
     cfg = LzConfig(tau=0.1)
     sched = lz_lcd(cfg)
-    P_mid = float(sched.cx(np.float64(0.05)))
+    P_mid = float(sched.coefficients(np.float64(0.05))[1])
     assert P_mid == pytest.approx(math.sqrt(0.1**2 + 75.0**2), rel=1e-12)
 
 
@@ -161,8 +164,8 @@ def test_bob_zero_kicks_free_evolution():
     cfg = LzConfig(tau=5.0)
     sched = lz_bob(cfg, bob_pulse(100.0, 5.0, (0.0, 0.0)))
     t = np.linspace(0, 5, 11)
-    assert np.allclose(sched.cz(t), 0.0)
-    assert np.allclose(sched.cx(t), 0.1)
+    assert np.allclose(sched.coefficients(t)[3], 0.0)
+    assert np.allclose(sched.coefficients(t)[1], 0.1)
 
 
 def test_bob_optimized_kicks_reach_target():

@@ -43,7 +43,7 @@ def test_rejects_bad_gamma_and_nmax():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 4096])
 def test_simpson_weights_match_scipy(n):
-    # one row per block, as integrated_cost batches them
+    # several rows at once: the weights act along the last axis
     t = np.linspace(0.0, 3.7, n + 1)
     y = np.random.default_rng(n).normal(size=(5, n + 1))
     w = _simpson_weights(n, t[1] - t[0])

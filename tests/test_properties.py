@@ -1,13 +1,18 @@
 """Invariants asserted over generated inputs (hypothesis)."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+from ctrlcost.jaynes_cummings import (JcConfig, jc_block, jc_cd_block,  # noqa: E402
+                                      jc_lcd_block)
+from ctrlcost.ramps import (cd_a_ramp, cd_blended_ramp, cd_na_ramp,  # noqa: E402
+                            oc_fourier_ramp, poly_smooth_ramp, ramp_from_dict)
 from ctrlcost.oscillator import (FrequencySchedule, cd_validity_edge,  # noqa: E402
                                  classical_solutions, ermakov_solve,
                                  husimi_qstar, ie_energy,
@@ -53,3 +58,112 @@ def test_prefix_scan_matches_sequential_products(n, seed):
                 prefix = mul(steps[k], prefix)
             assert np.max(np.abs(scan[k] - prefix)) < 1e-13 * max(1.0, np.max(np.abs(prefix)))
     assert np.max(np.abs(_prefix_scan(q)[-1] - _ordered_product(q))) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# Jaynes-Cummings blocks against their own written-out closed forms
+
+
+def jc_block_oracle(kind, delta, omega, n, g, gd, gdd):
+    """(c0, cx, cy, cz) of JC block n from the coupling rows g, g', g''.
+
+    The dressed-frame closed forms, written out in the block's own terms
+    (Rabi frequency 2 sqrt(n+1) g), not through the Landau-Zener map:
+      bare: cx = delta, cz = -2 sqrt(n+1) g;
+      cd:   cy = 2 g' sqrt(n+1) delta / (delta^2 + 4 (n+1) g^2), twice the
+            mixing-angle rate;
+      lcd:  cx = sqrt(delta^2 + 4 (n+1) g'^2 delta^2 / (delta^2 + 4 (n+1) g^2)^2),
+            cz = -2 sqrt(n+1) [g + ((delta^2 + 4(n+1) g^2) g'' - 8 (n+1) g g'^2)
+                                   / ((delta^2 + 4(n+1) g^2)^2 + 4 (n+1) g'^2)].
+    """
+    np1, rt, d = n + 1.0, math.sqrt(n + 1.0), delta
+    zero = np.zeros_like(g)
+    c0 = np.full_like(g, (2 * n + 1) * omega / 2.0)
+    r2 = d * d + 4.0 * np1 * g * g
+    if kind == "bare":
+        return c0, zero + d, zero, -2.0 * rt * g
+    if kind == "cd":
+        return c0, zero + d, 2.0 * gd * rt * d / r2, -2.0 * rt * g
+    cx = np.sqrt(d * d + 4.0 * np1 * gd * gd * d * d / (r2 * r2))
+    cz = -2.0 * rt * (g + (r2 * gdd - 8.0 * np1 * g * gd * gd) / (r2 * r2 + 4.0 * np1 * gd * gd))
+    return c0, cx, zero, cz
+
+
+@settings(max_examples=60, deadline=None)
+@given(delta=st.floats(0.02, 1.0), sign=st.sampled_from((-1.0, 1.0)),
+       n=st.integers(0, 60), g0=st.floats(-1.0, 1.0), g1=st.floats(-1.0, 1.0),
+       tau=st.floats(0.1, 100.0), omega=st.floats(0.1, 5.0))
+def test_jc_blocks_match_their_closed_forms(delta, sign, n, g0, g1, tau, omega):
+    cfg = JcConfig(tau=tau, omega=omega, delta=sign * delta, g0=g0, g1=g1)
+    t = np.linspace(0.0, tau, 65)
+    # the default quintic coupling g0 -> g1, written out here
+    x, dg = t / tau, g1 - g0
+    rows = (g0 + dg * (10 * x**3 - 15 * x**4 + 6 * x**5),
+            dg * 30 * (x**2 - 2 * x**3 + x**4) / tau,
+            dg * (60 * x - 180 * x**2 + 120 * x**3) / tau**2)
+    for kind, build in (("bare", jc_block), ("cd", jc_cd_block), ("lcd", jc_lcd_block)):
+        got = np.array(build(cfg, n).schedule.coefficients(t))
+        want = np.array(jc_block_oracle(kind, cfg.delta, omega, n, *rows))
+        assert np.array_equal(got[0], np.full_like(t, (2 * n + 1) * omega / 2.0))
+        # relative to the field's size |(cx, cy, cz)| >= |delta|, so cz's zero crossing counts too
+        size = np.linalg.norm(want[1:], axis=0)
+        assert np.max(np.abs(got[1:] - want[1:]) / size) < 1e-12, kind
+
+
+# ---------------------------------------------------------------------------
+# ramps of every kind: derivatives and serialization
+
+
+@st.composite
+def ramps(draw):
+    """A ramp of a drawn kind with drawn parameters, away from singular cases."""
+    kind = draw(st.sampled_from(("polynomial", "fourier", "tan-optimal", "tanh-optimal",
+                                 "blended", "constant")))
+    g0 = draw(st.floats(0.05, 1.0)) * draw(st.sampled_from((-1.0, 1.0)))
+    delta = draw(st.floats(0.05, 1.0)) * draw(st.sampled_from((-1.0, 1.0)))
+    tau = draw(st.floats(0.1, 100.0))
+    if kind == "polynomial":
+        return poly_smooth_ramp(g0, draw(st.floats(-2.0, 2.0)), tau)
+    if kind == "fourier":
+        coeffs = draw(st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(-3.0, 3.0)),
+                               max_size=4))
+        return oc_fourier_ramp(g0, tau, coeffs)
+    if kind == "tan-optimal":
+        g1 = draw(st.floats(-1.0, 1.0))
+        assume(abs(g1 - g0) >= 0.1)
+        return cd_na_ramp(delta, g0, g1)
+    if kind == "constant":
+        return cd_na_ramp(delta, g0, g0)
+    if kind == "tanh-optimal":
+        return cd_a_ramp(g0, draw(st.floats(2.0, 60.0)))
+    # the blend's boundary test needs tanh(m) = 1 to 1e-9 and g1 = -g0
+    return cd_blended_ramp(cd_a_ramp(g0, draw(st.floats(15.0, 60.0))),
+                           cd_na_ramp(delta, g0, -g0), draw(st.floats(0.01, 1.0)), tau)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ramp=ramps())
+def test_ramp_derivatives_match_central_differences(ramp):
+    tau = ramp.duration
+    t = np.linspace(0.01, 0.99, 99) * tau
+    h = 1e-5 * tau
+    g, d1, d2 = ramp.rows(t)
+    # tolerances scale with the ramp's own sizes, so constant ramps and
+    # saturated tanh tails are held to round-off, not to a ratio
+    scale1 = np.max(np.abs(d1)) + np.max(np.abs(g)) / tau
+    scale2 = np.max(np.abs(d2)) + scale1 / tau
+    fd1 = (ramp.value(t + h) - ramp.value(t - h)) / (2 * h)
+    fd2 = (ramp.deriv1(t + h) - ramp.deriv1(t - h)) / (2 * h)
+    assert np.max(np.abs(fd1 - d1)) < 1e-6 * scale1
+    assert np.max(np.abs(fd2 - d2)) < 1e-6 * scale2
+
+
+@settings(max_examples=60, deadline=None)
+@given(ramp=ramps())
+def test_ramp_round_trips_through_its_dict(ramp):
+    t = np.linspace(0.0, 1.0, 33) * ramp.duration
+    for d in (ramp.to_dict(), json.loads(json.dumps(ramp.to_dict()))):
+        clone = ramp_from_dict(d)
+        assert clone.kind == ramp.kind and clone.duration == ramp.duration
+        for a, b in zip(clone.rows(t), ramp.rows(t)):
+            assert np.array_equal(a, b)

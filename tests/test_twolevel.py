@@ -19,10 +19,7 @@ PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
 
 def constant_schedule(cx=0.0, cy=0.0, cz=0.0, c0=0.0, tau=1.0):
-    def const(v):
-        return lambda t: np.full_like(np.asarray(t, dtype=float), v)
-    return PauliSchedule(duration=tau, cx=const(cx), cy=const(cy),
-                         cz=const(cz), c0=const(c0))
+    return PauliSchedule(duration=tau, fields=lambda t: (c0, cx, cy, cz))
 
 
 def random_smooth_schedule(seed=7, tau=3.0):
@@ -40,7 +37,7 @@ def random_smooth_schedule(seed=7, tau=3.0):
         return sum(a * np.cos((k + 1) * np.pi * t / tau)
                    for k, a in enumerate(az))
 
-    return PauliSchedule(duration=tau, cx=cx, cz=cz)
+    return PauliSchedule(duration=tau, fields=lambda t: (0.0, cx(t), 0.0, cz(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +108,8 @@ def test_second_order_convergence():
 
 def test_gauge_invariance_of_fidelity_and_cost():
     base = random_smooth_schedule(seed=3)
-    shifted = PauliSchedule(duration=base.duration, cx=base.cx, cz=base.cz,
-                            c0=lambda t: np.full_like(np.asarray(t, dtype=float), 5.0))
+    shifted = PauliSchedule(duration=base.duration,
+                            fields=lambda t: (5.0, *base.coefficients(t)[1:]))
     t1 = propagate(base, KET0, steps=1500)
     t2 = propagate(shifted, KET0, steps=1500)
     assert np.allclose(t1.fidelity, t2.fidelity, atol=1e-12)
@@ -138,12 +135,11 @@ def test_converged_final_state_agrees():
 def test_propagate_evaluates_the_schedule_once_on_the_nodes():
     calls = []
 
-    def cz(t):
+    def fields(t):
         calls.append(np.shape(t))
-        return np.cos(np.asarray(t, dtype=float))
+        return 0.0, 0.5, 0.0, np.cos(t)
 
-    sched = PauliSchedule(duration=2.0, cx=lambda t: np.full_like(np.asarray(t, dtype=float), 0.5),
-                          cz=cz)
+    sched = PauliSchedule(duration=2.0, fields=fields)
     traj = propagate(sched, KET0, steps=100)
     # once on the step midpoints, once on the nodes for both the fidelity and the cost rate
     assert sorted(calls) == [(100,), (101,)]
@@ -156,7 +152,7 @@ def test_nan_coefficient_aborts_with_timestamp():
         t = np.asarray(t, dtype=float)
         return np.where(t > 0.5, np.nan, 1.0)
 
-    sched = PauliSchedule(duration=1.0, cx=bad, cz=lambda t: np.zeros_like(np.asarray(t)))
+    sched = PauliSchedule(duration=1.0, fields=lambda t: (0.0, bad(t), 0.0, 0.0))
     with pytest.raises(ValueError, match="non-finite coefficient"):
         propagate(sched, KET0, steps=64)
 
@@ -217,8 +213,8 @@ def test_quaternion_norm_drift_at_20k_steps():
 
 
 def test_breakpoints_are_extra_nodes_of_the_uniform_grid():
-    sched = PauliSchedule(duration=2.0, cx=lambda t: np.full_like(t, 1.0),
-                          cz=lambda t: np.zeros_like(t), breakpoints=(0.0123, 1.5, 2.0))
+    sched = PauliSchedule(duration=2.0, fields=lambda t: (0.0, 1.0, 0.0, 0.0),
+                          breakpoints=(0.0123, 1.5, 2.0))
     traj = propagate(sched, KET0, steps=8)
     uniform = np.linspace(0.0, 2.0, 9)
     assert np.array_equal(traj.times, np.union1d(uniform, [0.0123]))
@@ -256,7 +252,7 @@ def test_degenerate_point_rejected():
     s = constant_schedule()
     with pytest.raises(ValueError, match="degenerate"):
         instantaneous_eigenstates(s, 0.25)
-    crossing = PauliSchedule(1.0, cx=lambda t: 0.0 * t, cz=lambda t: t - 0.5)
+    crossing = PauliSchedule(1.0, lambda t: (0.0, 0.0, 0.0, t - 0.5))
     with pytest.raises(ValueError, match=r"degenerate spectrum at t=0\.5:"):
         instantaneous_eigenstates(crossing, np.linspace(0.0, 1.0, 5))
 
@@ -313,9 +309,8 @@ def test_breakpoint_schedule_cost_is_exact():
         t = np.asarray(t, dtype=float)
         return np.where(t < tb, g_q, np.where(t > tau - tb, -g_q, 0.0))
 
-    sched = PauliSchedule(duration=tau,
-                          cx=lambda t: np.full_like(np.asarray(t, dtype=float), delta),
-                          cz=cz, breakpoints=(tb, tau - tb))
+    sched = PauliSchedule(duration=tau, fields=lambda t: (0.0, delta, 0.0, cz(t)),
+                          breakpoints=(tb, tau - tb))
     kick = math.sqrt((delta**2 + g_q**2) / 2.0)
     flat = delta / math.sqrt(2.0)
     closed = (2 * tb * kick + (tau - 2 * tb) * flat) / tau
