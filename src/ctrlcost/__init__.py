@@ -14,7 +14,7 @@ from .ramps import (Ramp, BobPulse, poly_smooth_ramp, oc_fourier_ramp,
 from .twolevel import (PauliSchedule, QubitTrajectory, CostReport,
                        qubit_state, fidelity, propagate, final_state,
                        converged_final_state, instantaneous_eigenstates,
-                       cost_rate, integrated_cost, trajectory_to_csv)
+                       cost_rate, integrated_cost)
 from .landau_zener import (LzConfig, lz_fields, lz_bare, lz_cd, lz_lcd, lz_bob,
                            lz_ground_state, qsl_time, optimize_bob_kicks,
                            cd_cost_decomposition, decomposition_cost,
@@ -34,7 +34,6 @@ __all__ = [
     "PauliSchedule", "QubitTrajectory", "CostReport", "qubit_state",
     "fidelity", "propagate", "final_state", "converged_final_state",
     "instantaneous_eigenstates", "cost_rate", "integrated_cost",
-    "trajectory_to_csv",
     "LzConfig", "lz_fields", "lz_bare", "lz_cd", "lz_lcd", "lz_bob", "lz_ground_state",
     "qsl_time", "optimize_bob_kicks", "cd_cost_decomposition",
     "decomposition_cost", "cost_scan", "find_cd_lcd_crossover", "run_protocol",

@@ -45,8 +45,7 @@ _MODEL_KEYS = {
     "lz": {"delta", "g0", "g1", "g_q"},
     "oscillator": {"omega0", "omega1", "beta"},
     "jc": {"omega", "delta", "g0", "g1", "n_cut", "alpha"},
-    "oc": {"delta", "g0", "g1", "n_max", "gamma", "budget", "q_target", "steps",
-           "restarts", "polish_budget"},
+    "oc": {"delta", "g0", "g1", "n_max", "budget", "q_target", "steps"},
 }
 _PROTOCOLS = {"lz": landau_zener.PROTOCOLS, "oscillator": oscillator.PROTOCOLS,
               "jc": jaynes_cummings.PROTOCOLS, "oc": ()}   # oc runs its own pulse
@@ -466,30 +465,29 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path, summary: dict):
     w.write()
 
 
+def _oc_problem(cfg: ExperimentConfig, tau: float) -> OcProblem:
+    p = cfg.params
+    return OcProblem(config=_lz_config(cfg, float(tau)),
+                     n_max=int(p.get("n_max", 30)),
+                     budget=int(p.get("budget", 40_000)),
+                     seed=cfg.seed,
+                     steps=int(p.get("steps", 4096)),
+                     q_target=float(p.get("q_target", 1e-9)))
+
+
 def _run_oc(cfg: ExperimentConfig, outdir: Path, summary: dict):
     h = cfg.digest()
-    p = cfg.params
-    base = _lz_config(cfg, 25.0)
-    taus = cfg.tau or [25.0, 50.0, 100.0]
+    problems = [_oc_problem(cfg, tau) for tau in cfg.tau or [25.0, 50.0, 100.0]]
     w = CsvWriter(outdir / "oc_results.csv", ["tau", "q", "C", "nfev", "success"], h)
     records = []
-    for tau in taus:
-        prob = OcProblem(config=replace(base, tau=float(tau)),
-                         n_max=int(p.get("n_max", 30)),
-                         gamma=p.get("gamma", 5e-3),
-                         budget=int(p.get("budget", 40_000)),
-                         seed=cfg.seed,
-                         steps=int(p.get("steps", 4096)),
-                         q_target=p.get("q_target", 1e-9),
-                         restarts=int(p.get("restarts", 0)),
-                         polish_budget=int(p.get("polish_budget", 4_000)))
+    for prob in problems:
+        tau = prob.config.tau
         res = refine_result(prob, optimize(prob))
         records.append(res.to_record())
         w.add(tau, res.q, res.cost, res.nfev, 1.0 if res.success else 0.0)
-        tr = CsvWriter(outdir / f"oc_trace_tau{tau:g}.csv",
-                       ["nfev", "q", "C", "objective"], h)
+        tr = CsvWriter(outdir / f"oc_trace_tau{tau:g}.csv", ["nfev", "q", "C"], h)
         for entry in res.trace:
-            tr.add(entry["nfev"], entry["q"], entry["C"], entry["objective"])
+            tr.add(entry["nfev"], entry["q"], entry["C"])
         tr.write()
     w.write()
     summary["oc"] = records
@@ -535,10 +533,11 @@ def validate(cfg: ExperimentConfig) -> dict:
             check(f"lcd_validity tau={tau:g}", lcd_is_valid(sched),
                   "effective LCD frequency must stay positive")
     elif cfg.model == "oc":
-        tqsl = _tau_qsl(cfg)
+        # what _run_oc builds; a sweep LzConfig rejects raises, as in lz
+        _lz_config(cfg, 25.0)
         for tau in cfg.tau or [25.0, 50.0, 100.0]:
-            check(f"tau>tau_qsl tau={tau:g}", tau > tqsl,
-                  f"Fourier OC applies only above tau_QSL = {tqsl:.4f}")
+            err = _error(lambda: _oc_problem(cfg, tau))
+            check(f"oc problem tau={tau:g}", not err, err)
     elif cfg.model == "jc":
         p = cfg.params
         alpha, n_cut = p.get("alpha", 2.0), int(p.get("n_cut", 40))

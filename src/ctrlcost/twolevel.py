@@ -52,7 +52,6 @@ __all__ = [
     "instantaneous_eigenstates",
     "cost_rate",
     "integrated_cost",
-    "trajectory_to_csv",
 ]
 
 _NORM_TOL = 1e-12
@@ -429,20 +428,3 @@ def converged_final_state(schedule: PauliSchedule, psi0,
             return nxt, steps
         psi = nxt
     return psi, steps
-
-
-def trajectory_to_csv(traj: QubitTrajectory, path, stride: int = 1,
-                      header_comment: str = "") -> None:
-    """Write t, Re/Im amplitudes, fidelity and cost rate as CSV."""
-    idx = np.arange(0, len(traj.times), stride)
-    if idx[-1] != len(traj.times) - 1:
-        idx = np.append(idx, len(traj.times) - 1)
-    with open(path, "w", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("t,re_alpha,im_alpha,re_beta,im_beta,fidelity,cost_rate\n")
-        for i in idx:
-            a, b = traj.states[i]
-            fh.write(f"{traj.times[i]:.17g},{a.real:.17g},{a.imag:.17g},"
-                     f"{b.real:.17g},{b.imag:.17g},"
-                     f"{traj.fidelity[i]:.17g},{traj.cost_rate[i]:.17g}\n")

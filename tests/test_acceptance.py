@@ -171,9 +171,8 @@ def test_criterion_5_adiabatic_asymptote():
 def oc_results():
     out = {}
     for tau in (25.0, 50.0, 100.0):
-        prob = OcProblem(config=LzConfig(tau=tau), n_max=30, gamma=5e-3,
-                         budget=40_000, seed=0, steps=4096, q_target=1e-7,
-                         polish_budget=4_000)
+        prob = OcProblem(config=LzConfig(tau=tau), n_max=30, budget=40_000,
+                         seed=0, steps=4096, q_target=1e-7)
         out[tau] = refine_result(prob, optimize(prob))
     return out
 

@@ -166,6 +166,33 @@ def test_oc_below_qsl_flagged():
     assert not report["valid"]
 
 
+@pytest.mark.parametrize("params", [{"n_max": 0}, {"steps": 1}, {"budget": 0},
+                                    {"q_target": -1}])
+def test_bad_oc_problem_is_invalid_and_fails_run_in_one_line(params, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"preset": "fig3-oc", "params": params,
+                                "out": str(tmp_path / "o")}))
+    assert main(["validate", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert [c["ok"] for c in report["checks"]] == [False] * 3
+    assert err.startswith("error: invalid config") and err.count("\n") == 1
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert next(iter(params)) in err
+    assert not (tmp_path / "o" / "oc_results.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["gamma", "restarts", "polish_budget"])
+def test_removed_oc_params_rejected(name, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"preset": "fig3-oc", "params": {name: 1}}))
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: unknown params for model 'oc': [{name!r}]\n"
+
+
 # ---------------------------------------------------------------------------
 # runs
 

@@ -10,7 +10,7 @@ from scipy.linalg import expm
 from ctrlcost.twolevel import (PauliSchedule, qubit_state, fidelity, propagate,
                                final_state, converged_final_state,
                                instantaneous_eigenstates, cost_rate,
-                               integrated_cost, trajectory_to_csv,
+                               integrated_cost,
                                _su2_steps, _ordered_product, _prefix_scan)
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -319,19 +319,3 @@ def test_breakpoint_schedule_cost_is_exact():
     t = np.linspace(0, tau, 2_000_001)
     brute = np.trapezoid(cost_rate(sched, t), t) / tau
     assert brute == pytest.approx(closed, rel=1e-3)
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-
-def test_trajectory_csv_columns(tmp_path):
-    traj = propagate(random_smooth_schedule(), PLUS, steps=50)
-    path = tmp_path / "traj.csv"
-    trajectory_to_csv(traj, path, header_comment="test")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# test"
-    assert lines[1] == "t,re_alpha,im_alpha,re_beta,im_beta,fidelity,cost_rate"
-    assert len(lines) == 2 + 51
-    row = lines[2].split(",")
-    assert len(row) == 7
-    assert float(row[0]) == 0.0
