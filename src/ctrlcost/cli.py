@@ -41,11 +41,14 @@ from .oc import OcProblem, optimize, refine_result
 
 ENV_PREFIX = "CTRLCOST_"
 
+# each model's params and the kind of number each must be
+_REAL, _INT, _POSITIVE = "a finite number", "an integer", "a positive number"
 _MODEL_KEYS = {
-    "lz": {"delta", "g0", "g1", "g_q"},
-    "oscillator": {"omega0", "omega1", "beta"},
-    "jc": {"omega", "delta", "g0", "g1", "n_cut", "alpha"},
-    "oc": {"delta", "g0", "g1", "n_max", "budget", "q_target", "steps"},
+    "lz": dict.fromkeys(("delta", "g0", "g1", "g_q"), _REAL),
+    "oscillator": dict.fromkeys(("omega0", "omega1", "beta"), _POSITIVE),
+    "jc": {**dict.fromkeys(("omega", "delta", "g0", "g1", "alpha"), _REAL), "n_cut": _INT},
+    "oc": {**dict.fromkeys(("delta", "g0", "g1", "q_target"), _REAL),
+           **dict.fromkeys(("n_max", "budget", "steps"), _INT)},
 }
 _PROTOCOLS = {"lz": landau_zener.PROTOCOLS, "oscillator": oscillator.PROTOCOLS,
               "jc": jaynes_cummings.PROTOCOLS, "oc": ()}   # oc runs its own pulse
@@ -78,18 +81,21 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
 
 
+def _number(name: str, value, kind: str):
+    """value, if it is a finite number of the kind (an integer may be written 600.0)."""
+    ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+          and math.isfinite(value) and (kind != _INT or float(value).is_integer())
+          and (kind != _POSITIVE or value > 0))
+    if not ok:
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
 def _durations(values) -> list:
     """Floats from a list of durations, each finite and positive."""
-    try:
-        if not isinstance(values, (list, tuple, np.ndarray)):
-            raise TypeError
-        out = [float(t) for t in values]
-    except (TypeError, ValueError):
-        raise ValueError(f"tau must be a list of numbers or a grid, got {values!r}") from None
-    bad = [t for t in out if not (math.isfinite(t) and t > 0.0)]
-    if bad:
-        raise ValueError(f"tau values must be finite and positive, got {bad[0]!r}")
-    return out
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise ValueError(f"tau must be a list of numbers or a grid, got {values!r}")
+    return [float(_number("tau values", t, _POSITIVE)) for t in values]
 
 
 def _parse_tau(tau) -> list:
@@ -110,26 +116,24 @@ def parse_config(raw: dict) -> ExperimentConfig:
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    if not isinstance(raw.get("params", {}), dict):
+        raise ValueError(f"params must map names to numbers, got {raw['params']!r}")
     if "preset" in raw:
         if raw["preset"] not in PRESETS:
             raise ValueError(f"unknown preset {raw['preset']!r}")
-        base = dict(PRESETS[raw["preset"]])
-        for k, v in raw.items():
-            if k == "params":
-                base["params"] = {**base.get("params", {}), **v}
-            elif k != "preset":
-                base[k] = v
-        base["preset"] = raw["preset"]
-        raw = base
+        preset = PRESETS[raw["preset"]]
+        raw = {**preset, **raw, "params": {**preset.get("params", {}), **raw.get("params", {})}}
     if "model" not in raw:
         raise ValueError("config needs a 'model' (or a 'preset')")
     model = raw["model"]
     if model not in ("lz", "oscillator", "jc", "oc"):
         raise ValueError(f"unknown model {model!r}")
     params = dict(raw.get("params", {}))
-    bad = set(params) - _MODEL_KEYS[model]
+    bad = set(params) - set(_MODEL_KEYS[model])
     if bad:
         raise ValueError(f"unknown params for model {model!r}: {sorted(bad)}")
+    for name, value in params.items():
+        _number(f"param {name!r}", value, _MODEL_KEYS[model][name])
     tau = _parse_tau(raw.get("tau", []))
     mode = raw.get("mode", "")
     if mode not in ("", "trajectory", "scan"):
@@ -146,17 +150,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if model != "lz":
             raise ValueError("a custom ramp is only supported for the lz model")
         ramp_from_dict(ramp)  # fail early on malformed descriptions
-    return ExperimentConfig(model=model,
-                            protocols=list(protocols),
-                            tau=tau,
-                            params=params,
-                            seed=int(raw.get("seed", 0)),
-                            out=raw.get("out", "out"),
-                            trajectory_steps=int(raw.get("trajectory_steps", 20_000)),
-                            scan_points=int(raw.get("scan_points", 25)),
+    counts = {k: int(_number(k, raw.get(k, d), _INT))
+              for k, d in (("seed", 0), ("trajectory_steps", 20_000), ("scan_points", 25))}
+    return ExperimentConfig(model=model, protocols=list(protocols), tau=tau,
+                            params=params, out=raw.get("out", "out"),
                             description=raw.get("description", ""),
-                            preset=raw.get("preset", ""),
-                            mode=mode, ramp=ramp)
+                            preset=raw.get("preset", ""), mode=mode, ramp=ramp, **counts)
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +465,10 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path, summary: dict):
 
 
 def _oc_problem(cfg: ExperimentConfig, tau: float) -> OcProblem:
-    p = cfg.params
-    return OcProblem(config=_lz_config(cfg, float(tau)),
-                     n_max=int(p.get("n_max", 30)),
-                     budget=int(p.get("budget", 40_000)),
-                     seed=cfg.seed,
-                     steps=int(p.get("steps", 4096)),
-                     q_target=float(p.get("q_target", 1e-9)))
+    """The problem at duration tau; a param the config leaves out keeps OcProblem's default."""
+    kw = {k: int(v) if _MODEL_KEYS["oc"][k] == _INT else v
+          for k, v in cfg.params.items() if k not in ("delta", "g0", "g1")}
+    return OcProblem(config=_lz_config(cfg, float(tau)), seed=cfg.seed, **kw)
 
 
 def _run_oc(cfg: ExperimentConfig, outdir: Path, summary: dict):

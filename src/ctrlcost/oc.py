@@ -12,31 +12,30 @@ sin(n pi t/tau) and cos(n pi t/tau) columns, where the gradient does not
 vanish at the all-zero start as the phase gradient does.
 
 ``optimize`` minimizes the time-averaged Frobenius cost C subject to
-q <= q_t with scipy's SLSQP (imported when an optimization starts, so
-that the rest of the package loads with numpy alone).
-q = |<psi_perp|psi(tau)>|^2 is the weight on the state orthogonal to the
-target, which cannot go negative. The target is tightened by continuation,
-q_t = 1e-3, 1e-6, then q_target/2, so that the refined q
-(``refine_result``, 8x finer steps) still meets q_target. Two linear
-equalities pin the sweep's endpoints: g(0) - g0 = sum_n s_n = 0 and
-g(tau) - g1 = sum_n (-1)^n s_n = 0.
+q <= q_t with scipy's SLSQP (imported when an optimization starts, so the
+rest of the package loads with numpy alone). q = |<psi_perp|psi(tau)>|^2,
+the weight on the state orthogonal to the target, cannot go negative. q_t
+is tightened by continuation, 1e-3, 1e-6, then q_target/2: aimed at
+q_target itself, the refined q (``refine_result``) lands on either side of
+it (1.0015e-9 for 1e-9 at tau = 25, n_max 16), and the margin costs about
+2e-5 of C. Two linear equalities pin the sweep's endpoints:
+g(0) - g0 = sum_n s_n = 0 and g(tau) - g1 = sum_n (-1)^n s_n = 0. The
+constraint is passed in amplitude units, (q_t - q)/sqrt(q_t) >= 0: SLSQP
+stops only once the violation is below its ftol (1e-12), which 1 - q/q_t,
+with a rounding error of about 1e-10 at q_t = 5e-10, might never reach.
 
-The constraint 1 - q/q_t >= 0 is passed in amplitude units, as
-(q_t - q)/sqrt(q_t) >= 0. SLSQP stops only once the summed constraint
-violation is below its ftol, and q's rounding error is about 2 sqrt(q_t)
-times the amplitude's (1e-15), so 1 - q/q_t carries a rounding error of
-about 1e-10 at q_t = 5e-10: above ftol = 1e-12, it can keep a stage
-running at a fixed cost until the budget is spent.
-
-Every evaluation returns q, C and their exact gradients in x. q's is the
-GRAPE forward/backward pass (Khaneja et al., J. Magn. Reson. 172, 296
-(2005)) read off one prefix scan of the midpoint steps: with
-P_k = Q_k ... Q_0 and U = P_{N-1}, step k sees the forward state
-P_{k-1} psi0 and the backward vector P_k U^dagger psi_perp, and both are
-kept as quaternions (``_Evaluator.with_gradient``). C's follows from the
-Simpson weights. Both reach x through the fixed basis, as in GOAT (Machnes
-et al., PRL 120, 150401 (2018)); the ansatz is CRAB-like (Caneva et al.,
-PRA 84, 022326 (2011)).
+The state is propagated by ``steps`` fourth-order commutator-free Magnus
+steps (CF4; Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006)): step k is
+two exact SU(2) exponentials of (Delta sigma_x/2 + z sigma_z)/2 over dt,
+with z = a1 g1 + a2 g2 and then a2 g1 + a1 g2 for g at the step's Gauss
+nodes (``twolevel._GAUSS``, ``_ALPHA``). C is the two-point Gauss-Legendre
+sum on the same node rows. At the default 512 steps the refined q is
+within 2.2% of the optimizer's at the fig3-oc preset, where 4,096
+second-order midpoint steps leave 22%. Each evaluation also returns the exact
+gradients of q and C in x, q's by GRAPE (Khaneja et al., J. Magn. Reson.
+172, 296 (2005)) from one prefix scan of the 2N exponentials, both through
+the fixed basis as in GOAT (Machnes et al., PRL 120, 150401 (2018)). The
+ansatz is CRAB-like (Caneva et al., PRA 84, 022326 (2011)).
 
 The [sin | cos] columns are nearly dependent on [0, tau] (smallest singular
 value 3e-11 at n_max 16), so an optimum may carry amplitudes of tens or
@@ -53,8 +52,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .landau_zener import LzConfig, lz_ground_state, qsl_time
-from .twolevel import (_su2_steps, _qmul, _ordered_product, _prefix_scan, _apply,
-                       _simpson_weights)
+from .twolevel import (_ALPHA, _GAUSS, _su2_steps, _qmul, _ordered_product,
+                       _prefix_scan, _apply)
 
 __all__ = ["OcProblem", "OcResult", "evaluate", "optimize", "refine_result",
            "tau_scan"]
@@ -62,6 +61,7 @@ __all__ = ["OcProblem", "OcResult", "evaluate", "optimize", "refine_result",
 CONTINUATION = (1e-3, 1e-6)   # intermediate infidelity targets, then q_target/2
 FTOL = 1e-12                  # SLSQP's tolerance on the change of C
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+_MIX = np.array([[_ALPHA[0], _ALPHA[1]], [_ALPHA[1], _ALPHA[0]]])   # CF4 node mixing
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class OcProblem:
     n_max: int = 30
     budget: int = 40_000
     seed: int = 0
-    steps: int = 4096
+    steps: int = 512
     q_target: float = 1e-9
 
     def __post_init__(self):
@@ -114,18 +114,17 @@ def _polar(x, n_max: int) -> np.ndarray:
 
 
 class _Evaluator:
-    """Precomputed basis and quadrature weights for repeated (q, C) evaluation in x."""
+    """Basis rows at the Gauss nodes (2k and 2k + 1 for step k) for repeated (q, C) in x."""
 
     def __init__(self, problem: OcProblem, steps: Optional[int] = None):
         cfg = problem.config
         self.delta = cfg.delta
         self.n_max = problem.n_max
         self.steps = steps or problem.steps
-        t = np.linspace(0.0, cfg.tau, self.steps + 1)
         self.dt = cfg.tau / self.steps
-        # rows: the step midpoints (propagation), then the nodes (cost);
+        tt = np.add.outer(np.linspace(0.0, cfg.tau, self.steps + 1)[:-1],
+                          np.multiply(_GAUSS, self.dt)).ravel()
         # built in place, so the peak stays at the basis plus one argument table
-        tt = np.concatenate([0.5 * (t[:-1] + t[1:]), t])
         arg = np.outer(tt, np.arange(1, self.n_max + 1))
         arg *= np.pi
         arg /= cfg.tau
@@ -133,60 +132,61 @@ class _Evaluator:
         np.sin(arg, out=self.basis[:, :self.n_max])
         np.cos(arg, out=self.basis[:, self.n_max:])
         self.lin = cfg.g0 - 2.0 * cfg.g0 * tt / cfg.tau
-        self.weights = _simpson_weights(self.steps, self.dt) / cfg.tau
         self.psi0 = lz_ground_state(cfg.delta, cfg.g0)
         self.units_psi0 = _apply(np.eye(4), self.psi0)   # A(e_a) psi0, a = 0..3
         target = lz_ground_state(cfg.delta, cfg.g1)
         self.perp = np.array([-target[1].conj(), target[0].conj()])
 
     def _fields(self, x):
-        """(midpoint g, node g, node cost rate, SU(2) steps) of the pulse x."""
-        # einsum, not a BLAS matvec: a threaded BLAS call here, between
-        # SLSQP's own BLAS calls, oversubscribes a 2-core host (4 s against
-        # 0.5 s for one n_max-30 optimization)
+        """(node g, node cost rate, z of the CF4 exponentials, their SU(2) rows)."""
+        # einsum, not a BLAS matvec, here and in the gradient: threaded BLAS
+        # between SLSQP's own calls oversubscribes a 2-core host (4 s against
+        # 0.5 s per n_max-30 optimization, 16 against 2.5 ms per 8,192-row gradient)
         g = self.lin + np.einsum("ij,j->i", self.basis, x)
-        gm, gn = g[:self.steps], g[self.steps:]
-        rate = np.sqrt((self.delta**2 + gn * gn) / 2.0)
-        return gm, gn, rate, _su2_steps(self.delta, 0.0, gm, self.dt)
+        rate = np.sqrt((self.delta**2 + g * g) / 2.0)
+        cz = (g.reshape(-1, 2) @ _MIX).ravel()
+        return g, rate, cz, _su2_steps(0.5 * self.delta, 0.0, cz, self.dt)
+
+    def final_state(self, steps) -> np.ndarray:
+        """psi(tau): the product of the CF4 factors on psi0, rescaled to unit
+        norm (the rounding of 2N factors drifts it by ~1e-14)."""
+        u = _ordered_product(steps)
+        return _apply(u / np.sqrt(u @ u), self.psi0)
 
     def q_and_cost(self, x) -> tuple:
-        _, _, rate, q = self._fields(x)
-        c = np.vdot(self.perp, _apply(_ordered_product(q), self.psi0))
-        return float(abs(c) ** 2), float(self.weights @ rate)
+        _, rate, _, steps = self._fields(x)
+        return float(abs(np.vdot(self.perp, self.final_state(steps))) ** 2), float(rate.mean())
 
     def with_gradient(self, x) -> tuple:
-        """(q, C, dq/dx, dC/dx) from one prefix scan of the steps.
+        """(q, C, dq/dx, dC/dx) from one prefix scan of the 2N exponentials.
 
-        In quaternions, with the operator A(a) = a0 - i a.sigma, step k's
-        derivative is dc/dg_k = <eta| A(conj(P_k) dQ_k P_{k-1}) |psi0> for
+        With P_k = Q_k ... Q_0, U = P_{2N-1} and the operator
+        A(a) = a0 - i a.sigma of a quaternion, factor k's derivative is
+        dc/dz_k = <eta| A(conj(P_k) dQ_k P_{k-1}) |psi0> for
         eta = A(conj(U)) psi_perp. That is linear in the quaternion, so
-        dq/dg_k = 2 Re(conj(c) dc/dg_k) = mu . (conj(P_k) dQ_k P_{k-1}) for
+        dq/dz_k = 2 Re(conj(c) dc/dz_k) = mu . (conj(P_k) dQ_k P_{k-1}) for
         one real 4-vector mu, which equals (P_k mu) . (dQ_k P_{k-1}) since
         a . (conj(b) c) = (b a) . c for the Euclidean dot of quaternions.
+        z is an alpha mixture of the node g, symmetric, so dq/dg is the
+        same mixture of dq/dz.
         """
-        gm, gn, rate, steps = self._fields(x)
+        g, rate, cz, steps = self._fields(x)
         prefix = _prefix_scan(steps)
-        earlier = np.empty_like(prefix)            # P_{k-1}, with P_{-1} = 1
-        earlier[0] = (1.0, 0.0, 0.0, 0.0)
-        earlier[1:] = prefix[:-1]
+        earlier = np.concatenate([[(1.0, 0.0, 0.0, 0.0)], prefix[:-1]])   # P_{k-1}, P_{-1} = 1
         eta = _apply(prefix[-1] * _CONJ, self.perp)
         m = self.units_psi0 @ eta.conj()                # m_a = <eta|A(e_a)|psi0>
-        c = m[0]
-        mu = 2.0 * (c.conjugate() * m).real
-        # d(step)/dg: a0 = cos h, a = s (Delta, 0, g), s = sin(h)/r,
-        # h = r dt/2, r^2 = Delta^2 + g^2
-        a0, ax = steps[:, 0], steps[:, 1]
-        s = ax / self.delta
-        half = 0.5 * self.dt
-        ds = (half * a0 - s) * gm / (self.delta**2 + gm * gm)
-        dstep = np.stack([-half * s * gm, ds * self.delta, np.zeros_like(gm),
-                          ds * gm + s]).T
-        times_mu = _qmul(np.eye(4), np.tile(mu, (4, 1)))   # rows e_a mu
-        dq_dg = np.einsum("ij,ij->i", prefix @ times_mu, _qmul(dstep, earlier))
-        dC_dg = self.weights * gn / (2.0 * rate)
-        dq = dq_dg @ self.basis[:self.steps]
-        dC = dC_dg @ self.basis[self.steps:]
-        return float(abs(c) ** 2), float(self.weights @ rate), dq, dC
+        mu = 2.0 * (m[0].conjugate() * m).real          # c = m_0
+        # d(factor)/dz: a0 = cos h, a = s (Delta/2, 0, z), s = sin(h)/r,
+        # h = r dt/2, r^2 = Delta^2/4 + z^2
+        half, cx = 0.5 * self.dt, 0.5 * self.delta
+        s = steps[:, 1] / cx
+        ds = (half * steps[:, 0] - s) * cz / (cx * cx + cz * cz)
+        dstep = np.stack([-half * s * cz, ds * cx, np.zeros_like(cz), ds * cz + s]).T
+        dq_dz = np.einsum("ij,ij->i", _qmul(prefix, np.broadcast_to(mu, prefix.shape)),
+                          _qmul(dstep, earlier))
+        dq = np.einsum("i,ij->j", (dq_dz.reshape(-1, 2) @ _MIX).ravel(), self.basis)
+        dC = np.einsum("i,ij->j", g / (2.0 * len(g) * rate), self.basis)
+        return float(abs(m[0]) ** 2), float(rate.mean()), dq, dC
 
 
 def evaluate(problem: OcProblem, params) -> tuple:
@@ -286,8 +286,12 @@ def optimize(problem: OcProblem) -> OcResult:
                     trace=trace)
 
 
-def refine_result(problem: OcProblem, result: OcResult, steps: int = 32_768) -> OcResult:
-    """Re-evaluate the reported point on a finer grid (integrator-bias check)."""
+def refine_result(problem: OcProblem, result: OcResult, steps: int = 16_384) -> OcResult:
+    """Re-evaluate the reported point on 32x the default steps (integrator-bias check).
+
+    4,096 steps leave C 1.7e-9 from adaptive quadrature on a pulse whose
+    amplitudes of 1,300 cancel (tau = 24.3, n_max 16); 16,384 leave 4.4e-12.
+    """
     q, C = _Evaluator(problem, steps=steps).q_and_cost(
         _linear(result.best_params, problem.n_max))
     return replace(result, q=q, cost=C, success=q <= problem.q_target)

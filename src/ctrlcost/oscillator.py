@@ -15,9 +15,9 @@ Omega both in the prefactor and inside Q*.
 X and Y are the columns of one fundamental matrix [[Y, X], [Y', X']] of
 (x, x')' = A(t) (x, x'), A = [[0, 1], [-omega^2, 0]]. Each step is the
 fourth-order commutator-free Magnus step with two Gauss nodes (Blanes &
-Moan, Appl. Numer. Math. 56, 1519 (2006)), a product of two closed-form
-2x2 exponentials, so every step is unimodular and the Wronskian is -1 to
-round-off. The steps are carried near the identity, E = M - I, and their
+Moan, Appl. Numer. Math. 56, 1519 (2006); the qubit core's ``_GAUSS`` and
+``_ALPHA``), a product of two closed-form 2x2 exponentials, so every step
+is unimodular and the Wronskian is -1 to round-off. The steps are carried near the identity, E = M - I, and their
 running products come from the work-efficient prefix scan of the qubit
 core (``twolevel._prefix_scan``). The Ermakov route keeps its own RK4 loop,
 an oracle independent of the transfer matrices.
@@ -33,7 +33,7 @@ import numpy as np
 
 from .landau_zener import bisect_sign_change
 from .ramps import poly_smooth_ramp
-from .twolevel import _prefix_scan, _simpson_weights
+from .twolevel import _ALPHA, _GAUSS, _prefix_scan, _simpson_weights
 
 __all__ = [
     "FrequencySchedule",
@@ -124,11 +124,6 @@ def default_steps(sched: FrequencySchedule) -> int:
     """Step count keeping the fastest oscillation well resolved."""
     wmax = max(abs(sched.omega0), abs(sched.omega1), 1.0)
     return int(min(400_000, max(8_000, 400 * wmax * sched.tau)))
-
-
-# Gauss nodes (fractions of the step) and CF4 weights alpha_1 > 0 > alpha_2
-_GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
-_ALPHA = (0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0)
 
 
 def _exp_minus_identity(h: float, b: np.ndarray) -> np.ndarray:

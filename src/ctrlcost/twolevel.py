@@ -22,7 +22,8 @@ pairwise; trajectories take a work-efficient inclusive prefix scan of them
 (an up-sweep of pairwise products and a down-sweep, about 2n products;
 Ladner & Fischer, JACM 27, 831 (1980); Blelloch, "Prefix sums and their
 applications", 1990) and apply each prefix to the initial state in closed
-form.
+form. ``_GAUSS`` and ``_ALPHA``, the nodes and weights of the 4th-order
+Magnus step (CF4), serve OC's qubit steps and the oscillator's matrices.
 
 A schedule is one callable t -> (c0, cx, cy, cz), so a protocol whose
 coefficients share intermediate values (the LCD derivative chain)
@@ -58,6 +59,10 @@ _NORM_TOL = 1e-12
 DEFAULT_STEPS = 10_000
 CONVERGENCE_TOL = 1e-10
 _MAX_DOUBLINGS = 8
+# CF4 (Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006)): Gauss nodes in units of
+# the step, weights a1 > 0 > a2; a step is exp(h(a2 A1 + a1 A2)) exp(h(a1 A1 + a2 A2))
+_GAUSS = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
+_ALPHA = (0.25 + np.sqrt(3.0) / 6.0, 0.25 - np.sqrt(3.0) / 6.0)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ctrlcost
-from ctrlcost.cli import parse_config, validate, run, PRESETS, main
+from ctrlcost.cli import parse_config, validate, run, PRESETS, main, _oc_problem
 from ctrlcost.landau_zener import LzConfig, find_cd_lcd_crossover
 from ctrlcost.jaynes_cummings import JcConfig, find_jc_crossover
 
@@ -191,6 +191,34 @@ def test_removed_oc_params_rejected(name, tmp_path, capsys):
     assert main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: unknown params for model 'oc': [{name!r}]\n"
+
+
+@pytest.mark.parametrize("raw, match", [
+    ({"preset": "fig3-oc", "params": {"n_max": [1]}}, "param 'n_max' must be an integer"),
+    ({"preset": "smoke", "params": {"delta": "abc"}}, "param 'delta' must be a finite number"),
+    ({"preset": "smoke", "params": [1, 2]}, "params must map names to numbers"),
+    ({"preset": "fig3-oc", "params": {"steps": 600.7}}, "param 'steps' must be an integer"),
+    ({"preset": "fig4", "params": {"omega0": 0}}, "param 'omega0' must be a positive"),
+    ({"preset": "fig4", "params": {"beta": -1}}, "param 'beta' must be a positive"),
+    ({"preset": "smoke", "seed": [1]}, "seed must be an integer"),
+])
+def test_bad_param_values_rejected_in_one_line(raw, match, tmp_path, capsys):
+    # wrong types, fractional counts and non-positive oscillator parameters
+    # end both subcommands before anything runs
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**raw, "out": str(tmp_path / "o")}))
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {match}") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_integral_float_counts_are_accepted():
+    cfg = parse_config({"preset": "fig3-oc", "params": {"steps": 600.0, "n_max": 4}})
+    prob = _oc_problem(cfg, 25.0)
+    assert (prob.steps, prob.n_max) == (600, 4) and isinstance(prob.steps, int)
+    assert parse_config({"preset": "smoke", "seed": 3.0}).seed == 3
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ from scipy.integrate import quad, simpson
 
 from ctrlcost.landau_zener import LzConfig, lz_bare, lz_ground_state
 from ctrlcost.ramps import oc_fourier_ramp
-from ctrlcost.twolevel import (converged_final_state, fidelity, final_state,
-                               integrated_cost)
+from ctrlcost.twolevel import (converged_final_state, cost_rate, fidelity,
+                               integrated_cost, _GAUSS, _simpson_weights)
 from ctrlcost.oc import (OcProblem, evaluate, optimize, refine_result, tau_scan,
-                         _Evaluator, _polar, _simpson_weights)
+                         _Evaluator)
 
 
 def make_problem(tau=30.0, **kw):
@@ -85,7 +85,8 @@ def test_evaluate_matches_library_route(rng):
     # oracle for a shaped pulse: the same Fourier ramp built by
     # oc_fourier_ramp and run through the generic schedule, cost quadrature
     # and step-doubled propagation instead of the evaluator's cached basis;
-    # at 32768 steps the evaluator's midpoint error in q is ~5e-10
+    # the library's midpoint steps converge to 1e-10 in infidelity, the
+    # evaluator's 32768 CF4 steps to far below it
     n, steps = 8, 32_768
     prob = make_problem(tau=30.0, n_max=n, steps=steps)
     amps = rng.normal(0.0, 0.03, n)
@@ -126,16 +127,30 @@ def test_gradient_matches_central_differences(seed):
 
 def test_infidelity_is_the_orthogonal_weight(rng):
     # q = |<psi_perp|psi>|^2 equals 1 - |<target|psi>|^2 and is never negative
-    prob = make_problem(tau=30.0)
-    ev = _Evaluator(prob)
+    ev = _Evaluator(make_problem(tau=30.0))
     for x in (np.zeros(16), rng.normal(0.0, 0.03, 16)):
         q, _ = ev.q_and_cost(x)
-        params = _polar(x, 8)
-        ramp = oc_fourier_ramp(-0.2, 30.0, list(zip(params[:8], params[8:])))
-        psi = final_state(lz_bare(LzConfig(tau=30.0, ramp=ramp)),
-                          lz_ground_state(0.1, -0.2), prob.steps)
+        psi = ev.final_state(ev._fields(x)[3])
         assert q >= 0.0
         assert q == pytest.approx(1.0 - fidelity(lz_ground_state(0.1, 0.2), psi), abs=1e-14)
+
+
+def test_cf4_steps_converge_at_fourth_order():
+    # amplitude error of <psi_perp|psi(tau)> against a 16x finer grid falls
+    # 16-fold per halving of the step; a wrong factor order leaves a
+    # second-order scheme, about 4-fold
+    prob = make_problem(tau=25.0, n_max=16)
+    x = np.zeros(32)
+    x[:16] = 0.2 / np.arange(1, 17)      # sin columns only: endpoints pinned
+
+    def amplitude(steps):
+        ev = _Evaluator(prob, steps=steps)
+        return np.vdot(ev.perp, ev.final_state(ev._fields(x)[3]))
+
+    reference = amplitude(8192)
+    errors = [abs(amplitude(n) - reference) for n in (64, 128, 256, 512)]
+    ratios = [e1 / e2 for e1, e2 in zip(errors, errors[1:])]
+    assert all(15.0 <= r <= 17.0 for r in ratios), ratios
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +234,20 @@ def test_every_evaluation_nonnegative_and_endpoints_pinned(monkeypatch):
     assert float(ramp.value(cfg.tau)) == pytest.approx(cfg.g1, abs=1e-12)
 
 
-def test_optimized_pulse_reproduces_through_the_library_route():
+@pytest.fixture(scope="module")
+def bench_tau25():
+    # the bench's n_max-16 problem at tau = 25, its result and the refinement
+    prob = make_problem(tau=25.0, n_max=16, steps=512, budget=2000, q_target=1e-9)
+    res = optimize(prob)
+    return prob, res, refine_result(prob, res)
+
+
+def test_optimized_pulse_reproduces_through_the_library_route(bench_tau25):
     # the sin and cos columns are nearly dependent, so the bench's n_max 16
     # pulse at tau = 25 has amplitudes of about 50 whose terms cancel; the
     # library's own ramp, propagator and quadrature must still give the
     # result's q and C
-    prob = make_problem(tau=25.0, n_max=16, steps=4096, budget=2000, q_target=1e-9)
-    res = optimize(prob)
-    fine = refine_result(prob, res)
+    prob, res, fine = bench_tau25
     assert fine.success
     cfg = prob.config
     ramp = oc_fourier_ramp(cfg.g0, cfg.tau, list(zip(res.best_params[:16],
@@ -236,8 +257,19 @@ def test_optimized_pulse_reproduces_through_the_library_route():
     q_lib = 1.0 - fidelity(lz_ground_state(cfg.delta, cfg.g1), psi)
     assert q_lib == pytest.approx(fine.q, abs=1e-9)
     assert q_lib == pytest.approx(res.q, abs=1e-9)
-    assert res.cost == pytest.approx(integrated_cost(sched, prob.steps), rel=1e-10)
+    # the result's C is the two-point Gauss sum on the optimizer's steps
+    dt = cfg.tau / prob.steps
+    nodes = np.add.outer(np.arange(prob.steps) * dt, np.multiply(_GAUSS, dt))
+    gauss = float(np.sum(cost_rate(sched, nodes)) * 0.5 * dt / cfg.tau)
+    assert res.cost == pytest.approx(gauss, rel=1e-12)
     assert fine.cost == pytest.approx(integrated_cost(sched, 32_768), rel=1e-10)
+
+
+def test_refined_infidelity_is_the_optimizers(bench_tau25):
+    # the optimizer's grid resolves q itself: the 32x finer grid moves it by
+    # under 5% (4,096 second-order midpoint steps leave 22%, half of q)
+    _, res, fine = bench_tau25
+    assert fine.q == pytest.approx(res.q, rel=0.05)
 
 
 def test_single_harmonic_keeps_one_endpoint_pin():
