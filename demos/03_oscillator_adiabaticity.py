@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from ctrlcost import (FrequencySchedule, qstar_series, oscillator_cost,
+from ctrlcost import (poly_smooth_ramp, qstar_series, oscillator_cost,
                       cd_validity_edge, classical_solutions, ermakov_solve,
                       husimi_qstar, ie_energy)
 
@@ -34,29 +34,29 @@ print()
 
 series = {}
 for tau in (1.6, 2.5):
-    sched = FrequencySchedule.quintic(W0, W1, tau)
+    omega = poly_smooth_ramp(W0, W1 - W0, tau)
     print(f"tau = {tau}:")
     for protocol in ("bare", "cd", "lcd", "ie"):
-        t, q = qstar_series(sched, protocol)
+        t, q = qstar_series(omega, protocol)
         series[(tau, protocol)] = (t, q)
-        cost = oscillator_cost(sched, protocol, BETA)
+        cost = oscillator_cost(omega, protocol, BETA)
         print(f"  {protocol:5s} peak Q* = {np.max(q):8.4f}   "
               f"Q*(tau) = {q[-1]:.8f}   C = {cost:.4f}")
     print()
 
 target = 2.75 / math.tanh(1.5)
-sched = FrequencySchedule.quintic(W0, W1, 50.0)
+omega = poly_smooth_ramp(W0, W1 - W0, 50.0)
 print("long-duration limit (tau = 50): every protocol approaches")
 print(f"  (coth(1.5)/2) * mean omega = {target:.4f}")
 for protocol in ("cd", "lcd", "ie"):
-    print(f"  {protocol:5s} C = {oscillator_cost(sched, protocol, BETA):.4f}")
+    print(f"  {protocol:5s} C = {oscillator_cost(omega, protocol, BETA):.4f}")
 
 # two independent routes to the same adiabaticity parameter
-sched = FrequencySchedule.quintic(W0, W1, 2.5)
-sol = classical_solutions(sched, 40_000)
-erm = ermakov_solve(sched, 40_000)
-q_xy = husimi_qstar(sched, sol)
-q_b = ie_energy(sched, erm, BETA) / (0.5 * sched.omega(sol.times) / math.tanh(1.5))
+omega = poly_smooth_ramp(W0, W1 - W0, 2.5)
+sol = classical_solutions(omega, 40_000)
+erm = ermakov_solve(omega, 40_000)
+q_xy = husimi_qstar(omega, sol)
+q_b = ie_energy(omega, erm, BETA) / (0.5 * omega.value(sol.times) / math.tanh(1.5))
 print(f"\ncross-check: Husimi route vs Ermakov-scale route agree to "
       f"{np.max(np.abs(q_xy - q_b)):.2e}")
 

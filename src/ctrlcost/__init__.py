@@ -19,14 +19,14 @@ from .landau_zener import (LzConfig, lz_fields, lz_bare, lz_cd, lz_lcd, lz_bob,
                            lz_ground_state, qsl_time, optimize_bob_kicks,
                            cd_cost_decomposition, decomposition_cost,
                            cost_scan, find_cd_lcd_crossover, run_protocol)
-from .oscillator import (FrequencySchedule, OscillatorSolution,
+from .oscillator import (OscillatorSolution,
                          classical_solutions, ermakov_solve, husimi_qstar,
                          qstar_cd, qstar_ie, lcd_frequency, ie_energy,
                          qstar_series, oscillator_cost, cd_validity_edge)
-from .jaynes_cummings import (JcConfig, JcBlock, jc_block, jc_cd_block,
+from .jaynes_cummings import (JcConfig, jc_block, jc_cd_block,
                               jc_lcd_block, coherent_weights, block_run,
                               ensemble_run, jc_cost_scan, find_jc_crossover)
-from .oc import OcProblem, OcResult, optimize, tau_scan
+from .oc import OcProblem, OcResult, optimize
 
 __all__ = [
     "Ramp", "BobPulse", "poly_smooth_ramp", "oc_fourier_ramp", "cd_na_ramp",
@@ -37,11 +37,11 @@ __all__ = [
     "LzConfig", "lz_fields", "lz_bare", "lz_cd", "lz_lcd", "lz_bob", "lz_ground_state",
     "qsl_time", "optimize_bob_kicks", "cd_cost_decomposition",
     "decomposition_cost", "cost_scan", "find_cd_lcd_crossover", "run_protocol",
-    "FrequencySchedule", "OscillatorSolution", "classical_solutions",
+    "OscillatorSolution", "classical_solutions",
     "ermakov_solve", "husimi_qstar", "qstar_cd", "qstar_ie", "lcd_frequency",
     "ie_energy", "qstar_series", "oscillator_cost", "cd_validity_edge",
-    "JcConfig", "JcBlock", "jc_block", "jc_cd_block", "jc_lcd_block",
+    "JcConfig", "jc_block", "jc_cd_block", "jc_lcd_block",
     "coherent_weights", "block_run", "ensemble_run", "jc_cost_scan",
     "find_jc_crossover",
-    "OcProblem", "OcResult", "optimize", "tau_scan",
+    "OcProblem", "OcResult", "optimize",
 ]

@@ -3,11 +3,9 @@
 Configs are JSON files (nested key-value); unknown keys are rejected so
 typos fail loudly. Every CSV starts with a comment line carrying the hash
 of the resolved config, and reruns with the same config and seed are
-byte-identical. CTRLCOST_OUT, CTRLCOST_SEED and CTRLCOST_THREADS stand in
-for the --out, --seed and --threads flags: a flag given on the command line
-wins, then the environment variable, then the config or default value.
---threads and CTRLCOST_THREADS are parsed and accepted, but every run is
-serial.
+byte-identical. CTRLCOST_OUT and CTRLCOST_SEED stand in for the --out and
+--seed flags: a flag given on the command line wins, then the environment
+variable, then the config or default value. Every run is serial.
 
 Subcommands: run, validate, list-presets.
 """
@@ -26,15 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, jaynes_cummings, landau_zener, oscillator
-from .ramps import bob_pulse, ramp_from_dict
+from .ramps import bob_pulse, poly_smooth_ramp, ramp_from_dict
 from .twolevel import integrated_cost, instantaneous_eigenstates
 from .landau_zener import (LzConfig, lz_cd, lz_lcd, lz_bob,
                            lz_ground_state, qsl_time, optimize_bob_kicks,
                            cost_scan, find_cd_lcd_crossover, run_protocol,
                            blended_ramp_for, DEFAULT_GQ)
-from .oscillator import (FrequencySchedule, qstar_series, oscillator_cost,
-                         cd_validity_edge, cd_is_valid, lcd_is_valid,
-                         OscillatorError)
+from .oscillator import (qstar_series, oscillator_cost, cd_validity_edge,
+                         cd_is_valid, lcd_is_valid, OscillatorError)
 from .jaynes_cummings import (JcConfig, block_run, ensemble_run, jc_cost_scan,
                               find_jc_crossover, coherent_weights, TAIL_TOL)
 from .oc import OcProblem, optimize, refine_result
@@ -152,6 +149,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         ramp_from_dict(ramp)  # fail early on malformed descriptions
     counts = {k: int(_number(k, raw.get(k, d), _INT))
               for k, d in (("seed", 0), ("trajectory_steps", 20_000), ("scan_points", 25))}
+    for k, least in (("trajectory_steps", 2), ("scan_points", 1)):
+        if counts[k] < least:
+            raise ValueError(f"{k} must be >= {least}, got {counts[k]}")
     return ExperimentConfig(model=model, protocols=list(protocols), tau=tau,
                             params=params, out=raw.get("out", "out"),
                             description=raw.get("description", ""),
@@ -362,13 +362,13 @@ def _run_oscillator(cfg: ExperimentConfig, outdir: Path, summary: dict):
     protocols = cfg.protocols or ["bare", "cd", "lcd", "ie"]
 
     for tau in (1.6, 2.5):
-        sched = FrequencySchedule.quintic(w0, w1, tau)
+        omega = poly_smooth_ramp(w0, w1 - w0, tau)
         w = CsvWriter(outdir / f"qstar_tau{tau:g}.csv",
                       ["t"] + [f"qstar_{p_}" for p_ in protocols], h)
         series = {}
         for proto in protocols:
             try:
-                t, q = qstar_series(sched, proto)
+                t, q = qstar_series(omega, proto)
                 series[proto] = (t, q)
             except OscillatorError as err:
                 summary.setdefault("invalid", []).append(
@@ -390,11 +390,11 @@ def _run_oscillator(cfg: ExperimentConfig, outdir: Path, summary: dict):
     w = CsvWriter(outdir / "cost_scan.csv",
                   ["tau"] + [f"C_{p_}" for p_ in cost_protocols], h)
     for tau in taus:
-        sched = FrequencySchedule.quintic(w0, w1, tau)
+        omega = poly_smooth_ramp(w0, w1 - w0, tau)
         row = []
         for proto in cost_protocols:
             try:
-                row.append(oscillator_cost(sched, proto, beta))
+                row.append(oscillator_cost(omega, proto, beta))
             except OscillatorError as err:
                 row.append(np.nan)
                 summary.setdefault("invalid", []).append(
@@ -404,12 +404,17 @@ def _run_oscillator(cfg: ExperimentConfig, outdir: Path, summary: dict):
     w.write()
 
 
+def _jc_config(cfg: ExperimentConfig) -> JcConfig:
+    """The blocks of a jc config, at the trajectories' duration tau = 10."""
+    p = cfg.params
+    return JcConfig(tau=10.0, omega=p.get("omega", 1.0), delta=p.get("delta", 0.1),
+                    g0=p.get("g0", 0.0), g1=p.get("g1", 0.2),
+                    n_cut=int(p.get("n_cut", 40)), alpha=p.get("alpha", 2.0))
+
+
 def _run_jc(cfg: ExperimentConfig, outdir: Path, summary: dict):
     h = cfg.digest()
-    p = cfg.params
-    jc = JcConfig(tau=10.0, omega=p.get("omega", 1.0), delta=p.get("delta", 0.1),
-                  g0=p.get("g0", 0.0), g1=p.get("g1", 0.2),
-                  n_cut=int(p.get("n_cut", 40)), alpha=p.get("alpha", 2.0))
+    jc = _jc_config(cfg)
     protocols = cfg.protocols or ["bare", "cd", "lcd"]
 
     # block fidelity curves at tau = 10
@@ -496,7 +501,7 @@ _RUNNERS = {"lz": _run_lz, "oscillator": _run_oscillator, "jc": _run_jc,
 
 
 def run(cfg: ExperimentConfig, threads: int = 1) -> Path:
-    """Run one config and write its outputs; ``threads`` is accepted, but runs are serial."""
+    """Run one config and write its outputs; ``threads`` is ignored, runs are serial."""
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     summary = {"config_hash": cfg.digest(), "model": cfg.model,
@@ -523,10 +528,10 @@ def validate(cfg: ExperimentConfig) -> dict:
         p = cfg.params
         w0, w1 = p.get("omega0", 1.0), p.get("omega1", 10.0)
         for tau in cfg.tau or [1.6, 2.5]:
-            sched = FrequencySchedule.quintic(w0, w1, tau)
-            check(f"cd_validity tau={tau:g}", cd_is_valid(sched),
+            omega = poly_smooth_ramp(w0, w1 - w0, tau)
+            check(f"cd_validity tau={tau:g}", cd_is_valid(omega),
                   "trap inversion: no CD protocol below the validity edge")
-            check(f"lcd_validity tau={tau:g}", lcd_is_valid(sched),
+            check(f"lcd_validity tau={tau:g}", lcd_is_valid(omega),
                   "effective LCD frequency must stay positive")
     elif cfg.model == "oc":
         # what _run_oc builds; a sweep LzConfig rejects raises, as in lz
@@ -535,11 +540,14 @@ def validate(cfg: ExperimentConfig) -> dict:
             err = _error(lambda: _oc_problem(cfg, tau))
             check(f"oc problem tau={tau:g}", not err, err)
     elif cfg.model == "jc":
-        p = cfg.params
-        alpha, n_cut = p.get("alpha", 2.0), int(p.get("n_cut", 40))
-        tail = max(0.0, 1.0 - float(coherent_weights(alpha, n_cut).sum()))
-        check("cutoff_tail", tail <= TAIL_TOL,
-              f"tail mass {tail:.3e} for alpha={alpha}, n_cut={n_cut}")
+        # what _run_jc builds
+        err = _error(lambda: _jc_config(cfg))
+        check("jc config", not err, err)
+        if not err:
+            jc = _jc_config(cfg)
+            tail = max(0.0, 1.0 - float(coherent_weights(jc.alpha, jc.n_cut).sum()))
+            check("cutoff_tail", tail <= TAIL_TOL,
+                  f"tail mass {tail:.3e} for alpha={jc.alpha}, n_cut={jc.n_cut}")
     elif cfg.model == "lz":
         # what _run_lz enforces; a sweep LzConfig rejects raises, as in oc
         _lz_config(cfg, 1.0)
@@ -567,13 +575,13 @@ def _error(call) -> str:
 # ---------------------------------------------------------------------------
 # entry point
 
-def _env_default(name: str, fallback):
-    return os.environ.get(ENV_PREFIX + name, fallback)
+def _env(name: str):
+    return os.environ.get(ENV_PREFIX + name)
 
 
-def _int_setting(name: str, flag, fallback):
-    """The flag's value, else CTRLCOST_<name>, else fallback, as an int (or None)."""
-    value = flag if flag is not None else _env_default(name, fallback)
+def _int_setting(name: str, flag):
+    """The flag's value, else CTRLCOST_<name>, as an int; None if neither is set."""
+    value = flag if flag is not None else _env(name)
     if value is None:
         return None
     try:
@@ -593,8 +601,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", help="JSON config file")
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=None,
-                       help="accepted for compatibility; runs are serial")
 
     p_val = sub.add_parser("validate", help="schema and physics-validity checks")
     p_val.add_argument("preset", nargs="?")
@@ -622,8 +628,7 @@ def main(argv=None) -> int:
             raise ValueError("give a preset name or --config FILE")
         cfg = parse_config(raw)
         if args.command == "run":
-            seed = _int_setting("SEED", args.seed, None)
-            threads = _int_setting("THREADS", args.threads, 1)
+            seed = _int_setting("SEED", args.seed)
         else:
             report = validate(cfg)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as err:
@@ -639,7 +644,7 @@ def main(argv=None) -> int:
             return 1
         return 0
 
-    out = args.out if args.out is not None else _env_default("OUT", None)
+    out = args.out if args.out is not None else _env("OUT")
     if out is not None:
         cfg.out = out
     elif cfg.preset and cfg.out == "out":
@@ -647,7 +652,7 @@ def main(argv=None) -> int:
     if seed is not None:
         cfg.seed = seed
     try:
-        outdir = run(cfg, threads=max(1, threads))
+        outdir = run(cfg)
     except (ValueError, OscillatorError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -5,14 +5,18 @@ blocks spanned by {|e,n>, |g,n+1>} with the n-photon Rabi frequency
 Omega_R(t) = 2 g(t) sqrt(n+1). In the rotated dressed representation each
 block is a Landau-Zener problem with Delta -> delta and g -> -Omega_R:
 block n's bare, CD and LCD coefficients are ``landau_zener.lz_fields`` of
-the ramp rows g, g', g'' scaled by -2 sqrt(n+1). The constant block offset
-(2n+1) omega / 2 is carried as the identity coefficient and excluded from
-costs.
+the ramp rows g, g', g'' scaled by -2 sqrt(n+1). The coupling sweep is
+always the quintic ``poly_smooth_ramp(g0, g1 - g0, tau)``, the ramp that the
+scans require. ``jc_block``, ``jc_cd_block`` and ``jc_lcd_block`` return the
+block's ``PauliSchedule`` in the rotated dressed frame: cx = delta,
+cz = -Omega_R(t), and the constant block offset c0 = (2n+1) omega / 2,
+which is excluded from costs. Every block starts in |e,n>, which is
+``INITIAL_STATE`` = (1, 1)/sqrt(2) in this frame.
 
 Coherent-field initial states |e, alpha> populate blocks with Poisson
-weights p_n; per-block quantities combine by population weighting. The
-ensemble evaluates the ramp once per time grid and builds each block's
-coefficients from those rows, one block at a time.
+weights p_n; per-block fidelities and costs combine by population
+weighting. The ensemble evaluates the ramp once per time grid and builds
+each block's coefficients from those rows, one block at a time.
 
 Block n's costs are even in delta, so its cost scan and CD/LCD crossover
 are those of the LZ sweep with Delta = |delta| and g0,1 -> -2 sqrt(n+1) g0,1,
@@ -31,12 +35,11 @@ from .ramps import Ramp, poly_smooth_ramp
 from .twolevel import (PauliSchedule, propagate, converged_final_state,
                        integrated_cost, _rate, _simpson_weights,
                        _segment_grid, _midpoints, _steps, _trajectory)
-from .landau_zener import (LzConfig, lz_fields, cost_scan, find_cd_lcd_crossover,
-                           _check_default_ramp)
+from .landau_zener import LzConfig, lz_fields, cost_scan, find_cd_lcd_crossover
 
 __all__ = [
     "JcConfig",
-    "JcBlock",
+    "INITIAL_STATE",
     "JcEnsembleResult",
     "jc_block",
     "jc_cd_block",
@@ -51,11 +54,12 @@ __all__ = [
 
 PROTOCOLS = ("bare", "cd", "lcd")   # what the block builders and jc_cost_scan take
 TAIL_TOL = 1e-12
+INITIAL_STATE = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)   # |e,n> in every block
 
 
 @dataclass(frozen=True)
 class JcConfig:
-    """Coupling sweep g0 -> g1 at fixed cavity frequency and detuning."""
+    """Quintic coupling sweep g0 -> g1 at fixed cavity frequency and detuning."""
 
     tau: float
     omega: float = 1.0
@@ -64,18 +68,18 @@ class JcConfig:
     g1: float = 0.2
     n_cut: int = 40
     alpha: float = 0.0
-    ramp: Optional[Ramp] = None
 
     def __post_init__(self):
         if self.n_cut < 0:
             raise ValueError(f"excitation cutoff must be >= 0, got {self.n_cut}")
         if self.tau <= 0:
             raise ValueError(f"protocol duration must be positive, got {self.tau}")
+        if self.delta == 0:
+            raise ValueError("detuning delta must be nonzero")
 
-    def ramp_or_default(self) -> Ramp:
-        if self.ramp is not None:
-            return self.ramp
-        return poly_smooth_ramp(self.g0, self.g1 - self.g0, self.tau)
+
+def _sweep(cfg: JcConfig) -> Ramp:
+    return poly_smooth_ramp(cfg.g0, cfg.g1 - cfg.g0, cfg.tau)
 
 
 def _rabi_scale(n) -> float:
@@ -85,28 +89,6 @@ def _rabi_scale(n) -> float:
     return -2.0 * math.sqrt(n + 1.0)
 
 
-@dataclass(frozen=True)
-class JcBlock:
-    """One excitation block as a two-level schedule.
-
-    The schedule lives in the rotated dressed frame: cx = delta,
-    cz = -Omega_R(t), c0 = (2n+1) omega / 2. The initial dressed state
-    |e,n> is (1, 1)/sqrt(2) in this frame.
-    """
-
-    n: int
-    kind: str
-    schedule: PauliSchedule
-    config: JcConfig
-
-    @property
-    def initial_state(self) -> np.ndarray:
-        return np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-
-    def rabi(self, t):
-        return -_rabi_scale(self.n) * self.config.ramp_or_default().value(t)
-
-
 def _block_fields(cfg: JcConfig, kind: str, n: int, rows):
     """(c0, cx, cy, cz) of block n from the ramp rows (g, g', g'')."""
     s = _rabi_scale(n)
@@ -114,22 +96,21 @@ def _block_fields(cfg: JcConfig, kind: str, n: int, rows):
             *lz_fields(kind, cfg.delta, *(s * r for r in rows)))
 
 
-def _block(cfg: JcConfig, kind: str, n: int) -> JcBlock:
+def _block(cfg: JcConfig, kind: str, n: int) -> PauliSchedule:
     if kind not in PROTOCOLS:
         raise ValueError(f"unknown protocol {kind!r}")
     _rabi_scale(n)   # a negative index fails here, not at the first evaluation
-    ramp = cfg.ramp_or_default()
-    return JcBlock(n, kind, PauliSchedule(
-        duration=cfg.tau, label=f"jc-{kind}-n{n}",
-        fields=lambda t: _block_fields(cfg, kind, n, ramp.rows(t))), cfg)
+    ramp = _sweep(cfg)
+    return PauliSchedule(duration=cfg.tau, label=f"jc-{kind}-n{n}",
+                         fields=lambda t: _block_fields(cfg, kind, n, ramp.rows(t)))
 
 
-def jc_block(cfg: JcConfig, n: int) -> JcBlock:
+def jc_block(cfg: JcConfig, n: int) -> PauliSchedule:
     """Bare block: H_n = (2n+1) omega/2 + delta sx/2 - Omega_R(t) sz/2."""
     return _block(cfg, "bare", n)
 
 
-def jc_cd_block(cfg: JcConfig, n: int) -> JcBlock:
+def jc_cd_block(cfg: JcConfig, n: int) -> PauliSchedule:
     """Block with the counterdiabatic field added.
 
     The sigma_y coefficient is LZ's cy with g -> -Omega_R, twice the
@@ -138,7 +119,7 @@ def jc_cd_block(cfg: JcConfig, n: int) -> JcBlock:
     return _block(cfg, "cd", n)
 
 
-def jc_lcd_block(cfg: JcConfig, n: int) -> JcBlock:
+def jc_lcd_block(cfg: JcConfig, n: int) -> PauliSchedule:
     """Block with the local counterdiabatic schedule: LZ's with g -> -Omega_R.
 
     Reduces to the bare block wherever g' = g'' = 0.
@@ -151,7 +132,7 @@ def mixing_angle_rate(cfg: JcConfig, n: int, t):
 
     Independent route used to cross-check the closed-form CD coefficient.
     """
-    ramp = cfg.ramp_or_default()
+    ramp = _sweep(cfg)
     rt = math.sqrt(n + 1.0)
     omr = 2.0 * rt * ramp.value(t)
     omrd = 2.0 * rt * ramp.deriv1(t)
@@ -177,13 +158,11 @@ def block_run(cfg: JcConfig, protocol: str, n: int = 0,
     Fidelity series is taken against the instantaneous eigenstate of the
     bare block adiabatically connected to the initial dressed state.
     """
-    blk = _block(cfg, protocol, n)
-    ref = jc_block(cfg, n).schedule
-    psi0 = blk.initial_state
+    sched = _block(cfg, protocol, n)
     if steps is None:
-        _, steps = converged_final_state(blk.schedule, psi0)
-    traj = propagate(blk.schedule, psi0, steps, reference=ref)
-    return traj, float(traj.fidelity[-1]), integrated_cost(blk.schedule)
+        _, steps = converged_final_state(sched, INITIAL_STATE)
+    traj = propagate(sched, INITIAL_STATE, steps, reference=jc_block(cfg, n))
+    return traj, float(traj.fidelity[-1]), integrated_cost(sched)
 
 
 @dataclass
@@ -197,65 +176,50 @@ class JcEnsembleResult:
     tail: float
 
 
-def ensemble_run(cfg: JcConfig, protocol: str, steps: Optional[int] = None,
-                 cost_mode: str = "weighted") -> JcEnsembleResult:
+def ensemble_run(cfg: JcConfig, protocol: str, steps: Optional[int] = None) -> JcEnsembleResult:
     """Coherent-state ensemble: propagate every block and combine.
 
-    Ensemble fidelity is the population-weighted per-block fidelity; the
-    default ensemble cost is the population-weighted sum of block costs
-    (cost_mode="direct-sum" gives the unweighted direct-sum Frobenius norm
-    instead). Identity offsets are excluded throughout. The photon-number
-    cutoff must leave a tail below 1e-12.
+    Ensemble fidelity and cost are the population-weighted per-block
+    fidelities and costs; identity offsets are excluded from the costs. The
+    photon-number cutoff must leave a tail below 1e-12.
 
     The ramp is evaluated once on the step midpoints, once on the nodes and
     once on the cost quadrature's 4097 points; each block's coefficients
     follow from those rows, and the blocks are taken one at a time, so
     memory stays at one block's steps.
     """
-    if cost_mode not in ("weighted", "direct-sum"):
-        raise ValueError(f"unknown cost_mode {cost_mode!r}")
     weights = coherent_weights(cfg.alpha, cfg.n_cut)
     tail = max(0.0, 1.0 - float(weights.sum()))
     if tail > TAIL_TOL:
         raise ValueError(
             f"cutoff tail {tail:.3e} above {TAIL_TOL}: increase n_cut for alpha={cfg.alpha}")
-    fastest = _block(cfg, protocol, cfg.n_cut)  # largest Rabi frequency
-    psi0 = fastest.initial_state
     if steps is None:
-        # converge on the fastest block, reuse for all
-        _, steps = converged_final_state(fastest.schedule, psi0)
+        # converge on the fastest block (largest Rabi frequency), reuse for all
+        _, steps = converged_final_state(_block(cfg, protocol, cfg.n_cut), INITIAL_STATE)
 
-    ramp = cfg.ramp_or_default()
+    ramp = _sweep(cfg)
     times = _segment_grid(cfg.tau, (), steps)
     t_cost = np.linspace(0.0, cfg.tau, 4097)
     mid, nodes, quad = (ramp.rows(t) for t in (_midpoints(times), times, t_cost))
     w = _simpson_weights(4096, t_cost[1] - t_cost[0])
     fid_w = np.zeros(len(times))
     bf, bc = np.empty(cfg.n_cut + 1), np.empty(cfg.n_cut + 1)
-    rate2 = 0.0
     for n in range(cfg.n_cut + 1):
         _, fid = _trajectory(
             _steps(_block_fields(cfg, protocol, n, mid), times, f"jc-{protocol}-n{n}"),
-            _block_fields(cfg, "bare", n, nodes), times, psi0)
+            _block_fields(cfg, "bare", n, nodes), times, INITIAL_STATE)
         fid_w += weights[n] * fid
         bf[n] = fid[-1]
-        rate = _rate(_block_fields(cfg, protocol, n, quad))
-        bc[n] = rate @ w / cfg.tau
-        rate2 = rate2 + rate * rate
-    if cost_mode == "weighted":
-        cost = float(weights @ bc)
-    else:
-        # Frobenius norm of the block direct sum, grows with the cutoff
-        cost = float(np.sqrt(rate2) @ w / cfg.tau)
+        bc[n] = _rate(_block_fields(cfg, protocol, n, quad)) @ w / cfg.tau
     # population-weighted fidelity normalized by captured mass
     fid = fid_w / weights.sum()
-    return JcEnsembleResult(times=times, fidelity=fid, cost=cost, weights=weights,
-                            block_final_fidelity=bf, block_costs=bc, tail=tail)
+    return JcEnsembleResult(times=times, fidelity=fid, cost=float(weights @ bc),
+                            weights=weights, block_final_fidelity=bf, block_costs=bc,
+                            tail=tail)
 
 
 def _lz_equivalent(cfg: JcConfig, n: int) -> LzConfig:
     """The LZ sweep whose default-ramp costs are block n's (see the module docstring)."""
-    _check_default_ramp(cfg)
     s = _rabi_scale(n)
     return LzConfig(tau=cfg.tau, delta=abs(cfg.delta), g0=s * cfg.g0, g1=s * cfg.g1)
 

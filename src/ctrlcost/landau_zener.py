@@ -62,7 +62,6 @@ class LzConfig:
     g0: float = -0.2
     g1: float = 0.2
     ramp: Optional[Ramp] = None
-    protocol: str = "bare"
 
     def __post_init__(self):
         if self.delta <= 0:

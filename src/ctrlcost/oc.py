@@ -45,9 +45,8 @@ checked.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -55,8 +54,7 @@ from .landau_zener import LzConfig, lz_ground_state, qsl_time
 from .twolevel import (_ALPHA, _GAUSS, _su2_steps, _qmul, _ordered_product,
                        _prefix_scan, _apply)
 
-__all__ = ["OcProblem", "OcResult", "evaluate", "optimize", "refine_result",
-           "tau_scan"]
+__all__ = ["OcProblem", "OcResult", "evaluate", "optimize", "refine_result"]
 
 CONTINUATION = (1e-3, 1e-6)   # intermediate infidelity targets, then q_target/2
 FTOL = 1e-12                  # SLSQP's tolerance on the change of C
@@ -216,9 +214,6 @@ class OcResult:
                 "nfev": self.nfev, "status": self.status, "message": self.message,
                 "stage_nfev": list(self.stage_nfev)}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_record())
-
 
 class _BudgetSpent(Exception):
     pass
@@ -296,8 +291,3 @@ def refine_result(problem: OcProblem, result: OcResult, steps: int = 16_384) -> 
         _linear(result.best_params, problem.n_max))
     return replace(result, q=q, cost=C, success=q <= problem.q_target)
 
-
-def tau_scan(problem: OcProblem, taus: Sequence[float]) -> list:
-    """Independent optimizations for each duration."""
-    return [optimize(replace(problem, config=replace(problem.config, tau=float(tau))))
-            for tau in taus]

@@ -1,5 +1,8 @@
 """Parametrically driven harmonic oscillator: protocols and energy cost.
 
+The frequency sweep omega(t) is a ``Ramp`` on [0, duration]; its closed-form
+deriv1 and deriv2 serve the CD and LCD constructions, and omega0 is its
+value at t = 0. The preset sweep is ``poly_smooth_ramp(w0, w1 - w0, tau)``.
 The oscillator starts in thermal equilibrium of the initial trap. All
 dynamical quantities reduce to the classical auxiliary solutions X(t), Y(t)
 of x'' + omega^2(t) x = 0 (Wronskian X Y' - X' Y = -1) and the Ermakov scale
@@ -32,11 +35,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .landau_zener import bisect_sign_change
-from .ramps import poly_smooth_ramp
+from .ramps import Ramp, poly_smooth_ramp
 from .twolevel import _ALPHA, _GAUSS, _prefix_scan, _simpson_weights
 
 __all__ = [
-    "FrequencySchedule",
     "OscillatorSolution",
     "OscillatorError",
     "CdValidityError",
@@ -81,29 +83,6 @@ class LcdValidityError(OscillatorError):
         super().__init__(f"LCD effective frequency non-positive at t={t}")
 
 
-@dataclass(frozen=True)
-class FrequencySchedule:
-    """omega(t) with closed-form first and second derivatives."""
-
-    omega: Callable
-    domega: Callable
-    ddomega: Callable
-    omega0: float
-    omega1: float
-    tau: float
-
-    @classmethod
-    def quintic(cls, omega0: float = 1.0, omega1: float = 10.0, tau: float = 2.5):
-        """Flat-endpoint quintic sweep omega0 -> omega1, the ramp of ``poly_smooth_ramp``."""
-        r = poly_smooth_ramp(omega0, omega1 - omega0, tau)
-        return cls(r.value, r.deriv1, r.deriv2, omega0, omega1, tau)
-
-    @classmethod
-    def constant(cls, omega0: float, tau: float):
-        """Constant frequency omega0: the quintic sweep omega0 -> omega0."""
-        return cls.quintic(omega0, omega0, tau)
-
-
 @dataclass
 class OscillatorSolution:
     """Grids of the classical pair (X, Y) and/or the Ermakov scale b."""
@@ -120,10 +99,10 @@ class OscillatorSolution:
         return self.X * self.Yd - self.Xd * self.Y
 
 
-def default_steps(sched: FrequencySchedule) -> int:
+def default_steps(ramp: Ramp) -> int:
     """Step count keeping the fastest oscillation well resolved."""
-    wmax = max(abs(sched.omega0), abs(sched.omega1), 1.0)
-    return int(min(400_000, max(8_000, 400 * wmax * sched.tau)))
+    wmax = max(abs(float(ramp.value(0.0))), abs(float(ramp.value(ramp.duration))), 1.0)
+    return int(min(400_000, max(8_000, 400 * wmax * ramp.duration)))
 
 
 def _exp_minus_identity(h: float, b: np.ndarray) -> np.ndarray:
@@ -170,22 +149,22 @@ def _fundamental_matrix(omega2_at, tau: float, steps: int):
     return t, np.concatenate([np.zeros((4, 1)), E.T], axis=1)
 
 
-def classical_solutions(sched: FrequencySchedule, steps: Optional[int] = None,
+def classical_solutions(ramp: Ramp, steps: Optional[int] = None,
                         omega2: Optional[Callable] = None) -> OscillatorSolution:
     """Both auxiliary solutions X (X0=0, X'0=1) and Y (Y0=1, Y'0=0) on a uniform grid.
 
     They are the columns of the CF4 fundamental matrix (module docstring).
     ``omega2`` overrides the squared frequency (used for the LCD effective
-    trap); by default it is sched.omega(t)^2. The Wronskian is checked and
+    trap); by default it is ramp.value(t)^2. The Wronskian is checked and
     the grid refined once if the drift exceeds the tolerance.
     """
     if steps is None:
-        steps = default_steps(sched)
+        steps = default_steps(ramp)
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
-    w2 = omega2 if omega2 is not None else (lambda t: sched.omega(t) ** 2)
+    w2 = omega2 if omega2 is not None else (lambda t: ramp.value(t) ** 2)
     for attempt in range(2):
-        t, E = _fundamental_matrix(w2, sched.tau, steps)
+        t, E = _fundamental_matrix(w2, ramp.duration, steps)
         Y, X, Yd, Xd = 1.0 + E[0], E[1], E[2], 1.0 + E[3]
         drift = float(np.max(np.abs(X * Yd - Xd * Y + 1.0)))
         if drift <= WRONSKIAN_TOL:
@@ -195,7 +174,7 @@ def classical_solutions(sched: FrequencySchedule, steps: Optional[int] = None,
         f"Wronskian drift {drift:.3e} above {WRONSKIAN_TOL} even after refinement")
 
 
-def ermakov_solve(sched: FrequencySchedule, steps: Optional[int] = None) -> OscillatorSolution:
+def ermakov_solve(ramp: Ramp, steps: Optional[int] = None) -> OscillatorSolution:
     """Integrate b'' + omega^2 b = omega0^2 / b^3 with b(0)=1, b'(0)=0.
 
     The initial conditions are those of thermal equilibrium in the initial
@@ -203,13 +182,13 @@ def ermakov_solve(sched: FrequencySchedule, steps: Optional[int] = None) -> Osci
     matrices of ``classical_solutions`` so that it checks them independently.
     """
     if steps is None:
-        steps = default_steps(sched)
-    h = sched.tau / steps
-    t = np.linspace(0.0, sched.tau, steps + 1)
-    w2_a = sched.omega(t[:-1]) ** 2
-    w2_m = sched.omega(t[:-1] + 0.5 * h) ** 2
-    w2_b = sched.omega(t[1:]) ** 2
-    w0sq = sched.omega0**2
+        steps = default_steps(ramp)
+    h = ramp.duration / steps
+    t = np.linspace(0.0, ramp.duration, steps + 1)
+    w2_a = ramp.value(t[:-1]) ** 2
+    w2_m = ramp.value(t[:-1] + 0.5 * h) ** 2
+    w2_b = ramp.value(t[1:]) ** 2
+    w0sq = float(ramp.value(0.0)) ** 2
     b, bd = 1.0, 0.0
     bs = np.empty(steps + 1)
     bds = np.empty(steps + 1)
@@ -233,44 +212,32 @@ def ermakov_solve(sched: FrequencySchedule, steps: Optional[int] = None) -> Osci
     return OscillatorSolution(times=t, b=bs, bd=bds)
 
 
-def _at_times(sol_times, arrs, t):
-    """Linear interpolation of solution arrays at arbitrary t."""
-    return [np.interp(t, sol_times, a) for a in arrs]
-
-
-def husimi_qstar(sched: FrequencySchedule, sol: OscillatorSolution, t=None,
+def husimi_qstar(ramp: Ramp, sol: OscillatorSolution,
                  omega_ref: Optional[float] = None, omega: Optional[Callable] = None):
-    """Adiabaticity parameter from the classical pair.
+    """Adiabaticity parameter from the classical pair, on the solution grid.
 
     Q* = [w0^2 (w^2 X^2 + X'^2) + (w^2 Y^2 + Y'^2)] / (2 w0 w)
 
-    ``omega_ref`` is the reference initial frequency (default sched.omega0);
-    ``omega`` overrides the instantaneous frequency (used for LCD). Q* is
-    evaluated on the full solution grid when t is None.
+    ``omega_ref`` is the reference initial frequency (default omega(0));
+    ``omega`` overrides the instantaneous frequency (used for LCD).
     """
-    w0 = sched.omega0 if omega_ref is None else float(omega_ref)
-    omf = omega if omega is not None else sched.omega
-    if t is None:
-        t = sol.times
-        X, Xd, Y, Yd = sol.X, sol.Xd, sol.Y, sol.Yd
-    else:
-        t = np.asarray(t, dtype=float)
-        X, Xd, Y, Yd = _at_times(sol.times, (sol.X, sol.Xd, sol.Y, sol.Yd), t)
-    w = np.asarray(omf(t), dtype=float)
+    w0 = float(ramp.value(0.0)) if omega_ref is None else float(omega_ref)
+    w = np.asarray((omega or ramp.value)(sol.times), dtype=float)
     if np.any(w <= 0.0):
         raise OscillatorError("omega(t) must be positive for Q*")
+    X, Xd, Y, Yd = sol.X, sol.Xd, sol.Y, sol.Yd
     return (w0**2 * (w**2 * X**2 + Xd**2) + (w**2 * Y**2 + Yd**2)) / (2.0 * w0 * w)
 
 
-def qstar_cd(sched: FrequencySchedule, t):
+def qstar_cd(ramp: Ramp, t):
     """Closed-form Q* under counterdiabatic driving.
 
     Q*_CD = [1 - omega_dot^2 / (4 omega^4)]^(-1/2); requires the
     no-trap-inversion condition omega^2 > omega_dot^2 / (4 omega^2).
     """
     t = np.asarray(t, dtype=float)
-    w = sched.omega(t)
-    wd = sched.domega(t)
+    w = ramp.value(t)
+    wd = ramp.deriv1(t)
     arg = 1.0 - wd**2 / (4.0 * w**4)
     bad = arg <= 0.0
     if np.any(bad):
@@ -278,41 +245,41 @@ def qstar_cd(sched: FrequencySchedule, t):
     return arg**-0.5
 
 
-def qstar_ie(sched: FrequencySchedule, t):
+def qstar_ie(ramp: Ramp, t):
     """Inverse-engineering adiabaticity parameter Q*_IE = 1 + omega_dot^2/(8 omega^4)."""
     t = np.asarray(t, dtype=float)
-    return 1.0 + sched.domega(t) ** 2 / (8.0 * sched.omega(t) ** 4)
+    return 1.0 + ramp.deriv1(t) ** 2 / (8.0 * ramp.value(t) ** 4)
 
 
-def lcd_frequency(sched: FrequencySchedule, t):
+def lcd_frequency(ramp: Ramp, t):
     """Effective squared frequency of the local counterdiabatic trap.
 
     Omega^2 = omega^2 - 3 omega_dot^2 / (4 omega^2) + omega_ddot / (2 omega).
     The sign is reported, not raised, so scans can map validity regions.
     """
     t = np.asarray(t, dtype=float)
-    w = sched.omega(t)
-    return w**2 - 3.0 * sched.domega(t) ** 2 / (4.0 * w**2) \
-        + sched.ddomega(t) / (2.0 * w)
+    w = ramp.value(t)
+    return w**2 - 3.0 * ramp.deriv1(t) ** 2 / (4.0 * w**2) \
+        + ramp.deriv2(t) / (2.0 * w)
 
 
-def lcd_omega0(sched: FrequencySchedule) -> float:
+def lcd_omega0(ramp: Ramp) -> float:
     """Initial effective LCD frequency (equals omega0 for flat-start ramps)."""
-    om2 = float(lcd_frequency(sched, 0.0))
+    om2 = float(lcd_frequency(ramp, 0.0))
     if om2 <= 0.0:
         raise LcdValidityError(0.0)
     return math.sqrt(om2)
 
 
-def cd_is_valid(sched: FrequencySchedule, samples: int = 4001) -> bool:
-    t = np.linspace(0.0, sched.tau, samples)
-    w = sched.omega(t)
-    return bool(np.all(4.0 * w**4 > sched.domega(t) ** 2))
+def cd_is_valid(ramp: Ramp, samples: int = 4001) -> bool:
+    t = np.linspace(0.0, ramp.duration, samples)
+    w = ramp.value(t)
+    return bool(np.all(4.0 * w**4 > ramp.deriv1(t) ** 2))
 
 
-def lcd_is_valid(sched: FrequencySchedule, samples: int = 4001) -> bool:
-    t = np.linspace(0.0, sched.tau, samples)
-    return bool(np.all(lcd_frequency(sched, t) > 0.0))
+def lcd_is_valid(ramp: Ramp, samples: int = 4001) -> bool:
+    t = np.linspace(0.0, ramp.duration, samples)
+    return bool(np.all(lcd_frequency(ramp, t) > 0.0))
 
 
 def cd_validity_edge(omega0: float = 1.0, omega1: float = 10.0,
@@ -332,31 +299,26 @@ def cd_validity_edge(omega0: float = 1.0, omega1: float = 10.0,
     hi = scale / min(omega0, omega1) ** 2
 
     def sign(tau):
-        return 1.0 if cd_is_valid(FrequencySchedule.quintic(omega0, omega1, tau)) else -1.0
+        return 1.0 if cd_is_valid(poly_smooth_ramp(omega0, omega1 - omega0, tau)) else -1.0
 
     return bisect_sign_change(sign, 0.9 * lo, 1.1 * hi, tol)
 
 
-def ie_energy(sched: FrequencySchedule, sol: OscillatorSolution, beta: float, t=None):
-    """Mean energy along the invariant-based trajectory (Ermakov route).
+def ie_energy(ramp: Ramp, sol: OscillatorSolution, beta: float):
+    """Mean energy along the invariant-based trajectory (Ermakov route), on the solution grid.
 
     <H_IE> = (1/2) [b'^2/(2 w0) + w^2 b^2/(2 w0) + w0/(2 b^2)] coth(beta w0 / 2)
     """
     if sol.b is None:
         raise ValueError("solution carries no Ermakov scale; run ermakov_solve")
-    if t is None:
-        t = sol.times
-        b, bd = sol.b, sol.bd
-    else:
-        t = np.asarray(t, dtype=float)
-        b, bd = _at_times(sol.times, (sol.b, sol.bd), t)
-    w0 = sched.omega0
-    w = sched.omega(t)
+    b, bd = sol.b, sol.bd
+    w0 = float(ramp.value(0.0))
+    w = ramp.value(sol.times)
     coth = 1.0 / math.tanh(beta * w0 / 2.0)
     return 0.5 * (bd**2 / (2 * w0) + w**2 * b**2 / (2 * w0) + w0 / (2 * b**2)) * coth
 
 
-def qstar_series(sched: FrequencySchedule, protocol: str,
+def qstar_series(ramp: Ramp, protocol: str,
                  steps: Optional[int] = None):
     """(times, Q*) for one protocol on a common grid.
 
@@ -366,34 +328,34 @@ def qstar_series(sched: FrequencySchedule, protocol: str,
     ie:   closed form.
     """
     if steps is None:
-        steps = default_steps(sched)
-    t = np.linspace(0.0, sched.tau, steps + 1)
+        steps = default_steps(ramp)
+    t = np.linspace(0.0, ramp.duration, steps + 1)
     if protocol == "bare":
-        sol = classical_solutions(sched, steps)
-        return t, husimi_qstar(sched, sol)
+        sol = classical_solutions(ramp, steps)
+        return t, husimi_qstar(ramp, sol)
     if protocol == "cd":
-        return t, qstar_cd(sched, t)
+        return t, qstar_cd(ramp, t)
     if protocol == "ie":
-        return t, qstar_ie(sched, t)
+        return t, qstar_ie(ramp, t)
     if protocol == "lcd":
-        om2 = lcd_frequency(sched, t)
+        om2 = lcd_frequency(ramp, t)
         if np.any(om2 <= 0.0):
             raise LcdValidityError(float(t[np.argmax(om2 <= 0.0)]))
-        sol = classical_solutions(sched, steps,
-                                  omega2=lambda tt: lcd_frequency(sched, tt))
-        omega_eff = lambda tt: np.sqrt(lcd_frequency(sched, tt))
-        return t, husimi_qstar(sched, sol, omega_ref=lcd_omega0(sched), omega=omega_eff)
+        sol = classical_solutions(ramp, steps,
+                                  omega2=lambda tt: lcd_frequency(ramp, tt))
+        omega_eff = lambda tt: np.sqrt(lcd_frequency(ramp, tt))
+        return t, husimi_qstar(ramp, sol, omega_ref=lcd_omega0(ramp), omega=omega_eff)
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
-def oscillator_cost(sched: FrequencySchedule, protocol: str, beta: float = 3.0,
+def oscillator_cost(ramp: Ramp, protocol: str, beta: float = 3.0,
                     steps: Optional[int] = None) -> float:
     """Time-averaged mean energy C = (1/tau) int <H_tot> dt for one protocol.
 
     <H_tot> = (w_t/2) Q*_k coth(beta w0/2); for LCD the prefactor frequency
     is Omega(t). Validity violations raise the corresponding typed error.
     """
-    t, q = qstar_series(sched, protocol, steps)
-    coth = 1.0 / math.tanh(beta * sched.omega0 / 2.0)
-    w = np.sqrt(lcd_frequency(sched, t)) if protocol == "lcd" else sched.omega(t)
-    return float((0.5 * w * q * coth) @ _simpson_weights(len(t) - 1, t[1] - t[0]) / sched.tau)
+    t, q = qstar_series(ramp, protocol, steps)
+    coth = 1.0 / math.tanh(beta * float(ramp.value(0.0)) / 2.0)
+    w = np.sqrt(lcd_frequency(ramp, t)) if protocol == "lcd" else ramp.value(t)
+    return float((0.5 * w * q * coth) @ _simpson_weights(len(t) - 1, t[1] - t[0]) / ramp.duration)

@@ -312,16 +312,23 @@ def bob_pulse(g_q: float, tau: float, kick_angles=(0.0, 0.0)) -> BobPulse:
 
 def ramp_from_dict(d: dict) -> Ramp:
     """Rebuild a Ramp from its {kind, parameters} JSON description."""
-    kind, p = d["kind"], d["parameters"]
-    if kind == "polynomial":
-        return poly_smooth_ramp(p["g0"], p["g_d"], p["tau"])
-    if kind == "fourier":
-        return oc_fourier_ramp(p["g0"], p["tau"], p.get("coeffs", []))
-    if kind == "tan-optimal":
-        return cd_na_ramp(p["delta"], p["g0"], p["g1"])
-    if kind == "tanh-optimal":
-        return cd_a_ramp(p["g0"], p["m"])
-    if kind == "blended":
+    if not isinstance(d, dict):
+        raise ValueError(f"a ramp must be a {{kind, parameters}} object, got {d!r}")
+    kind, p = d.get("kind"), d.get("parameters")
+    if kind not in ("polynomial", "fourier", "tan-optimal", "tanh-optimal", "blended"):
+        raise ValueError(f"unknown ramp kind {kind!r}")
+    if not isinstance(p, dict):
+        raise ValueError(f"{kind} ramp needs a 'parameters' object")
+    try:
+        if kind == "polynomial":
+            return poly_smooth_ramp(p["g0"], p["g_d"], p["tau"])
+        if kind == "fourier":
+            return oc_fourier_ramp(p["g0"], p["tau"], p.get("coeffs", []))
+        if kind == "tan-optimal":
+            return cd_na_ramp(p["delta"], p["g0"], p["g1"])
+        if kind == "tanh-optimal":
+            return cd_a_ramp(p["g0"], p["m"])
         return cd_blended_ramp(ramp_from_dict(p["g_a"]), ramp_from_dict(p["g_na"]),
                                p["eps"], p["tau"])
-    raise ValueError(f"unknown ramp kind {kind!r}")
+    except KeyError as err:
+        raise ValueError(f"{kind} ramp parameters lack {err.args[0]!r}") from None

@@ -30,8 +30,8 @@ coefficients share intermediate values (the LCD derivative chain)
 computes them once per evaluation.
 
 Cost integrals are products with composite Simpson weights
-(``_simpson_weights``), which the oscillator and the Jaynes-Cummings
-direct-sum cost share: the library imports numpy, not scipy.
+(``_simpson_weights``), which the oscillator, the Jaynes-Cummings ensemble
+and the LZ scans share: the library imports numpy, not scipy.
 """
 
 from __future__ import annotations
@@ -243,7 +243,7 @@ def _steps(coefficients, t_nodes: np.ndarray, label: str):
         bad = ~np.isfinite(c)
         if bad.any():
             raise ValueError(
-                f"non-finite coefficient {name} at t={_midpoints(t_nodes)[bad][0]!r}"
+                f"non-finite coefficient {name} at t={float(_midpoints(t_nodes)[bad][0])!r}"
                 + (f" (schedule {label})" if label else ""))
     dt = np.diff(t_nodes)
     return _su2_steps(cx, cy, cz, dt), c0 * dt
@@ -342,24 +342,22 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def _rate(coefficients, include_identity: bool = False):
+def _rate(coefficients):
     """Frobenius norm of H from its (c0, cx, cy, cz) rows; see ``cost_rate``."""
-    c0, cx, cy, cz = coefficients
-    out = (cx * cx + cy * cy + cz * cz) / 2.0
-    return np.sqrt(out + 2.0 * c0 * c0 if include_identity else out)
+    _, cx, cy, cz = coefficients
+    return np.sqrt((cx * cx + cy * cy + cz * cz) / 2.0)
 
 
-def cost_rate(schedule: PauliSchedule, t, include_identity: bool = False):
-    """Instantaneous cost dC/dt = Frobenius norm of H(t).
+def cost_rate(schedule: PauliSchedule, t):
+    """Instantaneous cost dC/dt = Frobenius norm of H(t) without its identity part.
 
-    ||H||_F = sqrt(2 c0^2 [if included] + (cx^2 + cy^2 + cz^2)/2). Identity
-    shifts are excluded by default so that constant energy offsets are free.
+    ||H||_F = sqrt((cx^2 + cy^2 + cz^2)/2): identity shifts are excluded so
+    that constant energy offsets are free.
     """
-    return _rate(schedule.coefficients(t), include_identity)
+    return _rate(schedule.coefficients(t))
 
 
-def integrated_cost(schedule: PauliSchedule, quadrature_steps: int = 4096,
-                    include_identity: bool = False):
+def integrated_cost(schedule: PauliSchedule, quadrature_steps: int = 4096):
     """Time-averaged cost C = (1/tau) int_0^tau ||H|| dt.
 
     Composite Simpson per smooth segment, one product with its weights.
@@ -379,7 +377,7 @@ def integrated_cost(schedule: PauliSchedule, quadrature_steps: int = 4096,
         t_in = t.copy()
         t_in[0] = a + 1e-12 * (b - a)
         t_in[-1] = b - 1e-12 * (b - a)
-        total += cost_rate(schedule, t_in, include_identity) @ _simpson_weights(n, t[1] - t[0])
+        total += cost_rate(schedule, t_in) @ _simpson_weights(n, t[1] - t[0])
     return total / tau
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -201,10 +202,20 @@ def test_removed_oc_params_rejected(name, tmp_path, capsys):
     ({"preset": "fig4", "params": {"omega0": 0}}, "param 'omega0' must be a positive"),
     ({"preset": "fig4", "params": {"beta": -1}}, "param 'beta' must be a positive"),
     ({"preset": "smoke", "seed": [1]}, "seed must be an integer"),
+    ({"preset": "fig1", "trajectory_steps": 0}, "trajectory_steps must be >= 2, got 0"),
+    ({"preset": "fig1", "trajectory_steps": 1}, "trajectory_steps must be >= 2, got 1"),
+    ({"preset": "fig4", "tau": [], "scan_points": 0}, "scan_points must be >= 1, got 0"),
+    ({"model": "lz", "mode": "trajectory", "ramp": 5},
+     "a ramp must be a {kind, parameters} object, got 5"),
+    ({"model": "lz", "mode": "trajectory", "ramp": {"kind": "polynomial"}},
+     "polynomial ramp needs a 'parameters' object"),
+    ({"model": "lz", "mode": "trajectory",
+      "ramp": {"kind": "tan-optimal", "parameters": {"delta": 0.1, "g0": -0.2}}},
+     "tan-optimal ramp parameters lack 'g1'"),
 ])
 def test_bad_param_values_rejected_in_one_line(raw, match, tmp_path, capsys):
-    # wrong types, fractional counts and non-positive oscillator parameters
-    # end both subcommands before anything runs
+    # wrong types, fractional or too small counts, non-positive oscillator
+    # parameters and incomplete ramps end both subcommands before anything runs
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**raw, "out": str(tmp_path / "o")}))
     for command in ("validate", "run"):
@@ -212,6 +223,25 @@ def test_bad_param_values_rejected_in_one_line(raw, match, tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {match}") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("params, match", [({"delta": 0}, "detuning delta must be nonzero"),
+                                           ({"n_cut": -1}, "excitation cutoff must be >= 0")])
+def test_bad_jc_config_is_invalid_and_fails_run_in_one_line(params, match, tmp_path, capsys):
+    # validate builds the blocks' JcConfig, so it rejects what run rejects,
+    # and neither warns on the way
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"preset": "fig5", "params": params, "out": str(tmp_path / "o")}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: invalid config, failed checks: jc config\n"
+        assert [(c["check"], c["ok"]) for c in json.loads(out)["checks"]] == [("jc config", False)]
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {match}") and err.count("\n") == 1
+    assert not list((tmp_path / "o").glob("*"))
 
 
 def test_integral_float_counts_are_accepted():
@@ -378,7 +408,14 @@ def test_main_errors_on_unknown_preset(capsys):
     assert main(["run", "fig9"]) == 2
 
 
-@pytest.mark.parametrize("name", ["SEED", "THREADS"])
+def test_threads_flag_is_a_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as err:
+        main(["run", "smoke", "--threads", "2", "--out", str(tmp_path / "o")])
+    assert err.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name", ["SEED"])
 def test_main_errors_on_non_integer_env_setting(name, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(f"CTRLCOST_{name}", "abc")
     assert main(["run", "smoke", "--out", str(tmp_path / "o")]) == 2

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from ctrlcost.oscillator import (FrequencySchedule, classical_solutions,
+from ctrlcost.ramps import Ramp, poly_smooth_ramp
+from ctrlcost.oscillator import (classical_solutions,
                                  ermakov_solve, husimi_qstar, qstar_cd,
                                  qstar_ie, lcd_frequency, lcd_omega0,
                                  ie_energy, qstar_series, oscillator_cost,
@@ -37,26 +38,26 @@ def random_smooth_schedule(seed=19, tau=2.0):
         return sum(-ak * ((k + 1) * np.pi / tau) ** 2 * np.sin((k + 1) * np.pi * t / tau)
                    for k, ak in enumerate(a))
 
-    return FrequencySchedule(om, dom, ddom, 1.5, 1.5, tau)
+    return Ramp("sine series", tau, {}, om, dom, ddom)
 
 
 # ---------------------------------------------------------------------------
 # classical solutions
 
 def test_constant_frequency_closed_forms():
-    sched = FrequencySchedule.constant(2.0, 3.0)
-    sol = classical_solutions(sched, steps=6000)
+    omega = poly_smooth_ramp(2.0, 0.0, 3.0)
+    sol = classical_solutions(omega, steps=6000)
     t = sol.times
     assert np.allclose(sol.X, np.sin(2.0 * t) / 2.0, atol=1e-10)
     assert np.allclose(sol.Y, np.cos(2.0 * t), atol=1e-10)
 
 
 def test_wronskian_conserved():
-    for sched in (FrequencySchedule.quintic(W0, W1, 1.6),
-                  FrequencySchedule.quintic(W0, W1, 2.5),
-                  FrequencySchedule.quintic(W0, W1, 50.0),
+    for omega in (poly_smooth_ramp(W0, W1 - W0, 1.6),
+                  poly_smooth_ramp(W0, W1 - W0, 2.5),
+                  poly_smooth_ramp(W0, W1 - W0, 50.0),
                   random_smooth_schedule()):
-        sol = classical_solutions(sched)
+        sol = classical_solutions(omega)
         assert np.max(np.abs(sol.wronskian() + 1.0)) < 1e-8
 
 
@@ -64,25 +65,25 @@ def test_piecewise_constant_quench_matches_analytic():
     # integrate a sudden w0 -> w1 quench segment by segment; the stepper must
     # reproduce the closed-form matching of (X, X') across the jump
     t1, t2 = 0.8, 1.1
-    seg1 = FrequencySchedule.constant(W0, t1)
+    seg1 = poly_smooth_ramp(W0, 0.0, t1)
     sol1 = classical_solutions(seg1, steps=4000)
     x_end, v_end = sol1.X[-1], sol1.Xd[-1]
     # analytic continuation under w1 from those initial conditions
     assert x_end == pytest.approx(math.sin(W0 * t1) / W0, abs=1e-10)
     tt = np.linspace(0.0, t2, 7)
     exact = x_end * np.cos(W1 * tt) + (v_end / W1) * np.sin(W1 * tt)
-    seg2 = FrequencySchedule.constant(W1, t2)
+    seg2 = poly_smooth_ramp(W1, 0.0, t2)
     sol2 = classical_solutions(seg2, steps=8000)
     got = np.interp(tt, sol2.times, x_end * sol2.Y + v_end * sol2.X)
     assert np.allclose(got, exact, atol=1e-9)
 
 
 def test_fourth_order_convergence():
-    sched = random_smooth_schedule(seed=23)
-    ref = classical_solutions(sched, steps=2**15)
+    omega = random_smooth_schedule(seed=23)
+    ref = classical_solutions(omega, steps=2**15)
     errs = []
     for n in (128, 256, 512):
-        sol = classical_solutions(sched, steps=n)
+        sol = classical_solutions(omega, steps=n)
         errs.append(abs(sol.X[-1] - ref.X[-1]) + abs(sol.Xd[-1] - ref.Xd[-1]))
     r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
     assert 12.0 < r1 < 21.0
@@ -92,10 +93,10 @@ def test_fourth_order_convergence():
 @pytest.mark.parametrize("tau", [1.6, 2.5])
 @pytest.mark.parametrize("protocol", ["bare", "lcd"])
 def test_classical_pair_matches_solve_ivp(tau, protocol):
-    sched = FrequencySchedule.quintic(W0, W1, tau)
-    omega2 = (lambda t: lcd_frequency(sched, t)) if protocol == "lcd" else None
-    w2 = omega2 or (lambda t: sched.omega(t) ** 2)
-    sol = classical_solutions(sched, omega2=omega2)
+    omega = poly_smooth_ramp(W0, W1 - W0, tau)
+    omega2 = (lambda t: lcd_frequency(omega, t)) if protocol == "lcd" else None
+    w2 = omega2 or (lambda t: omega.value(t) ** 2)
+    sol = classical_solutions(omega, omega2=omega2)
     at = np.arange(0, len(sol.times), 97)
     ref = solve_ivp(lambda t, y: [y[1], -w2(t) * y[0], y[3], -w2(t) * y[2]],
                     (0.0, tau), [0.0, 1.0, 1.0, 0.0], method="DOP853",
@@ -107,8 +108,8 @@ def test_classical_pair_matches_solve_ivp(tau, protocol):
 def test_inverted_trap_closed_forms():
     # omega^2 = -kappa^2 < 0 takes the cosh branch of every step
     kappa = 1.5
-    sched = FrequencySchedule.constant(W0, 2.0)
-    sol = classical_solutions(sched, steps=4000,
+    omega = poly_smooth_ramp(W0, 0.0, 2.0)
+    sol = classical_solutions(omega, steps=4000,
                               omega2=lambda t: np.full_like(t, -kappa**2))
     t = sol.times
     assert np.allclose(sol.X, np.sinh(kappa * t) / kappa, rtol=1e-12, atol=0.0)
@@ -119,8 +120,8 @@ def test_inverted_trap_closed_forms():
 
 def test_free_particle_closed_forms():
     # omega^2 = 0 takes the k -> 0 limit of every step: X = t, Y = 1
-    sched = FrequencySchedule.constant(W0, 3.0)
-    sol = classical_solutions(sched, steps=4000, omega2=np.zeros_like)
+    omega = poly_smooth_ramp(W0, 0.0, 3.0)
+    sol = classical_solutions(omega, steps=4000, omega2=np.zeros_like)
     t = sol.times
     assert np.max(np.abs(sol.X - t)) < 1e-12
     assert np.max(np.abs(sol.Xd - 1.0)) < 1e-12
@@ -129,11 +130,11 @@ def test_free_particle_closed_forms():
 
 
 def test_wronskian_round_off_at_40k_steps():
-    for sched in (FrequencySchedule.quintic(W0, W1, 1.6),
-                  FrequencySchedule.quintic(W0, W1, 2.5),
-                  FrequencySchedule.quintic(W0, W1, 50.0),
+    for omega in (poly_smooth_ramp(W0, W1 - W0, 1.6),
+                  poly_smooth_ramp(W0, W1 - W0, 2.5),
+                  poly_smooth_ramp(W0, W1 - W0, 50.0),
                   random_smooth_schedule()):
-        sol = classical_solutions(sched, steps=40_000)
+        sol = classical_solutions(omega, steps=40_000)
         assert np.max(np.abs(sol.wronskian() + 1.0)) < 1e-12
 
 
@@ -141,33 +142,32 @@ def test_wronskian_round_off_at_40k_steps():
 # Husimi Q*
 
 def test_qstar_constant_is_one():
-    sched = FrequencySchedule.constant(W0, 4.0)
-    sol = classical_solutions(sched, steps=4000)
-    assert np.allclose(husimi_qstar(sched, sol), 1.0, atol=1e-12)
+    omega = poly_smooth_ramp(W0, 0.0, 4.0)
+    sol = classical_solutions(omega, steps=4000)
+    assert np.allclose(husimi_qstar(omega, sol), 1.0, atol=1e-12)
 
 
 def test_qstar_sudden_quench():
     # free solutions cross an instantaneous step w0 -> w1 at t = 0:
     # Q* = (w0^2 + w1^2)/(2 w0 w1) = 5.05 for (1, 10)
-    sched = FrequencySchedule.constant(W1, 1.0)
-    sol = classical_solutions(sched, steps=4000)
-    q = husimi_qstar(sched, sol, omega_ref=W0)
+    omega = poly_smooth_ramp(W1, 0.0, 1.0)
+    sol = classical_solutions(omega, steps=4000)
+    q = husimi_qstar(omega, sol, omega_ref=W0)
     assert np.allclose(q, (W0**2 + W1**2) / (2 * W0 * W1), atol=1e-10)
     assert np.allclose(q, 5.05, atol=1e-10)
 
 
 @pytest.mark.parametrize("tau", [1.6, 2.5, 8.0])
 def test_qstar_at_least_one(tau):
-    sched = FrequencySchedule.quintic(W0, W1, tau)
-    _, q = qstar_series(sched, "bare")
+    omega = poly_smooth_ramp(W0, W1 - W0, tau)
+    _, q = qstar_series(omega, "bare")
     assert np.all(q >= 1.0 - 1e-12)
 
 
 def test_qstar_rejects_nonpositive_frequency():
-    sched = FrequencySchedule.constant(2.0, 1.0)
-    sol = classical_solutions(sched, steps=1000)
-    bad = FrequencySchedule(lambda t: -np.ones_like(np.asarray(t, dtype=float)),
-                            sched.domega, sched.ddomega, 2.0, 2.0, 1.0)
+    omega = poly_smooth_ramp(2.0, 0.0, 1.0)
+    sol = classical_solutions(omega, steps=1000)
+    bad = Ramp("constant", 1.0, {}, lambda t: -np.ones_like(t), omega.deriv1, omega.deriv2)
     with pytest.raises(OscillatorError, match="positive"):
         husimi_qstar(bad, sol)
 
@@ -176,29 +176,29 @@ def test_qstar_rejects_nonpositive_frequency():
 # CD
 
 def test_qstar_cd_closed_form_cases():
-    sched = FrequencySchedule.constant(W0, 1.0)
-    assert float(qstar_cd(sched, 0.5)) == 1.0
-    sched = FrequencySchedule.quintic(W0, W1, 2.5)
+    omega = poly_smooth_ramp(W0, 0.0, 1.0)
+    assert float(qstar_cd(omega, 0.5)) == 1.0
+    omega = poly_smooth_ramp(W0, W1 - W0, 2.5)
     t = np.linspace(0, 2.5, 101)
-    q = qstar_cd(sched, t)
-    w, wd = sched.omega(t), sched.domega(t)
+    q = qstar_cd(omega, t)
+    w, wd = omega.value(t), omega.deriv1(t)
     assert np.allclose(q, (1 - wd**2 / (4 * w**4)) ** -0.5, rtol=1e-14)
     assert q[0] == 1.0 and q[-1] == 1.0
 
 
 def test_cd_validity_error_carries_time():
-    sched = FrequencySchedule.quintic(W0, W1, 1.0)  # below the edge
-    assert not cd_is_valid(sched)
+    omega = poly_smooth_ramp(W0, W1 - W0, 1.0)  # below the edge
+    assert not cd_is_valid(omega)
     with pytest.raises(CdValidityError) as err:
-        qstar_cd(sched, np.linspace(0, 1, 2001))
+        qstar_cd(omega, np.linspace(0, 1, 2001))
     assert 0.0 < err.value.t < 1.0
 
 
 def test_cd_validity_edge_location():
     edge = cd_validity_edge(W0, W1)
     assert edge == pytest.approx(1.52, rel=0.02)
-    assert cd_is_valid(FrequencySchedule.quintic(W0, W1, edge * 1.01))
-    assert not cd_is_valid(FrequencySchedule.quintic(W0, W1, edge * 0.99))
+    assert cd_is_valid(poly_smooth_ramp(W0, W1 - W0, edge * 1.01))
+    assert not cd_is_valid(poly_smooth_ramp(W0, W1 - W0, edge * 0.99))
 
 
 def test_cd_validity_edge_off_the_default_sweep():
@@ -207,8 +207,8 @@ def test_cd_validity_edge_off_the_default_sweep():
     up, down = cd_validity_edge(2.0, 3.0), cd_validity_edge(3.0, 2.0)
     assert up == pytest.approx(0.161, abs=1e-3)
     assert down == pytest.approx(up, abs=2e-4)
-    assert cd_is_valid(FrequencySchedule.quintic(2.0, 3.0, up * 1.01))
-    assert not cd_is_valid(FrequencySchedule.quintic(2.0, 3.0, up * 0.99))
+    assert cd_is_valid(poly_smooth_ramp(2.0, 1.0, up * 1.01))
+    assert not cd_is_valid(poly_smooth_ramp(2.0, 1.0, up * 0.99))
     assert cd_validity_edge(2.0, 2.0) == 0.0
 
 
@@ -217,8 +217,8 @@ def test_qstar_cd_diverges_toward_violation():
     taus = [edge * f for f in (1.5, 1.2, 1.05, 1.01)]
     peaks = []
     for tau in taus:
-        sched = FrequencySchedule.quintic(W0, W1, tau)
-        peaks.append(float(np.max(qstar_cd(sched, np.linspace(0, tau, 4001)))))
+        omega = poly_smooth_ramp(W0, W1 - W0, tau)
+        peaks.append(float(np.max(qstar_cd(omega, np.linspace(0, tau, 4001)))))
     assert np.all(np.diff(peaks) > 0)
 
 
@@ -226,77 +226,77 @@ def test_qstar_cd_diverges_toward_violation():
 # LCD
 
 def test_lcd_frequency_constant_and_endpoints():
-    sched = FrequencySchedule.constant(3.0, 1.0)
-    assert np.allclose(lcd_frequency(sched, np.linspace(0, 1, 5)), 9.0)
-    sched = FrequencySchedule.quintic(W0, W1, 2.5)
-    assert float(lcd_frequency(sched, 0.0)) == pytest.approx(W0**2, rel=1e-14)
-    assert float(lcd_frequency(sched, 2.5)) == pytest.approx(W1**2, rel=1e-14)
-    assert lcd_omega0(sched) == pytest.approx(W0, rel=1e-14)
+    omega = poly_smooth_ramp(3.0, 0.0, 1.0)
+    assert np.allclose(lcd_frequency(omega, np.linspace(0, 1, 5)), 9.0)
+    omega = poly_smooth_ramp(W0, W1 - W0, 2.5)
+    assert float(lcd_frequency(omega, 0.0)) == pytest.approx(W0**2, rel=1e-14)
+    assert float(lcd_frequency(omega, 2.5)) == pytest.approx(W1**2, rel=1e-14)
+    assert lcd_omega0(omega) == pytest.approx(W0, rel=1e-14)
 
 
 def test_lcd_qstar_returns_to_one():
     for tau in (1.6, 2.5):
-        sched = FrequencySchedule.quintic(W0, W1, tau)
-        _, q = qstar_series(sched, "lcd")
+        omega = poly_smooth_ramp(W0, W1 - W0, tau)
+        _, q = qstar_series(omega, "lcd")
         assert q[0] == pytest.approx(1.0, abs=1e-10)
         assert q[-1] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_lcd_sign_reported_not_raised():
-    sched = FrequencySchedule.quintic(W0, W1, 0.3)
-    om2 = lcd_frequency(sched, np.linspace(0, 0.3, 301))
+    omega = poly_smooth_ramp(W0, W1 - W0, 0.3)
+    om2 = lcd_frequency(omega, np.linspace(0, 0.3, 301))
     assert np.any(om2 < 0)  # reported as data
-    assert not lcd_is_valid(sched)
+    assert not lcd_is_valid(omega)
 
 
 # ---------------------------------------------------------------------------
 # Ermakov / IE
 
 def test_ermakov_constant_fixed_point():
-    sched = FrequencySchedule.constant(W0, 5.0)
-    sol = ermakov_solve(sched, steps=5000)
+    omega = poly_smooth_ramp(W0, 0.0, 5.0)
+    sol = ermakov_solve(omega, steps=5000)
     assert np.max(np.abs(sol.b - 1.0)) < 1e-10
 
 
 def test_ermakov_adiabatic_limit():
-    sched = FrequencySchedule.quintic(W0, W1, 60.0)
-    sol = ermakov_solve(sched)
+    omega = poly_smooth_ramp(W0, W1 - W0, 60.0)
+    sol = ermakov_solve(omega)
     assert sol.b[-1] == pytest.approx(math.sqrt(W0 / W1), abs=2e-4)
     assert np.all(sol.b > 0)
 
 
 def test_qstar_cross_oracle_xy_vs_ermakov():
     # Husimi route vs the b-route energy ratio on the bare schedule
-    sched = FrequencySchedule.quintic(W0, W1, 2.5)
+    omega = poly_smooth_ramp(W0, W1 - W0, 2.5)
     steps = 40_000
-    sol = classical_solutions(sched, steps)
-    erm = ermakov_solve(sched, steps)
-    q_xy = husimi_qstar(sched, sol)
-    energy = ie_energy(sched, erm, BETA)
-    q_b = energy / (0.5 * sched.omega(sol.times) * COTH)
+    sol = classical_solutions(omega, steps)
+    erm = ermakov_solve(omega, steps)
+    q_xy = husimi_qstar(omega, sol)
+    energy = ie_energy(omega, erm, BETA)
+    q_b = energy / (0.5 * omega.value(sol.times) * COTH)
     assert np.max(np.abs(q_xy - q_b)) < 1e-6
 
 
 def test_ie_energy_thermal_start():
-    sched = FrequencySchedule.quintic(W0, W1, 2.5)
-    erm = ermakov_solve(sched, steps=2000)
-    e0 = float(ie_energy(sched, erm, BETA, t=0.0))
+    omega = poly_smooth_ramp(W0, W1 - W0, 2.5)
+    erm = ermakov_solve(omega, steps=2000)
+    e0 = float(ie_energy(omega, erm, BETA)[0])
     assert e0 == pytest.approx(0.5 * COTH, rel=1e-12)
     assert e0 == pytest.approx(0.5524, abs=5e-5)
 
 
 def test_qstar_ie_closed_form():
-    sched = FrequencySchedule.constant(W0, 1.0)
-    assert float(qstar_ie(sched, 0.3)) == 1.0
-    sched = FrequencySchedule.quintic(W0, W1, 2.5)
+    omega = poly_smooth_ramp(W0, 0.0, 1.0)
+    assert float(qstar_ie(omega, 0.3)) == 1.0
+    omega = poly_smooth_ramp(W0, W1 - W0, 2.5)
     t = np.linspace(0, 2.5, 301)
-    q = qstar_ie(sched, t)
+    q = qstar_ie(omega, t)
     assert np.all(q >= 1.0)
-    assert np.allclose(q, 1 + sched.domega(t) ** 2 / (8 * sched.omega(t) ** 4),
+    assert np.allclose(q, 1 + omega.deriv1(t) ** 2 / (8 * omega.value(t) ** 4),
                        rtol=1e-15)
     # peak location and magnitude from a dense closed-form grid
     tt = np.linspace(0, 2.5, 200_001)
-    qq = 1 + sched.domega(tt) ** 2 / (8 * sched.omega(tt) ** 4)
+    qq = 1 + omega.deriv1(tt) ** 2 / (8 * omega.value(tt) ** 4)
     assert float(np.max(q)) <= float(np.max(qq)) + 1e-12
 
 
@@ -305,30 +305,30 @@ def test_qstar_ie_closed_form():
 
 def test_cost_long_duration_limit():
     # Q* -> 1 for every protocol: C -> (coth/2) * mean omega = 2.75 coth(1.5)
-    sched = FrequencySchedule.quintic(W0, W1, 50.0)
+    omega = poly_smooth_ramp(W0, W1 - W0, 50.0)
     target = 2.75 * COTH
     for proto in ("cd", "lcd", "ie", "bare"):
-        assert oscillator_cost(sched, proto, BETA) == pytest.approx(target, rel=0.01)
+        assert oscillator_cost(omega, proto, BETA) == pytest.approx(target, rel=0.01)
     assert target == pytest.approx(3.0382, abs=1e-4)
 
 
 @pytest.mark.parametrize("tau", [1.6, 2.5])
 def test_protocol_cost_ordering(tau):
-    sched = FrequencySchedule.quintic(W0, W1, tau)
-    c_cd = oscillator_cost(sched, "cd", BETA)
-    c_lcd = oscillator_cost(sched, "lcd", BETA)
-    c_ie = oscillator_cost(sched, "ie", BETA)
+    omega = poly_smooth_ramp(W0, W1 - W0, tau)
+    c_cd = oscillator_cost(omega, "cd", BETA)
+    c_lcd = oscillator_cost(omega, "lcd", BETA)
+    c_ie = oscillator_cost(omega, "ie", BETA)
     assert c_ie <= c_lcd
     assert c_ie <= c_cd
 
 
 def test_cd_cost_propagates_validity_error():
-    sched = FrequencySchedule.quintic(W0, W1, 1.0)
+    omega = poly_smooth_ramp(W0, W1 - W0, 1.0)
     with pytest.raises(CdValidityError):
-        oscillator_cost(sched, "cd", BETA)
+        oscillator_cost(omega, "cd", BETA)
 
 
 def test_lcd_cost_raises_when_inverted():
-    sched = FrequencySchedule.quintic(W0, W1, 0.3)
+    omega = poly_smooth_ramp(W0, W1 - W0, 0.3)
     with pytest.raises(LcdValidityError):
-        oscillator_cost(sched, "lcd", BETA)
+        oscillator_cost(omega, "lcd", BETA)

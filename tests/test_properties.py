@@ -13,12 +13,12 @@ from ctrlcost.jaynes_cummings import (JcConfig, jc_block, jc_cd_block,  # noqa: 
                                       jc_lcd_block)
 from ctrlcost.ramps import (cd_a_ramp, cd_blended_ramp, cd_na_ramp,  # noqa: E402
                             oc_fourier_ramp, poly_smooth_ramp, ramp_from_dict)
-from ctrlcost.oscillator import (FrequencySchedule, cd_validity_edge,  # noqa: E402
+from ctrlcost.oscillator import (cd_validity_edge,  # noqa: E402
                                  classical_solutions, ermakov_solve,
                                  husimi_qstar, ie_energy,
                                  _exp_minus_identity, _near_identity_product)
-from ctrlcost.twolevel import (_ordered_product, _prefix_scan, _qmul,  # noqa: E402
-                               _su2_steps)
+from ctrlcost.twolevel import (PauliSchedule, integrated_cost, propagate,  # noqa: E402
+                               _ordered_product, _prefix_scan, _qmul, _su2_steps)
 
 BETA = 3.0
 
@@ -29,13 +29,13 @@ BETA = 3.0
 def test_quintic_sweep_invariants(omega0, omega1, stretch):
     # durations above the CD validity edge of each sweep
     tau = stretch * cd_validity_edge(omega0, omega1)
-    sched = FrequencySchedule.quintic(omega0, omega1, tau)
-    sol = classical_solutions(sched)
+    omega = poly_smooth_ramp(omega0, omega1 - omega0, tau)
+    sol = classical_solutions(omega)
     assert np.max(np.abs(sol.wronskian() + 1.0)) < 1e-12
-    q = husimi_qstar(sched, sol)
+    q = husimi_qstar(omega, sol)
     assert np.all(q >= 1.0 - 1e-9)
     coth = 1.0 / math.tanh(BETA * omega0 / 2.0)
-    q_b = ie_energy(sched, ermakov_solve(sched), BETA) / (0.5 * sched.omega(sol.times) * coth)
+    q_b = ie_energy(omega, ermakov_solve(omega), BETA) / (0.5 * omega.value(sol.times) * coth)
     assert np.max(np.abs(q - q_b)) < 1e-6
 
 
@@ -58,6 +58,42 @@ def test_prefix_scan_matches_sequential_products(n, seed):
                 prefix = mul(steps[k], prefix)
             assert np.max(np.abs(scan[k] - prefix)) < 1e-13 * max(1.0, np.max(np.abs(prefix)))
     assert np.max(np.abs(_prefix_scan(q)[-1] - _ordered_product(q))) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# two-level propagation over generated smooth schedules
+
+
+@st.composite
+def smooth_fields(draw):
+    """(duration, t -> (cx, cy, cz)): sine series about a constant field with |cx| >= 0.05."""
+    tau = draw(st.floats(0.1, 50.0))
+    offsets = (draw(st.floats(0.5, 2.0)), draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+    amps = [[draw(st.floats(-0.15, 0.15)) for _ in range(3)] for _ in offsets]
+
+    def fields(t):
+        return tuple(c + sum(a * np.sin((k + 1) * np.pi * t / tau) for k, a in enumerate(row))
+                     for c, row in zip(offsets, amps))
+
+    return tau, fields
+
+
+@settings(max_examples=40, deadline=None)
+@given(sweep=smooth_fields(), c0=st.floats(-50.0, 50.0), shift=st.floats(-50.0, 50.0),
+       steps=st.integers(16, 2000), theta=st.floats(0.0, math.pi),
+       phi=st.floats(0.0, 2.0 * math.pi))
+def test_propagation_is_unitary_and_blind_to_identity_shifts(sweep, c0, shift, steps,
+                                                              theta, phi):
+    tau, fields = sweep
+    base = PauliSchedule(duration=tau, fields=lambda t: (c0, *fields(t)))
+    shifted = PauliSchedule(duration=tau, fields=lambda t: (c0 + shift, *fields(t)))
+    psi0 = np.array([math.cos(theta / 2), np.exp(1j * phi) * math.sin(theta / 2)])
+    a, b = propagate(base, psi0, steps), propagate(shifted, psi0, steps)
+    for traj in (a, b):
+        assert np.max(np.abs(traj.norms() - 1.0)) <= 1e-12
+    # c0 only multiplies every state by a phase, and the cost excludes it
+    assert np.max(np.abs(a.fidelity - b.fidelity)) <= 1e-12
+    assert integrated_cost(shifted) == pytest.approx(integrated_cost(base), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +138,7 @@ def test_jc_blocks_match_their_closed_forms(delta, sign, n, g0, g1, tau, omega):
             dg * 30 * (x**2 - 2 * x**3 + x**4) / tau,
             dg * (60 * x - 180 * x**2 + 120 * x**3) / tau**2)
     for kind, build in (("bare", jc_block), ("cd", jc_cd_block), ("lcd", jc_lcd_block)):
-        got = np.array(build(cfg, n).schedule.coefficients(t))
+        got = np.array(build(cfg, n).coefficients(t))
         want = np.array(jc_block_oracle(kind, cfg.delta, omega, n, *rows))
         assert np.array_equal(got[0], np.full_like(t, (2 * n + 1) * omega / 2.0))
         # relative to the field's size |(cx, cy, cz)| >= |delta|, so cz's zero crossing counts too

@@ -114,7 +114,6 @@ def test_gauge_invariance_of_fidelity_and_cost():
     t2 = propagate(shifted, KET0, steps=1500)
     assert np.allclose(t1.fidelity, t2.fidelity, atol=1e-12)
     assert integrated_cost(base) == pytest.approx(integrated_cost(shifted), rel=1e-14)
-    assert integrated_cost(shifted, include_identity=True) > integrated_cost(shifted)
 
 
 def test_spectrum_symmetry_with_zero_identity():
@@ -153,7 +152,8 @@ def test_nan_coefficient_aborts_with_timestamp():
         return np.where(t > 0.5, np.nan, 1.0)
 
     sched = PauliSchedule(duration=1.0, fields=lambda t: (0.0, bad(t), 0.0, 0.0))
-    with pytest.raises(ValueError, match="non-finite coefficient"):
+    # the first midpoint past 0.5, printed as a float
+    with pytest.raises(ValueError, match=r"^non-finite coefficient cx at t=0\.5078125$"):
         propagate(sched, KET0, steps=64)
 
 
