@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, jaynes_cummings, landau_zener, oscillator
-from .ramps import bob_pulse, poly_smooth_ramp, ramp_from_dict
+from .ramps import bob_pulse, poly_smooth_ramp, ramp_from_dict, _finite
 from .twolevel import integrated_cost, instantaneous_eigenstates
 from .landau_zener import (LzConfig, lz_cd, lz_lcd, lz_bob,
                            lz_ground_state, qsl_time, optimize_bob_kicks,
@@ -33,7 +32,8 @@ from .landau_zener import (LzConfig, lz_cd, lz_lcd, lz_bob,
 from .oscillator import (qstar_series, oscillator_cost, cd_validity_edge,
                          cd_is_valid, lcd_is_valid, OscillatorError)
 from .jaynes_cummings import (JcConfig, block_run, ensemble_run, jc_cost_scan,
-                              find_jc_crossover, coherent_weights, TAIL_TOL)
+                              coherent_cost_scan, find_jc_crossover, coherent_weights,
+                              TAIL_TOL)
 from .oc import OcProblem, optimize, refine_result
 
 ENV_PREFIX = "CTRLCOST_"
@@ -80,8 +80,7 @@ class ExperimentConfig:
 
 def _number(name: str, value, kind: str):
     """value, if it is a finite number of the kind (an integer may be written 600.0)."""
-    ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-          and math.isfinite(value) and (kind != _INT or float(value).is_integer())
+    ok = (_finite(value) and (kind != _INT or float(value).is_integer())
           and (kind != _POSITIVE or value > 0))
     if not ok:
         raise ValueError(f"{name} must be {kind}, got {value!r}")
@@ -210,28 +209,28 @@ PRESETS = {
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
 class CsvWriter:
+    """A table added column-wise and written with every value as %.17g."""
+
     def __init__(self, path: Path, columns, config_hash: str):
         self.path = path
         self.columns = columns
-        self.rows = []
+        self.blocks = [np.empty((0, len(columns)))]
         self.config_hash = config_hash
 
-    def add(self, *row):
-        if len(row) != len(self.columns):
-            raise ValueError("row length mismatch")
-        self.rows.append(row)
+    def add(self, *columns):
+        """Append rows, one argument per column: a scalar or an array of the rows' length."""
+        cols = np.broadcast_arrays(*(np.atleast_1d(np.asarray(c, dtype=float)) for c in columns))
+        if len(cols) != len(self.columns) or cols[0].ndim != 1:
+            raise ValueError(f"{self.path.name} takes {len(self.columns)} equal-length columns")
+        self.blocks.append(np.column_stack(cols))
 
     def write(self):
+        row = ",".join(["%.17g"] * len(self.columns)) + "\n"
         with open(self.path, "w", encoding="utf-8") as fh:
             fh.write(f"# config_hash={self.config_hash} ctrlcost={__version__}\n")
             fh.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                fh.write(",".join(_fmt(x) for x in row) + "\n")
+            fh.write("".join(row % tuple(r) for r in np.concatenate(self.blocks).tolist()))
 
 
 def _rows(n: int, limit: int = 4001) -> np.ndarray:
@@ -317,21 +316,17 @@ def _run_lz(cfg: ExperimentConfig, outdir: Path, summary: dict):
             # (BOB's also has its kick edges): take each protocol's row at t
             nodes = np.linspace(0.0, tau, cfg.trajectory_steps + 1)
             t = nodes[_rows(len(nodes))]
-            at = {}
+            cols = {p: (np.nan, np.nan) for p in trajectory_protocols}
             for p, traj in trajs.items():
                 j = np.searchsorted(traj.times, t)
                 if not np.array_equal(traj.times[j], t):
                     raise RuntimeError(f"{p} trajectory grid lacks the uniform nodes")
-                at[p] = j
+                cols[p] = traj.fidelity[j], traj.cost_rate[j]
             builders = {"cd": lz_cd, "lcd": lz_lcd}
-            energies = [e for p in spectra_protocols
-                        for e in instantaneous_eigenstates(builders[p](lzc), t)[2:]]
-            for i, ti in enumerate(t):
-                fid.add(tau, ti, *[trajs[p].fidelity[at[p][i]] if p in trajs else np.nan
-                                   for p in trajectory_protocols])
-                rate.add(tau, ti, *[trajs[p].cost_rate[at[p][i]] if p in trajs else np.nan
-                                    for p in trajectory_protocols])
-                spec.add(tau, ti, *[e[i] for e in energies])
+            spec.add(tau, t, *[e for p in spectra_protocols
+                               for e in instantaneous_eigenstates(builders[p](lzc), t)[2:]])
+            fid.add(tau, t, *[cols[p][0] for p in trajectory_protocols])
+            rate.add(tau, t, *[cols[p][1] for p in trajectory_protocols])
         for w in (fid, rate, spec):
             w.write()
         return
@@ -341,8 +336,7 @@ def _run_lz(cfg: ExperimentConfig, outdir: Path, summary: dict):
     scan = cost_scan(base, taus, scan_protocols)
     w = CsvWriter(outdir / "cost_scan.csv",
                   ["tau"] + [f"C_{p}" for p in scan_protocols], h)
-    for i in range(len(taus)):
-        w.add(taus[i], *[scan[p][i] for p in scan_protocols])
+    w.add(taus, *[scan[p] for p in scan_protocols])
     w.write()
     if {"cd", "lcd"} <= set(scan_protocols):
         summary["crossover_cd_lcd"] = find_cd_lcd_crossover(base, scan=scan)
@@ -368,8 +362,7 @@ def _run_oscillator(cfg: ExperimentConfig, outdir: Path, summary: dict):
         series = {}
         for proto in protocols:
             try:
-                t, q = qstar_series(omega, proto)
-                series[proto] = (t, q)
+                series[proto] = qstar_series(omega, proto)
             except OscillatorError as err:
                 summary.setdefault("invalid", []).append(
                     {"model": "oscillator", "protocol": proto, "tau": tau,
@@ -377,9 +370,8 @@ def _run_oscillator(cfg: ExperimentConfig, outdir: Path, summary: dict):
         if not series:
             continue
         t = next(iter(series.values()))[0]
-        for i in _rows(len(t)):
-            w.add(t[i], *[series[p_][1][i] if p_ in series else np.nan
-                          for p_ in protocols])
+        i = _rows(len(t))
+        w.add(t[i], *[series[p_][1][i] if p_ in series else np.nan for p_ in protocols])
         w.write()
         for proto, (_, q) in series.items():
             summary.setdefault("qstar_end", []).append(
@@ -418,8 +410,7 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path, summary: dict):
     protocols = cfg.protocols or ["bare", "cd", "lcd"]
 
     # block fidelity curves at tau = 10
-    w = CsvWriter(outdir / "fidelity_n0.csv",
-                  ["t"] + [f"F_{p_}" for p_ in protocols], h)
+    w = CsvWriter(outdir / "fidelity_n0.csv", ["t"] + [f"F_{p_}" for p_ in protocols], h)
     curves = {}
     for proto in protocols:
         traj, ffin, cost = block_run(jc, proto, n=0, steps=cfg.trajectory_steps)
@@ -428,14 +419,13 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path, summary: dict):
             {"model": "jc", "protocol": proto, "tau": jc.tau, "n": 0,
              "final_fidelity": ffin, "integrated_cost": cost})
     t = next(iter(curves.values())).times
-    for i in _rows(len(t)):
-        w.add(t[i], *[curves[p_].fidelity[i] for p_ in protocols])
+    i = _rows(len(t))
+    w.add(t[i], *[curves[p_].fidelity[i] for p_ in protocols])
     w.write()
 
     # coherent ensemble at tau = 10
     ens_protocols = [p_ for p_ in protocols if p_ != "bare"]
-    w = CsvWriter(outdir / "fidelity_coherent.csv",
-                  ["t"] + [f"F_{p_}" for p_ in ens_protocols], h)
+    w = CsvWriter(outdir / "fidelity_coherent.csv", ["t"] + [f"F_{p_}" for p_ in ens_protocols], h)
     ens_curves = {}
     for proto in ens_protocols:
         res = ensemble_run(jc, proto, steps=cfg.trajectory_steps)
@@ -446,27 +436,18 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path, summary: dict):
              "ensemble_cost": res.cost})
     if ens_curves:
         t = next(iter(ens_curves.values())).times
-        for i in _rows(len(t)):
-            w.add(t[i], *[ens_curves[p_].fidelity[i] for p_ in ens_protocols])
+        i = _rows(len(t))
+        w.add(t[i], *[ens_curves[p_].fidelity[i] for p_ in ens_protocols])
         w.write()
 
     # cost scans: vacuum block and coherent ensemble
     taus = cfg.tau or list(np.geomspace(5.0, 40.0, cfg.scan_points))
     scan = jc_cost_scan(jc, taus, n=0)
-    w = CsvWriter(outdir / "cost_scan_n0.csv", ["tau", "C_cd", "C_lcd"], h)
-    for i in range(len(taus)):
-        w.add(taus[i], scan["cd"][i], scan["lcd"][i])
-    w.write()
     summary["crossover_n0"] = find_jc_crossover(jc, scan=scan)
-
-    # the population-weighted sum of the block scans
-    scans = [jc_cost_scan(jc, taus, n) for n in range(jc.n_cut + 1)]
-    weights = coherent_weights(jc.alpha, jc.n_cut)
-    coherent = [weights @ np.array([s_[p_] for s_ in scans]) for p_ in ("cd", "lcd")]
-    w = CsvWriter(outdir / "cost_scan_coherent.csv", ["tau", "C_cd", "C_lcd"], h)
-    for i, tau in enumerate(taus):
-        w.add(tau, *[c[i] for c in coherent])
-    w.write()
+    for name, costs in (("n0", scan), ("coherent", coherent_cost_scan(jc, taus))):
+        w = CsvWriter(outdir / f"cost_scan_{name}.csv", ["tau", "C_cd", "C_lcd"], h)
+        w.add(taus, costs["cd"], costs["lcd"])
+        w.write()
 
 
 def _oc_problem(cfg: ExperimentConfig, tau: float) -> OcProblem:
@@ -487,8 +468,7 @@ def _run_oc(cfg: ExperimentConfig, outdir: Path, summary: dict):
         records.append(res.to_record())
         w.add(tau, res.q, res.cost, res.nfev, 1.0 if res.success else 0.0)
         tr = CsvWriter(outdir / f"oc_trace_tau{tau:g}.csv", ["nfev", "q", "C"], h)
-        for entry in res.trace:
-            tr.add(entry["nfev"], entry["q"], entry["C"])
+        tr.add(*([entry[k] for entry in res.trace] for k in ("nfev", "q", "C")))
         tr.write()
     w.write()
     summary["oc"] = records

@@ -26,7 +26,7 @@ computed by ``landau_zener.cost_scan`` and ``find_cd_lcd_crossover``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,7 +35,8 @@ from .ramps import Ramp, poly_smooth_ramp
 from .twolevel import (PauliSchedule, propagate, converged_final_state,
                        integrated_cost, _rate, _simpson_weights,
                        _segment_grid, _midpoints, _steps, _trajectory)
-from .landau_zener import LzConfig, lz_fields, cost_scan, find_cd_lcd_crossover
+from .landau_zener import (LzConfig, lz_fields, cost_scan, find_cd_lcd_crossover,
+                           _scan_costs, _scan_grid, _tau_rows)
 
 __all__ = [
     "JcConfig",
@@ -48,6 +49,7 @@ __all__ = [
     "coherent_weights",
     "block_run",
     "ensemble_run",
+    "coherent_cost_scan",
     "jc_cost_scan",
     "find_jc_crossover",
 ]
@@ -185,8 +187,8 @@ def ensemble_run(cfg: JcConfig, protocol: str, steps: Optional[int] = None) -> J
 
     The ramp is evaluated once on the step midpoints, once on the nodes and
     once on the cost quadrature's 4097 points; each block's coefficients
-    follow from those rows, and the blocks are taken one at a time, so
-    memory stays at one block's steps.
+    follow from those rows, and the blocks are taken one at a time, each
+    fidelity from its prefix quaternions alone, so memory stays at one block's steps.
     """
     weights = coherent_weights(cfg.alpha, cfg.n_cut)
     tail = max(0.0, 1.0 - float(weights.sum()))
@@ -205,9 +207,8 @@ def ensemble_run(cfg: JcConfig, protocol: str, steps: Optional[int] = None) -> J
     fid_w = np.zeros(len(times))
     bf, bc = np.empty(cfg.n_cut + 1), np.empty(cfg.n_cut + 1)
     for n in range(cfg.n_cut + 1):
-        _, fid = _trajectory(
-            _steps(_block_fields(cfg, protocol, n, mid), times, f"jc-{protocol}-n{n}"),
-            _block_fields(cfg, "bare", n, nodes), times, INITIAL_STATE)
+        q, _ = _steps(_block_fields(cfg, protocol, n, mid), times, f"jc-{protocol}-n{n}")
+        _, fid = _trajectory(q, _block_fields(cfg, "bare", n, nodes), INITIAL_STATE)
         fid_w += weights[n] * fid
         bf[n] = fid[-1]
         bc[n] = _rate(_block_fields(cfg, protocol, n, quad)) @ w / cfg.tau
@@ -216,6 +217,21 @@ def ensemble_run(cfg: JcConfig, protocol: str, steps: Optional[int] = None) -> J
     return JcEnsembleResult(times=times, fidelity=fid, cost=float(weights @ bc),
                             weights=weights, block_final_fidelity=bf, block_costs=bc,
                             tail=tail)
+
+
+def coherent_cost_scan(cfg: JcConfig, taus: Sequence[float]) -> dict:
+    """Poisson-weighted sum of every block's CD and LCD :func:`jc_cost_scan`.
+
+    The quintic's scaled-time rows are evaluated once; block n's are those rows times -2 sqrt(n+1).
+    """
+    taus, s, w = _scan_grid(taus, 8192)
+    rows = _sweep(replace(cfg, tau=1.0)).rows(s)
+    costs = []
+    for n in range(cfg.n_cut + 1):
+        block = _tau_rows(*(_rabi_scale(n) * r for r in rows))
+        costs.append([_scan_costs(p, abs(cfg.delta), block, taus, w) for p in ("cd", "lcd")])
+    cd, lcd = np.tensordot(coherent_weights(cfg.alpha, cfg.n_cut), costs, 1)
+    return {"tau": taus, "cd": cd, "lcd": lcd}
 
 
 def _lz_equivalent(cfg: JcConfig, n: int) -> LzConfig:

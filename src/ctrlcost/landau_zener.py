@@ -287,16 +287,13 @@ def _check_default_ramp(cfg: LzConfig) -> None:
         raise ValueError("cost scans use the default ramps: a custom ramp cannot be scanned")
 
 
-def _scan_rows(cfg: LzConfig, s: np.ndarray, blend: bool = False):
-    """(g, g', g'') on the s grid for a column of durations, from rows evaluated once.
+def _tau_rows(g, gs, gss):
+    """rows(tau) from scaled-time rows: a duration rescales g' = g_s / tau, g'' = g_ss / tau^2."""
+    return lambda tau: (g, gs / tau, gss / tau**2)
 
-    A duration only rescales the derivatives, g' = g_s / tau and
-    g'' = g_ss / tau^2, and sets the blend weight.
-    """
-    if not blend:
-        q = poly_smooth_ramp(cfg.g0, cfg.g1 - cfg.g0, 1.0)
-        g, gs, gss = q.rows(s)
-        return lambda tau: (g, gs / tau, gss / tau**2)
+
+def _blend_rows(cfg: LzConfig, s: np.ndarray):
+    """rows(tau) of the blended CD ramp on the s grid; tau also sets the blend weight."""
     g_a, g_na = cd_a_ramp(cfg.g0, BLEND_M), cd_na_ramp(cfg.delta, cfg.g0, cfg.g1)
     cd_blended_ramp(g_a, g_na, BLEND_EPS, 1.0)   # rejects unequal boundary values
     a, na = g_a.rows(s), g_na.rows(s)
@@ -307,6 +304,27 @@ def _scan_rows(cfg: LzConfig, s: np.ndarray, blend: bool = False):
         return g, gs / tau, gss / tau**2
 
     return rows
+
+
+def _scan_grid(taus, quadrature_steps: int):
+    """The durations as an array, and the scan's s grid and Simpson weights."""
+    taus = np.asarray(list(taus), dtype=float)
+    if np.any(taus <= 0):
+        raise ValueError("all tau values must be positive")
+    if quadrature_steps < 16:
+        raise ValueError(f"quadrature_steps must be >= 16, got {quadrature_steps}")
+    n = quadrature_steps + quadrature_steps % 2
+    return taus, np.linspace(0.0, 1.0, n + 1), _simpson_weights(n, 1.0 / n)
+
+
+def _scan_costs(protocol: str, delta: float, rows, taus: np.ndarray, w: np.ndarray):
+    """int_0^1 ||H(s; tau)|| ds per duration: one Simpson sum per row of (durations, s) chunks."""
+    chunk = max(1, _SCAN_CHUNK // len(w))
+    costs = np.empty(len(taus))
+    for i in range(0, len(taus), chunk):
+        fields = lz_fields(protocol, delta, *rows(taus[i:i + chunk, None]))
+        costs[i:i + chunk] = (_rate((0.0, *fields)) * w).sum(-1)
+    return costs
 
 
 def cost_scan(cfg: LzConfig, taus: Sequence[float],
@@ -321,32 +339,20 @@ def cost_scan(cfg: LzConfig, taus: Sequence[float],
     schedule per duration. A config with a custom ramp is rejected.
     """
     _check_default_ramp(cfg)
-    taus = np.asarray(list(taus), dtype=float)
-    if np.any(taus <= 0):
-        raise ValueError("all tau values must be positive")
     for p in protocols:
         if p not in PROTOCOLS:
             raise ValueError(f"unknown protocol {p!r}")
-    if quadrature_steps < 16:
-        raise ValueError(f"quadrature_steps must be >= 16, got {quadrature_steps}")
-    n = quadrature_steps + quadrature_steps % 2
-    s = np.linspace(0.0, 1.0, n + 1)
-    w = _simpson_weights(n, 1.0 / n)
-    chunk = max(1, _SCAN_CHUNK // len(s))
-    quintic = _scan_rows(cfg, s)
+    taus, s, w = _scan_grid(taus, quadrature_steps)
+    quintic = _tau_rows(*poly_smooth_ramp(cfg.g0, cfg.g1 - cfg.g0, 1.0).rows(s))
     out = {"tau": taus}
     for p in protocols:
         if p == "bob":
             out[p] = np.array([integrated_cost(_schedule_for(replace(cfg, tau=float(t)), p),
                                                quadrature_steps) for t in taus])
-            continue
-        rows = _scan_rows(cfg, s, blend=True) if p == "cd-blend" else quintic
-        costs = np.empty(len(taus))
-        for i in range(0, len(taus), chunk):
-            fields = lz_fields("cd" if p == "cd-blend" else p, cfg.delta,
-                               *rows(taus[i:i + chunk, None]))
-            costs[i:i + chunk] = (_rate((0.0, *fields)) * w).sum(-1)
-        out[p] = costs
+        elif p == "cd-blend":
+            out[p] = _scan_costs("cd", cfg.delta, _blend_rows(cfg, s), taus, w)
+        else:
+            out[p] = _scan_costs(p, cfg.delta, quintic, taus, w)
     return out
 
 

@@ -310,25 +310,40 @@ def bob_pulse(g_q: float, tau: float, kick_angles=(0.0, 0.0)) -> BobPulse:
     return BobPulse(g_q, tau, phi1, phi2)
 
 
+_RAMP_KEYS = {"polynomial": ("g0", "g_d", "tau"), "fourier": ("g0", "tau"),
+              "tan-optimal": ("delta", "g0", "g1"), "tanh-optimal": ("g0", "m"),
+              "blended": ("eps", "tau", "g_a", "g_na")}
+
+
+def _finite(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def ramp_from_dict(d: dict) -> Ramp:
-    """Rebuild a Ramp from its {kind, parameters} JSON description."""
+    """Rebuild a Ramp from its {kind, parameters} JSON description, every number finite."""
     if not isinstance(d, dict):
         raise ValueError(f"a ramp must be a {{kind, parameters}} object, got {d!r}")
     kind, p = d.get("kind"), d.get("parameters")
-    if kind not in ("polynomial", "fourier", "tan-optimal", "tanh-optimal", "blended"):
+    if kind not in _RAMP_KEYS:
         raise ValueError(f"unknown ramp kind {kind!r}")
     if not isinstance(p, dict):
         raise ValueError(f"{kind} ramp needs a 'parameters' object")
-    try:
-        if kind == "polynomial":
-            return poly_smooth_ramp(p["g0"], p["g_d"], p["tau"])
-        if kind == "fourier":
-            return oc_fourier_ramp(p["g0"], p["tau"], p.get("coeffs", []))
-        if kind == "tan-optimal":
-            return cd_na_ramp(p["delta"], p["g0"], p["g1"])
-        if kind == "tanh-optimal":
-            return cd_a_ramp(p["g0"], p["m"])
-        return cd_blended_ramp(ramp_from_dict(p["g_a"]), ramp_from_dict(p["g_na"]),
-                               p["eps"], p["tau"])
-    except KeyError as err:
-        raise ValueError(f"{kind} ramp parameters lack {err.args[0]!r}") from None
+    for key in _RAMP_KEYS[kind]:
+        if key not in p:
+            raise ValueError(f"{kind} ramp parameters lack {key!r}")
+        if key not in ("g_a", "g_na") and not _finite(p[key]):
+            raise ValueError(f"{kind} ramp {key!r} is not a finite number: {p[key]!r}")
+    coeffs = p.get("coeffs", []) if kind == "fourier" else []
+    if not isinstance(coeffs, list) or not all(
+            isinstance(c, list) and len(c) == 2 and all(map(_finite, c)) for c in coeffs):
+        raise ValueError(f"fourier ramp 'coeffs' are not [amplitude, phase] pairs: {coeffs!r}")
+    if kind == "polynomial":
+        return poly_smooth_ramp(p["g0"], p["g_d"], p["tau"])
+    if kind == "fourier":
+        return oc_fourier_ramp(p["g0"], p["tau"], coeffs)
+    if kind == "tan-optimal":
+        return cd_na_ramp(p["delta"], p["g0"], p["g1"])
+    if kind == "tanh-optimal":
+        return cd_a_ramp(p["g0"], p["m"])
+    return cd_blended_ramp(ramp_from_dict(p["g_a"]), ramp_from_dict(p["g_na"]),
+                           p["eps"], p["tau"])

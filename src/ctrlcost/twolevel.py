@@ -21,8 +21,9 @@ exp(-i cumsum(c0 dt)) along a trajectory. Final states reduce the steps
 pairwise; trajectories take a work-efficient inclusive prefix scan of them
 (an up-sweep of pairwise products and a down-sweep, about 2n products;
 Ladner & Fischer, JACM 27, 831 (1980); Blelloch, "Prefix sums and their
-applications", 1990) and apply each prefix to the initial state in closed
-form. ``_GAUSS`` and ``_ALPHA``, the nodes and weights of the 4th-order
+applications", 1990). Only ``propagate`` applies them to the initial
+state: a fidelity is a Bloch rotation, psi0's Bloch vector turned by each
+prefix. ``_GAUSS`` and ``_ALPHA``, the nodes and weights of the 4th-order
 Magnus step (CF4), serve OC's qubit steps and the oscillator's matrices.
 
 A schedule is one callable t -> (c0, cx, cy, cz), so a protocol whose
@@ -253,30 +254,31 @@ def _schedule_steps(schedule: PauliSchedule, t_nodes: np.ndarray):
     return _steps(schedule.coefficients(_midpoints(t_nodes)), t_nodes, schedule.label)
 
 
-def _trajectory(steps, reference, t_nodes: np.ndarray, psi0):
-    """States on the nodes from psi0, and their fidelity to an adiabatic branch.
+def _trajectory(q, reference, psi0):
+    """Prefix products of the steps q, and the fidelity along them to an adiabatic branch.
 
-    ``steps`` is the (quaternion steps, identity angles) pair of ``_steps``,
-    ``reference`` the reference Hamiltonian's (c0, cx, cy, cz) at the nodes. The tracked
-    branch is the reference eigenstate the initial state overlaps most at
-    t = 0. Its projector is (1 +- n . sigma)/2 with n = c/|c|, so the
-    fidelity is (|psi|^2 +- n . s)/2 for the Bloch vector s of psi, and no
-    eigenvector is formed. ``propagate`` and the Jaynes-Cummings ensemble,
-    which computes every block's coefficients from one ramp evaluation,
-    both propagate through here.
+    ``reference`` is the reference Hamiltonian's (c0, cx, cy, cz) at the nodes. Prefix
+    P = (p0, p) turns psi0's Bloch vector s0 into s = (p0^2 - |p|^2) s0 + 2 p (p . s0)
+    + 2 p0 (p x s0); the identity phase leaves s alone. The branch tracked is the
+    reference eigenstate psi0 overlaps most at t = 0. Its projector is (1 +- n . sigma)/2
+    with n = c/|c|, so the fidelity is (|P|^2 |psi0|^2 +- n . s)/2, with no state formed.
     """
-    q, theta = steps
-    states = np.empty((len(t_nodes), 2), dtype=complex)
-    states[0] = psi0
-    states[1:] = (np.exp(-1j * np.cumsum(theta))[:, None]
-                  * _apply(_prefix_scan(q), psi0))
-    _, rcx, rcy, rcz = reference
-    a, b = states[:, 0], states[:, 1]
-    ab = 2.0 * a.conj() * b
+    prefix = _prefix_scan(q)
+    a, b = psi0
     aa, bb = a.real * a.real + a.imag * a.imag, b.real * b.real + b.imag * b.imag
-    ns = ((rcx * ab.real + rcy * ab.imag + rcz * (aa - bb))
-          / np.sqrt(rcx * rcx + rcy * rcy + rcz * rcz))
-    return states, 0.5 * (aa + bb + ns if ns[0] > 0.0 else aa + bb - ns)
+    ab = 2.0 * a.conjugate() * b
+    sx, sy, sz = ab.real, ab.imag, aa - bb
+    # the identity at t = 0, then the prefixes on the later nodes
+    p0, px, py, pz = np.concatenate([[[1.0], [0.0], [0.0], [0.0]], prefix.T], axis=1)
+    pp = px * px + py * py + pz * pz
+    dot, c = px * sx + py * sy + pz * sz, p0 * p0 - pp
+    _, rcx, rcy, rcz = reference
+    ns = (rcx * (c * sx + 2.0 * (px * dot + p0 * (py * sz - pz * sy)))
+          + rcy * (c * sy + 2.0 * (py * dot + p0 * (pz * sx - px * sz)))
+          + rcz * (c * sz + 2.0 * (pz * dot + p0 * (px * sy - py * sx)))
+          ) / np.sqrt(rcx * rcx + rcy * rcy + rcz * rcz)
+    norm = (p0 * p0 + pp) * (aa + bb)
+    return prefix, 0.5 * (norm + ns if ns[0] > 0.0 else norm - ns)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +404,10 @@ def propagate(schedule: PauliSchedule, psi0, steps: int = DEFAULT_STEPS,
     t = _segment_grid(schedule.duration, schedule.breakpoints, steps)
     nodes = schedule.coefficients(t)
     ref = nodes if reference is None else reference.coefficients(t)
-    states, fid = _trajectory(_schedule_steps(schedule, t), ref, t, psi0)
+    q, theta = _schedule_steps(schedule, t)
+    prefix, fid = _trajectory(q, ref, psi0)
+    states = np.concatenate([psi0[None], np.exp(-1j * np.cumsum(theta))[:, None]
+                             * _apply(prefix, psi0)])
     return QubitTrajectory(times=t, states=states, fidelity=fid, cost_rate=_rate(nodes),
                            steps=steps, label=schedule.label)
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ctrlcost
-from ctrlcost.cli import parse_config, validate, run, PRESETS, main, _oc_problem
+from ctrlcost.cli import parse_config, validate, run, PRESETS, main, _oc_problem, CsvWriter
 from ctrlcost.landau_zener import LzConfig, find_cd_lcd_crossover
 from ctrlcost.jaynes_cummings import JcConfig, find_jc_crossover
 
@@ -212,10 +212,32 @@ def test_removed_oc_params_rejected(name, tmp_path, capsys):
     ({"model": "lz", "mode": "trajectory",
       "ramp": {"kind": "tan-optimal", "parameters": {"delta": 0.1, "g0": -0.2}}},
      "tan-optimal ramp parameters lack 'g1'"),
+    ({"model": "lz", "mode": "trajectory",
+      "ramp": {"kind": "polynomial", "parameters": {"g0": -0.2, "g_d": 0.4, "tau": "abc"}}},
+     "polynomial ramp 'tau' is not a finite number: 'abc'"),
+    ({"model": "lz", "mode": "trajectory",
+      "ramp": {"kind": "polynomial", "parameters": {"g0": [-0.2], "g_d": 0.4, "tau": 2.0}}},
+     "polynomial ramp 'g0' is not a finite number: [-0.2]"),
+    ({"model": "lz", "mode": "trajectory",
+      "ramp": {"kind": "polynomial", "parameters": {"g0": -0.2, "g_d": math.nan, "tau": 2.0}}},
+     "polynomial ramp 'g_d' is not a finite number: nan"),
+    ({"model": "lz", "mode": "trajectory",
+      "ramp": {"kind": "polynomial", "parameters": {"g0": -0.2, "g_d": 0.4, "tau": True}}},
+     "polynomial ramp 'tau' is not a finite number: True"),
+    ({"model": "lz", "mode": "trajectory",
+      "ramp": {"kind": "fourier", "parameters": {"g0": -0.2, "tau": 2.0, "coeffs": [[0.1]]}}},
+     "fourier ramp 'coeffs' are not [amplitude, phase] pairs: [[0.1]]"),
+    ({"model": "lz", "mode": "trajectory",
+      "ramp": {"kind": "blended", "parameters": {
+          "eps": 0.1, "tau": 2.0,
+          "g_a": {"kind": "tanh-optimal", "parameters": {"g0": -0.2, "m": "40"}},
+          "g_na": {"kind": "tan-optimal", "parameters": {"delta": 0.1, "g0": -0.2, "g1": 0.2}}}}},
+     "tanh-optimal ramp 'm' is not a finite number: '40'"),
 ])
 def test_bad_param_values_rejected_in_one_line(raw, match, tmp_path, capsys):
     # wrong types, fractional or too small counts, non-positive oscillator
-    # parameters and incomplete ramps end both subcommands before anything runs
+    # parameters, incomplete ramps and ramp parameters that are not finite
+    # numbers (a nested ramp's too) end both subcommands before anything runs
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**raw, "out": str(tmp_path / "o")}))
     for command in ("validate", "run"):
@@ -253,6 +275,32 @@ def test_integral_float_counts_are_accepted():
 
 # ---------------------------------------------------------------------------
 # runs
+
+def test_column_adds_write_the_bytes_of_per_value_formatting(tmp_path):
+    # the reference: one f"{float(x):.17g}" per value, one row at a time
+    t = np.array([0.0, -0.0, 5e-324, 1.0 / 3.0, np.nan, 1e300, -np.inf, 2.0**-1074 * 3])
+    fid = np.linspace(-1.0, 1.0, len(t)) ** 3
+    nfev = np.array([0, 1, 7, 12, 360, 2**40, 5, 9])
+    w = CsvWriter(tmp_path / "t.csv", ["tau", "t", "F", "nfev"], "abc")
+    w.add(2.5, t, fid, nfev)              # a broadcast scalar tau beside array columns
+    w.add(0.1, -0.0, np.nan, 3)           # one row of scalars
+    w.add([], [], [], [])                 # no rows
+    w.add(7, t[:2], list(fid[:2]), nfev[:2].tolist())
+    w.write()
+    rows = ([(2.5, *r) for r in zip(t, fid, nfev)] + [(0.1, -0.0, np.nan, 3)]
+            + [(7, *r) for r in zip(t[:2], fid[:2], nfev[:2])])
+    want = (f"# config_hash=abc ctrlcost={ctrlcost.__version__}\ntau,t,F,nfev\n"
+            + "".join(",".join(f"{float(x):.17g}" for x in row) + "\n" for row in rows))
+    assert (tmp_path / "t.csv").read_bytes() == want.encode()
+    with pytest.raises(ValueError, match="shape mismatch"):
+        w.add(1.0, t, fid[:3], nfev)
+    for bad in ((1.0, t, fid), (1.0, t, np.ones((1, len(t))), nfev)):
+        with pytest.raises(ValueError, match="t.csv takes 4 equal-length columns"):
+            w.add(*bad)
+    empty = CsvWriter(tmp_path / "e.csv", ["nfev", "q", "C"], "abc")
+    empty.write()
+    assert (tmp_path / "e.csv").read_text().splitlines()[1:] == ["nfev,q,C"]
+
 
 def test_smoke_run_outputs(tmp_path):
     cfg = parse_config({"preset": "smoke", "out": str(tmp_path / "a")})

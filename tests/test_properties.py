@@ -17,8 +17,9 @@ from ctrlcost.oscillator import (cd_validity_edge,  # noqa: E402
                                  classical_solutions, ermakov_solve,
                                  husimi_qstar, ie_energy,
                                  _exp_minus_identity, _near_identity_product)
-from ctrlcost.twolevel import (PauliSchedule, integrated_cost, propagate,  # noqa: E402
-                               _ordered_product, _prefix_scan, _qmul, _su2_steps)
+from ctrlcost.twolevel import (PauliSchedule, instantaneous_eigenstates,  # noqa: E402
+                               integrated_cost, propagate, _ordered_product, _prefix_scan,
+                               _qmul, _su2_steps)
 
 BETA = 3.0
 
@@ -65,9 +66,9 @@ def test_prefix_scan_matches_sequential_products(n, seed):
 
 
 @st.composite
-def smooth_fields(draw):
+def smooth_fields(draw, tau=None):
     """(duration, t -> (cx, cy, cz)): sine series about a constant field with |cx| >= 0.05."""
-    tau = draw(st.floats(0.1, 50.0))
+    tau = draw(st.floats(0.1, 50.0)) if tau is None else tau
     offsets = (draw(st.floats(0.5, 2.0)), draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
     amps = [[draw(st.floats(-0.15, 0.15)) for _ in range(3)] for _ in offsets]
 
@@ -94,6 +95,28 @@ def test_propagation_is_unitary_and_blind_to_identity_shifts(sweep, c0, shift, s
     # c0 only multiplies every state by a phase, and the cost excludes it
     assert np.max(np.abs(a.fidelity - b.fidelity)) <= 1e-12
     assert integrated_cost(shifted) == pytest.approx(integrated_cost(base), rel=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), c0=st.floats(-5.0, 5.0), steps=st.integers(16, 2000),
+       theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2.0 * math.pi),
+       phase=st.floats(0.0, 2.0 * math.pi))
+def test_fidelity_is_the_overlap_with_the_tracked_reference_eigenstate(data, c0, steps, theta,
+                                                                      phi, phase):
+    # the fidelity series comes from Bloch rotations of psi0; the oracle takes
+    # |<e|psi>|^2 from the stored states and eigenvectors of another schedule
+    tau, fields = data.draw(smooth_fields())
+    _, ref_fields = data.draw(smooth_fields(tau))
+    sched = PauliSchedule(duration=tau, fields=lambda t: (c0, *fields(t)))
+    ref = PauliSchedule(duration=tau, fields=lambda t: (-c0, *ref_fields(t)))
+    psi0 = np.exp(1j * phase) * np.array([math.cos(theta / 2),
+                                          np.exp(1j * phi) * math.sin(theta / 2)])
+    traj = propagate(sched, psi0, steps, reference=ref)
+    gnd, exc, _, _ = instantaneous_eigenstates(ref, traj.times)
+    overlaps = [np.abs(np.einsum("ij,ij->i", e.conj(), traj.states)) ** 2 for e in (gnd, exc)]
+    assume(abs(overlaps[0][0] - overlaps[1][0]) > 1e-9)   # the branch is defined at t = 0
+    want = overlaps[0] if overlaps[0][0] > overlaps[1][0] else overlaps[1]
+    assert np.max(np.abs(traj.fidelity - want)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
