@@ -134,6 +134,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     mode = raw.get("mode", "")
     if mode not in ("", "trajectory", "scan"):
         raise ValueError(f"unknown mode {mode!r}")
+    # an lz scan (mode "scan", or a preset with durations) has none to fall back on
+    scans = mode == "scan" or (not mode and PRESETS.get(raw.get("preset"), {}).get("tau"))
+    if model == "lz" and not tau and scans:
+        raise ValueError("tau is empty: an lz cost scan needs at least one duration")
     protocols = raw.get("protocols", [])
     if not isinstance(protocols, list):
         raise ValueError(f"protocols must be a list, got {protocols!r}")
@@ -262,9 +266,8 @@ def _tau_qsl(cfg: ExperimentConfig) -> float:
 
 
 def _lz_trajectory_mode(cfg: ExperimentConfig) -> bool:
-    """Whether an lz config runs trajectories; otherwise it scans costs."""
-    return (cfg.mode == "trajectory" or cfg.preset == "fig1"
-            or (not cfg.tau and cfg.mode != "scan"))
+    """Whether an lz config runs trajectories; otherwise it scans its (non-empty) durations."""
+    return cfg.mode == "trajectory" or cfg.preset == "fig1" or not cfg.tau
 
 
 def _run_lz(cfg: ExperimentConfig, outdir: Path, summary: dict):
@@ -275,7 +278,6 @@ def _run_lz(cfg: ExperimentConfig, outdir: Path, summary: dict):
 
     taus = cfg.tau or [tqsl, 0.1]
     trajectory_protocols = [p for p in cfg.protocols if p != "cd-blend"]
-    scan_protocols = cfg.protocols
     trajectory_mode = _lz_trajectory_mode(cfg)
     if cfg.ramp is not None and not trajectory_mode:
         raise ValueError("a custom ramp requires mode='trajectory' "
@@ -333,18 +335,16 @@ def _run_lz(cfg: ExperimentConfig, outdir: Path, summary: dict):
 
     # scan preset
     base = _lz_config(cfg, taus[0])
-    scan = cost_scan(base, taus, scan_protocols)
-    w = CsvWriter(outdir / "cost_scan.csv",
-                  ["tau"] + [f"C_{p}" for p in scan_protocols], h)
-    w.add(taus, *[scan[p] for p in scan_protocols])
+    scan = cost_scan(base, taus, cfg.protocols)
+    w = CsvWriter(outdir / "cost_scan.csv", ["tau"] + [f"C_{p}" for p in cfg.protocols], h)
+    w.add(taus, *[scan[p] for p in cfg.protocols])
     w.write()
-    if {"cd", "lcd"} <= set(scan_protocols):
+    if {"cd", "lcd"} <= set(cfg.protocols):
         summary["crossover_cd_lcd"] = find_cd_lcd_crossover(base, scan=scan)
     at_qsl = replace(base, tau=tqsl)
     kicks = optimize_bob_kicks(at_qsl, g_q)
     sched = lz_bob(at_qsl, bob_pulse(g_q, tqsl, (kicks.phi1, kicks.phi2)))
-    summary["bob"] = {"tau": tqsl, "fidelity": kicks.fidelity,
-                      "cost": integrated_cost(sched)}
+    summary["bob"] = {"tau": tqsl, "fidelity": kicks.fidelity, "cost": integrated_cost(sched)}
 
 
 def _run_oscillator(cfg: ExperimentConfig, outdir: Path, summary: dict):
@@ -409,36 +409,27 @@ def _run_jc(cfg: ExperimentConfig, outdir: Path, summary: dict):
     jc = _jc_config(cfg)
     protocols = cfg.protocols or ["bare", "cd", "lcd"]
 
-    # block fidelity curves at tau = 10
-    w = CsvWriter(outdir / "fidelity_n0.csv", ["t"] + [f"F_{p_}" for p_ in protocols], h)
-    curves = {}
+    # fidelity curves at tau = 10: the vacuum block and the coherent ensemble
+    curves = {"n0": {}, "coherent": {}}
+    runs = summary.setdefault("runs", [])
     for proto in protocols:
         traj, ffin, cost = block_run(jc, proto, n=0, steps=cfg.trajectory_steps)
-        curves[proto] = traj
-        summary.setdefault("runs", []).append(
-            {"model": "jc", "protocol": proto, "tau": jc.tau, "n": 0,
-             "final_fidelity": ffin, "integrated_cost": cost})
-    t = next(iter(curves.values())).times
-    i = _rows(len(t))
-    w.add(t[i], *[curves[p_].fidelity[i] for p_ in protocols])
-    w.write()
-
-    # coherent ensemble at tau = 10
-    ens_protocols = [p_ for p_ in protocols if p_ != "bare"]
-    w = CsvWriter(outdir / "fidelity_coherent.csv", ["t"] + [f"F_{p_}" for p_ in ens_protocols], h)
-    ens_curves = {}
-    for proto in ens_protocols:
+        curves["n0"][proto] = traj
+        runs.append({"model": "jc", "protocol": proto, "tau": jc.tau, "n": 0,
+                     "final_fidelity": ffin, "integrated_cost": cost})
+    for proto in (p_ for p_ in protocols if p_ != "bare"):
         res = ensemble_run(jc, proto, steps=cfg.trajectory_steps)
-        ens_curves[proto] = res
-        summary.setdefault("runs", []).append(
-            {"model": "jc", "protocol": proto, "tau": jc.tau,
-             "alpha": jc.alpha, "ensemble_final_fidelity": float(res.fidelity[-1]),
-             "ensemble_cost": res.cost})
-    if ens_curves:
-        t = next(iter(ens_curves.values())).times
-        i = _rows(len(t))
-        w.add(t[i], *[ens_curves[p_].fidelity[i] for p_ in ens_protocols])
-        w.write()
+        curves["coherent"][proto] = res
+        runs.append({"model": "jc", "protocol": proto, "tau": jc.tau, "alpha": jc.alpha,
+                     "ensemble_final_fidelity": float(res.fidelity[-1]),
+                     "ensemble_cost": res.cost})
+    for name, table in curves.items():
+        if table:
+            t = next(iter(table.values())).times
+            i = _rows(len(t))
+            w = CsvWriter(outdir / f"fidelity_{name}.csv", ["t"] + [f"F_{p_}" for p_ in table], h)
+            w.add(t[i], *[c.fidelity[i] for c in table.values()])
+            w.write()
 
     # cost scans: vacuum block and coherent ensemble
     taus = cfg.tau or list(np.geomspace(5.0, 40.0, cfg.scan_points))

@@ -36,7 +36,7 @@ from .twolevel import (PauliSchedule, propagate, converged_final_state,
                        integrated_cost, _rate, _simpson_weights,
                        _segment_grid, _midpoints, _steps, _trajectory)
 from .landau_zener import (LzConfig, lz_fields, cost_scan, find_cd_lcd_crossover,
-                           _scan_costs, _scan_grid, _tau_rows)
+                           _scan_costs, _scan_grid)
 
 __all__ = [
     "JcConfig",
@@ -222,14 +222,14 @@ def ensemble_run(cfg: JcConfig, protocol: str, steps: Optional[int] = None) -> J
 def coherent_cost_scan(cfg: JcConfig, taus: Sequence[float]) -> dict:
     """Poisson-weighted sum of every block's CD and LCD :func:`jc_cost_scan`.
 
-    The quintic's scaled-time rows are evaluated once; block n's are those rows times -2 sqrt(n+1).
+    The quintic's scaled-time rows are evaluated once, block n's are those rows
+    times -2 sqrt(n+1), and ``landau_zener._scan_costs`` computes the parts that
+    depend on s alone once per block; the durations enter only in its last passes.
     """
     taus, s, w = _scan_grid(taus, 8192)
     rows = _sweep(replace(cfg, tau=1.0)).rows(s)
-    costs = []
-    for n in range(cfg.n_cut + 1):
-        block = _tau_rows(*(_rabi_scale(n) * r for r in rows))
-        costs.append([_scan_costs(p, abs(cfg.delta), block, taus, w) for p in ("cd", "lcd")])
+    costs = [_scan_costs(("cd", "lcd"), abs(cfg.delta), [_rabi_scale(n) * r for r in rows], taus, w)
+             for n in range(cfg.n_cut + 1)]
     cd, lcd = np.tensordot(coherent_weights(cfg.alpha, cfg.n_cut), costs, 1)
     return {"tau": taus, "cd": cd, "lcd": lcd}
 

@@ -7,8 +7,10 @@ driving, and the bang-off-bang (BOB) pulse; scan helpers integrate the
 norm cost over protocol duration and locate the CD/LCD crossover.
 
 Every ramp here is a function of scaled time s = t/tau, and d/dt =
-(1/tau) d/ds, so a scan evaluates the ramp once on one s grid and gets
-C(tau) = int_0^1 ||H(s; tau)|| ds for all durations from the same rows.
+(1/tau) d/ds, so theta-dot = a(s)/tau and theta-ddot = b(s)/tau^2 for the
+mixing angle theta = arccot(g/Delta). A scan evaluates the ramp once on one
+s grid, computes r^2 = Delta^2 + g^2, a and b there once, and brings in each
+duration only in the last array passes of C(tau) = int_0^1 ||H(s; tau)|| ds.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from .ramps import (Ramp, BobPulse, bob_pulse, poly_smooth_ramp, cd_na_ramp,
                     cd_a_ramp, cd_blended_ramp, blend_weight)
 from .twolevel import (PauliSchedule, CostReport, propagate,
                        converged_final_state, fidelity, integrated_cost,
-                       _su2_steps, _qmul, _apply, _eigvec_pair, _rate,
-                       _simpson_weights)
+                       _su2_steps, _qmul, _apply, _eigvec_pair, _simpson_weights)
 
 __all__ = [
     "LzConfig",
@@ -83,29 +84,37 @@ def lz_ground_state(delta: float, g: float) -> np.ndarray:
     return np.asarray(gnd, dtype=complex)
 
 
+def _theta_rates(delta: float, g, gd, gdd):
+    """r^2 = Delta^2 + g^2, theta' and theta'' (None without g'') of theta = arccot(g/Delta).
+
+    Real-time rows give theta-dot and theta-ddot; scaled-time rows (g, g_s,
+    g_ss) give a = tau theta-dot and b = tau^2 theta-ddot."""
+    r2 = delta**2 + g * g
+    return (r2, -gd * delta / r2,
+            None if gdd is None else -delta * (gdd * r2 - 2.0 * g * gd * gd) / (r2 * r2))
+
+
 def lz_fields(protocol: str, delta: float, g, gd, gdd):
     """(cx, cy, cz) of the bare, CD or LCD sweep from the ramp rows g, g', g''.
 
     bare: cx = Delta, cz = g.
     cd:   the bare sweep plus the counterdiabatic field
           H_CD = -[g' Delta / (2 (Delta^2 + g^2))] sigma_y, i.e.
-          cy = -g' Delta / (Delta^2 + g^2).
+          cy = theta_dot = -g' Delta / (Delta^2 + g^2).
     lcd:  cx = P = sqrt(Delta^2 + theta_dot^2), cz = g - eta_dot, with
           theta = arccot(g/Delta) and eta = arctan(theta_dot/Delta); theta_dot
-          and theta_ddot come from the ramp's closed-form derivatives, never
-          from differencing.
+          and theta_ddot come from the ramp's closed-form derivatives
+          (``_theta_rates``), never from differencing.
 
     The Jaynes-Cummings blocks take the same forms with g -> -2 sqrt(n+1) g.
     """
     if protocol == "bare":
         return delta, 0.0, g
-    r2 = delta**2 + g * g
-    if protocol == "cd":
-        return delta, -gd * delta / r2, g
-    if protocol != "lcd":
+    if protocol not in ("cd", "lcd"):
         raise ValueError(f"unknown protocol {protocol!r}")
-    theta_d = -gd * delta / r2
-    theta_dd = -delta * (gdd * r2 - 2.0 * g * gd * gd) / (r2 * r2)
+    _, theta_d, theta_dd = _theta_rates(delta, g, gd, gdd if protocol == "lcd" else None)
+    if protocol == "cd":
+        return delta, theta_d, g
     eta_d = theta_dd * delta / (delta**2 + theta_d * theta_d)
     return np.sqrt(delta**2 + theta_d * theta_d), 0.0, g - eta_d
 
@@ -268,18 +277,14 @@ def blended_ramp_for(cfg: LzConfig, tau: float, m: float = BLEND_M,
 def _schedule_for(cfg: LzConfig, protocol: str,
                   bob_kicks: Optional[BobKicks] = None,
                   g_q: float = DEFAULT_GQ) -> PauliSchedule:
-    if protocol == "bare":
-        return lz_bare(cfg)
-    if protocol == "cd":
-        return lz_cd(cfg)
-    if protocol == "cd-blend":
-        return lz_cd(replace(cfg, ramp=blended_ramp_for(cfg, cfg.tau)))
-    if protocol == "lcd":
-        return lz_lcd(cfg)
     if protocol == "bob":
         kicks = bob_kicks or optimize_bob_kicks(cfg, g_q)
         return lz_bob(cfg, bob_pulse(g_q, cfg.tau, (kicks.phi1, kicks.phi2)))
-    raise ValueError(f"unknown protocol {protocol!r}")
+    if protocol == "cd-blend":
+        return lz_cd(replace(cfg, ramp=blended_ramp_for(cfg, cfg.tau)))
+    if protocol not in ("bare", "cd", "lcd"):
+        raise ValueError(f"unknown protocol {protocol!r}")
+    return {"bare": lz_bare, "cd": lz_cd, "lcd": lz_lcd}[protocol](cfg)
 
 
 def _check_default_ramp(cfg: LzConfig) -> None:
@@ -287,21 +292,15 @@ def _check_default_ramp(cfg: LzConfig) -> None:
         raise ValueError("cost scans use the default ramps: a custom ramp cannot be scanned")
 
 
-def _tau_rows(g, gs, gss):
-    """rows(tau) from scaled-time rows: a duration rescales g' = g_s / tau, g'' = g_ss / tau^2."""
-    return lambda tau: (g, gs / tau, gss / tau**2)
-
-
 def _blend_rows(cfg: LzConfig, s: np.ndarray):
-    """rows(tau) of the blended CD ramp on the s grid; tau also sets the blend weight."""
+    """Scaled-time rows of the blended CD ramp per duration; tau sets the blend weight."""
     g_a, g_na = cd_a_ramp(cfg.g0, BLEND_M), cd_na_ramp(cfg.delta, cfg.g0, cfg.g1)
     cd_blended_ramp(g_a, g_na, BLEND_EPS, 1.0)   # rejects unequal boundary values
-    a, na = g_a.rows(s), g_na.rows(s)
+    a, na = g_a.rows(s)[:2], g_na.rows(s)[:2]
 
     def rows(tau):
         f = np.array([[blend_weight(BLEND_EPS, t)] for t in tau[:, 0]])
-        g, gs, gss = (f * x + (1.0 - f) * y for x, y in zip(a, na))
-        return g, gs / tau, gss / tau**2
+        return (*(f * x + (1.0 - f) * y for x, y in zip(a, na)), None)
 
     return rows
 
@@ -317,13 +316,37 @@ def _scan_grid(taus, quadrature_steps: int):
     return taus, np.linspace(0.0, 1.0, n + 1), _simpson_weights(n, 1.0 / n)
 
 
-def _scan_costs(protocol: str, delta: float, rows, taus: np.ndarray, w: np.ndarray):
-    """int_0^1 ||H(s; tau)|| ds per duration: one Simpson sum per row of (durations, s) chunks."""
-    chunk = max(1, _SCAN_CHUNK // len(w))
-    costs = np.empty(len(taus))
+def _scan_costs(protocols, delta: float, rows, taus: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """C(tau) = int_0^1 ||H(s; tau)|| ds, one row of costs per protocol (bare, cd or lcd).
+
+    ``rows`` are the scaled-time rows (g, g_s, g_ss) on the s grid, or for the
+    blend, whose g depends on tau, a function of a column of durations giving
+    them. r^2, a and b (``_theta_rates``) are computed once per ramp; tau
+    enters in the last passes over each (durations, s) chunk: 2 ||H||^2 is
+    r^2 + a^2/tau^2 for CD and Delta^2 + a^2/tau^2 + (g - b Delta / (Delta^2
+    tau^2 + a^2))^2 for LCD. A cost is one row's Simpson sum, whatever the batch.
+    """
+    def parts(g, gs, gss):
+        r2, a, b = _theta_rates(delta, g, gs, gss if "lcd" in protocols else None)
+        return g, r2, a * a, None if b is None else delta * b
+
+    fixed = None if callable(rows) else parts(*rows)
+    w = w / math.sqrt(2.0)   # ||H|| = sqrt(2 ||H||^2) / sqrt(2)
+    chunk = max(1, min(len(taus), _SCAN_CHUNK // len(w)))
+    den, h2 = np.empty((2, chunk, len(w)))   # reused: fresh chunks cost more than the passes
+    costs = np.empty((len(protocols), len(taus)))
     for i in range(0, len(taus), chunk):
-        fields = lz_fields(protocol, delta, *rows(taus[i:i + chunk, None]))
-        costs[i:i + chunk] = (_rate((0.0, *fields)) * w).sum(-1)
+        tau = taus[i:i + chunk, None]
+        g, r2, a2, db = fixed or parts(*rows(tau))
+        d, h = den[:len(tau)], h2[:len(tau)]
+        for k, p in enumerate(protocols):
+            if p == "lcd":   # d = tau^2 (Delta^2 + theta-dot^2), h = d/tau^2 + (g - db/d)^2
+                np.add((delta * tau) ** 2, a2, out=d)
+                np.subtract(g, np.divide(db, d, out=h), out=h)
+                np.add(np.square(h, out=h), np.multiply(d, tau**-2, out=d), out=h)
+            else:            # h = r^2 + a^2/tau^2; bare is CD with a = 0
+                np.add(np.multiply(a2 if p == "cd" else 0.0, tau**-2, out=h), r2, out=h)
+            costs[k, i:i + chunk] = np.multiply(np.sqrt(h, out=h), w, out=h).sum(-1)
     return costs
 
 
@@ -333,8 +356,7 @@ def cost_scan(cfg: LzConfig, taus: Sequence[float],
     """Integrated cost per protocol over a list of durations, for the default ramps.
 
     Returns {"tau": array, protocol: array, ...}. All but BOB are scanned in
-    scaled time, C(tau) = int_0^1 ||H(s; tau)|| ds: one Simpson sum per row
-    of (durations, s) chunks, so a cost does not depend on the other
+    scaled time (``_scan_costs``), so a cost does not depend on the other
     durations. BOB optimizes its kicks and integrates its piecewise-constant
     schedule per duration. A config with a custom ramp is rejected.
     """
@@ -343,17 +365,15 @@ def cost_scan(cfg: LzConfig, taus: Sequence[float],
         if p not in PROTOCOLS:
             raise ValueError(f"unknown protocol {p!r}")
     taus, s, w = _scan_grid(taus, quadrature_steps)
-    quintic = _tau_rows(*poly_smooth_ramp(cfg.g0, cfg.g1 - cfg.g0, 1.0).rows(s))
-    out = {"tau": taus}
-    for p in protocols:
-        if p == "bob":
-            out[p] = np.array([integrated_cost(_schedule_for(replace(cfg, tau=float(t)), p),
-                                               quadrature_steps) for t in taus])
-        elif p == "cd-blend":
-            out[p] = _scan_costs("cd", cfg.delta, _blend_rows(cfg, s), taus, w)
-        else:
-            out[p] = _scan_costs(p, cfg.delta, quintic, taus, w)
-    return out
+    quintic = [p for p in protocols if p in ("bare", "cd", "lcd")]
+    costs = dict(zip(quintic, _scan_costs(
+        quintic, cfg.delta, poly_smooth_ramp(cfg.g0, cfg.g1 - cfg.g0, 1.0).rows(s), taus, w)))
+    if "cd-blend" in protocols:
+        costs["cd-blend"] = _scan_costs(("cd",), cfg.delta, _blend_rows(cfg, s), taus, w)[0]
+    if "bob" in protocols:
+        costs["bob"] = np.array([integrated_cost(_schedule_for(replace(cfg, tau=float(t)), "bob"),
+                                                 quadrature_steps) for t in taus])
+    return {"tau": taus, **{p: costs[p] for p in protocols}}
 
 
 def bisect_sign_change(f, a: float, b: float, tol: float = 1e-3) -> float:

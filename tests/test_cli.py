@@ -233,11 +233,16 @@ def test_removed_oc_params_rejected(name, tmp_path, capsys):
           "g_a": {"kind": "tanh-optimal", "parameters": {"g0": -0.2, "m": "40"}},
           "g_na": {"kind": "tan-optimal", "parameters": {"delta": 0.1, "g0": -0.2, "g1": 0.2}}}}},
      "tanh-optimal ramp 'm' is not a finite number: '40'"),
+    ({"preset": "fig3", "tau": []}, "tau is empty: an lz cost scan needs at least one duration"),
+    ({"preset": "smoke", "tau": []}, "tau is empty: an lz cost scan needs at least one duration"),
+    ({"model": "lz", "mode": "scan"}, "tau is empty: an lz cost scan needs at least one duration"),
+    ({"model": "lz", "mode": "scan", "tau": []}, "tau is empty: an lz cost scan"),
 ])
 def test_bad_param_values_rejected_in_one_line(raw, match, tmp_path, capsys):
     # wrong types, fractional or too small counts, non-positive oscillator
-    # parameters, incomplete ramps and ramp parameters that are not finite
-    # numbers (a nested ramp's too) end both subcommands before anything runs
+    # parameters, incomplete ramps, ramp parameters that are not finite
+    # numbers (a nested ramp's too) and an lz scan without durations end both
+    # subcommands before anything runs
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**raw, "out": str(tmp_path / "o")}))
     for command in ("validate", "run"):

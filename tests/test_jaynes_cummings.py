@@ -11,8 +11,8 @@ from ctrlcost.twolevel import integrated_cost, propagate
 from ctrlcost.jaynes_cummings import (INITIAL_STATE, JcConfig, jc_block, jc_cd_block,
                                       jc_lcd_block, mixing_angle_rate,
                                       coherent_weights, block_run,
-                                      ensemble_run, jc_cost_scan,
-                                      find_jc_crossover)
+                                      ensemble_run, coherent_cost_scan,
+                                      jc_cost_scan, find_jc_crossover)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +255,24 @@ def test_jc_scan_matches_real_time_blocks(n):
         for key, build in (("cd", jc_cd_block), ("lcd", jc_lcd_block)):
             direct = integrated_cost(build(cfg, n), 8192)
             assert scan[key][i] == pytest.approx(direct, rel=1e-12)
+
+
+def test_coherent_scan_is_the_weighted_block_scans():
+    # a negative detuning, so the scan's |delta| is exercised too
+    cfg = JcConfig(tau=1.0, delta=-0.1, alpha=0.7, n_cut=5)
+    taus = [0.3, 6.0, 16.6, 40.0, 95.0]
+    scan = coherent_cost_scan(cfg, taus)
+    p = coherent_weights(cfg.alpha, cfg.n_cut)
+    blocks = [jc_cost_scan(cfg, taus, n) for n in range(cfg.n_cut + 1)]
+    assert np.array_equal(scan["tau"], taus)
+    for key in ("cd", "lcd"):
+        want = sum(w * b[key] for w, b in zip(p, blocks))
+        assert np.max(np.abs(scan[key] - want) / want) < 1e-13
+    # one cell against the real-time blocks
+    at = JcConfig(tau=taus[2], delta=cfg.delta, alpha=cfg.alpha, n_cut=cfg.n_cut)
+    for key, build in (("cd", jc_cd_block), ("lcd", jc_lcd_block)):
+        direct = sum(w * integrated_cost(build(at, n), 8192) for n, w in enumerate(p))
+        assert scan[key][2] == pytest.approx(direct, rel=1e-12)
 
 
 def test_jc_scan_is_even_in_the_detuning():

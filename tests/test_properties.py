@@ -11,6 +11,8 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from ctrlcost.jaynes_cummings import (JcConfig, jc_block, jc_cd_block,  # noqa: E402
                                       jc_lcd_block)
+from ctrlcost.landau_zener import (LzConfig, blended_ramp_for, cost_scan,  # noqa: E402
+                                   lz_bare, lz_cd, lz_lcd)
 from ctrlcost.ramps import (cd_a_ramp, cd_blended_ramp, cd_na_ramp,  # noqa: E402
                             oc_fourier_ramp, poly_smooth_ramp, ramp_from_dict)
 from ctrlcost.oscillator import (cd_validity_edge,  # noqa: E402
@@ -167,6 +169,27 @@ def test_jc_blocks_match_their_closed_forms(delta, sign, n, g0, g1, tau, omega):
         # relative to the field's size |(cx, cy, cz)| >= |delta|, so cz's zero crossing counts too
         size = np.linalg.norm(want[1:], axis=0)
         assert np.max(np.abs(got[1:] - want[1:]) / size) < 1e-12, kind
+
+
+# ---------------------------------------------------------------------------
+# scaled-time cost scans against the real-time builders
+
+
+@settings(max_examples=25, deadline=None)
+@given(delta=st.floats(0.02, 1.0), g0=st.floats(-1.0, -0.02), n=st.integers(0, 40),
+       taus=st.lists(st.floats(0.1, 100.0), min_size=1, max_size=5))
+def test_scan_rows_are_the_real_time_costs_and_do_not_depend_on_the_batch(delta, g0, n, taus):
+    # an antisymmetric sweep (the blend needs g1 = -g0) at a JC block's scale -2 sqrt(n+1)
+    g = -2.0 * math.sqrt(n + 1.0) * g0
+    cfg = LzConfig(tau=1.0, delta=delta, g0=g, g1=-g)
+    protocols = ("bare", "cd", "lcd", "cd-blend")
+    batch = cost_scan(cfg, taus, protocols)
+    for i, tau in enumerate(taus):
+        at = LzConfig(tau=tau, delta=delta, g0=g, g1=-g)
+        blend = LzConfig(tau=tau, delta=delta, g0=g, g1=-g, ramp=blended_ramp_for(at, tau))
+        for p, sched in zip(protocols, (lz_bare(at), lz_cd(at), lz_lcd(at), lz_cd(blend))):
+            assert batch[p][i] == pytest.approx(integrated_cost(sched, 8192), rel=1e-12), p
+            assert cost_scan(cfg, [tau], (p,))[p][0] == batch[p][i], p
 
 
 # ---------------------------------------------------------------------------
