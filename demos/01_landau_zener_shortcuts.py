@@ -42,8 +42,7 @@ for tau in (tau_qsl, 0.1):
     for protocol in ("bare", "cd", "lcd", "bob"):
         if protocol == "bob" and tau != tau_qsl:
             continue  # BOB is a speed-limit protocol
-        traj, rep = run_protocol(LzConfig(tau=tau), protocol,
-                                 steps=20_000, bob_kicks=kicks)
+        traj, rep = run_protocol(LzConfig(tau=tau), protocol, bob_kicks=kicks)
         trajectories[(tau, protocol)] = traj
         print(f"{tau:8.3f} {protocol:>9} {rep.final_fidelity:16.10f} "
               f"{rep.integrated_cost:10.4f}")

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, jaynes_cummings, landau_zener, oscillator
 from .ramps import bob_pulse, poly_smooth_ramp, ramp_from_dict, _finite
-from .twolevel import integrated_cost, instantaneous_eigenstates
+from .twolevel import DEFAULT_STEPS, integrated_cost, instantaneous_eigenstates
 from .landau_zener import (LzConfig, lz_cd, lz_lcd, lz_bob,
                            lz_ground_state, qsl_time, optimize_bob_kicks,
                            cost_scan, find_cd_lcd_crossover, run_protocol,
@@ -61,7 +61,7 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
     seed: int = 0
     out: str = "out"
-    trajectory_steps: int = 20_000
+    trajectory_steps: int = DEFAULT_STEPS
     scan_points: int = 25
     description: str = ""
     preset: str = ""
@@ -151,7 +151,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ValueError("a custom ramp is only supported for the lz model")
         ramp_from_dict(ramp)  # fail early on malformed descriptions
     counts = {k: int(_number(k, raw.get(k, d), _INT))
-              for k, d in (("seed", 0), ("trajectory_steps", 20_000), ("scan_points", 25))}
+              for k, d in (("seed", 0), ("trajectory_steps", DEFAULT_STEPS), ("scan_points", 25))}
     for k, least in (("trajectory_steps", 2), ("scan_points", 1)):
         if counts[k] < least:
             raise ValueError(f"{k} must be >= {least}, got {counts[k]}")
@@ -266,8 +266,8 @@ def _tau_qsl(cfg: ExperimentConfig) -> float:
 
 
 def _lz_trajectory_mode(cfg: ExperimentConfig) -> bool:
-    """Whether an lz config runs trajectories; otherwise it scans its (non-empty) durations."""
-    return cfg.mode == "trajectory" or cfg.preset == "fig1" or not cfg.tau
+    """Whether an lz config runs trajectories: an explicit mode decides, else fig1 or no tau."""
+    return cfg.mode == "trajectory" or (not cfg.mode and (cfg.preset == "fig1" or not cfg.tau))
 
 
 def _run_lz(cfg: ExperimentConfig, outdir: Path, summary: dict):

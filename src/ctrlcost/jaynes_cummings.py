@@ -34,7 +34,7 @@ import numpy as np
 from .ramps import Ramp, poly_smooth_ramp
 from .twolevel import (PauliSchedule, propagate, converged_final_state,
                        integrated_cost, _rate, _simpson_weights,
-                       _segment_grid, _midpoints, _steps, _trajectory)
+                       _segment_grid, _gauss_nodes, _steps, _trajectory)
 from .landau_zener import (LzConfig, lz_fields, cost_scan, find_cd_lcd_crossover,
                            _scan_costs, _scan_grid)
 
@@ -185,10 +185,10 @@ def ensemble_run(cfg: JcConfig, protocol: str, steps: Optional[int] = None) -> J
     fidelities and costs; identity offsets are excluded from the costs. The
     photon-number cutoff must leave a tail below 1e-12.
 
-    The ramp is evaluated once on the step midpoints, once on the nodes and
-    once on the cost quadrature's 4097 points; each block's coefficients
-    follow from those rows, and the blocks are taken one at a time, each
-    fidelity from its prefix quaternions alone, so memory stays at one block's steps.
+    The ramp is evaluated once on the steps' Gauss nodes, once on the grid
+    nodes and once on the cost quadrature's 4097 points; each block's
+    coefficients follow from those rows, and the blocks are taken one at a
+    time, each fidelity from its prefix quaternions alone, so memory stays at one block's steps.
     """
     weights = coherent_weights(cfg.alpha, cfg.n_cut)
     tail = max(0.0, 1.0 - float(weights.sum()))
@@ -202,16 +202,16 @@ def ensemble_run(cfg: JcConfig, protocol: str, steps: Optional[int] = None) -> J
     ramp = _sweep(cfg)
     times = _segment_grid(cfg.tau, (), steps)
     t_cost = np.linspace(0.0, cfg.tau, 4097)
-    mid, nodes, quad = (ramp.rows(t) for t in (_midpoints(times), times, t_cost))
+    gauss, nodes, quad = (ramp.rows(t) for t in (_gauss_nodes(times), times, t_cost))
     w = _simpson_weights(4096, t_cost[1] - t_cost[0])
     fid_w = np.zeros(len(times))
     bf, bc = np.empty(cfg.n_cut + 1), np.empty(cfg.n_cut + 1)
     for n in range(cfg.n_cut + 1):
-        q, _ = _steps(_block_fields(cfg, protocol, n, mid), times, f"jc-{protocol}-n{n}")
+        q, _ = _steps(_block_fields(cfg, protocol, n, gauss), times, f"jc-{protocol}-n{n}")
         _, fid = _trajectory(q, _block_fields(cfg, "bare", n, nodes), INITIAL_STATE)
         fid_w += weights[n] * fid
         bf[n] = fid[-1]
-        bc[n] = _rate(_block_fields(cfg, protocol, n, quad)) @ w / cfg.tau
+        bc[n] = (_rate(_block_fields(cfg, protocol, n, quad)) * w).sum() / cfg.tau
     # population-weighted fidelity normalized by captured mass
     fid = fid_w / weights.sum()
     return JcEnsembleResult(times=times, fidelity=fid, cost=float(weights @ bc),

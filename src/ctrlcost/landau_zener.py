@@ -437,16 +437,14 @@ def run_protocol(cfg: LzConfig, protocol: str, steps: Optional[int] = None,
     the fidelity series is always the bare sweep.
     """
     sched = _schedule_for(cfg, protocol, bob_kicks, g_q)
-    reference = lz_bare(cfg)
     psi0 = lz_ground_state(cfg.delta, cfg.g0)
     psit = lz_ground_state(cfg.delta, cfg.g1)
     if steps is None:
         _, steps = converged_final_state(sched, psi0)
-    traj = propagate(sched, psi0, steps, reference=reference)
-    ffin = fidelity(traj.final_state, psit)
+    traj = propagate(sched, psi0, steps, reference=lz_bare(cfg))
     report = CostReport(protocol=protocol, tau=cfg.tau,
                         integrated_cost=integrated_cost(sched),
-                        final_fidelity=ffin,
+                        final_fidelity=fidelity(traj.final_state, psit),
                         times=traj.times, cost_rate=traj.cost_rate,
                         metadata={"delta": cfg.delta, "g0": cfg.g0, "g1": cfg.g1,
                                   "steps": steps})

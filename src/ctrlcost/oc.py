@@ -28,14 +28,14 @@ The state is propagated by ``steps`` fourth-order commutator-free Magnus
 steps (CF4; Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006)): step k is
 two exact SU(2) exponentials of (Delta sigma_x/2 + z sigma_z)/2 over dt,
 with z = a1 g1 + a2 g2 and then a2 g1 + a1 g2 for g at the step's Gauss
-nodes (``twolevel._GAUSS``, ``_ALPHA``). C is the two-point Gauss-Legendre
-sum on the same node rows. At the default 512 steps the refined q is
-within 2.2% of the optimizer's at the fig3-oc preset, where 4,096
-second-order midpoint steps leave 22%. Each evaluation also returns the exact
-gradients of q and C in x, q's by GRAPE (Khaneja et al., J. Magn. Reson.
-172, 296 (2005)) from one prefix scan of the 2N exponentials, both through
-the fixed basis as in GOAT (Machnes et al., PRL 120, 150401 (2018)). The
-ansatz is CRAB-like (Caneva et al., PRA 84, 022326 (2011)).
+nodes, built by ``twolevel._cf4_factors`` as every qubit step is. C is the
+two-point Gauss-Legendre sum on the same node rows. At the default 512
+steps the refined q is within 2.2% of the optimizer's at the fig3-oc
+preset; 4,096 second-order steps leave 22%. Each evaluation also returns
+the exact gradients of q and C in x, q's by GRAPE (Khaneja et al., J. Magn.
+Reson. 172, 296 (2005)) from one prefix scan of the 2N exponentials, both
+through the fixed basis as in GOAT (Machnes et al., PRL 120, 150401
+(2018)). The ansatz is CRAB-like (Caneva et al., PRA 84, 022326 (2011)).
 
 The [sin | cos] columns are nearly dependent on [0, tau] (smallest singular
 value 3e-11 at n_max 16), so an optimum may carry amplitudes of tens or
@@ -51,7 +51,7 @@ from typing import Optional
 import numpy as np
 
 from .landau_zener import LzConfig, lz_ground_state, qsl_time
-from .twolevel import (_ALPHA, _GAUSS, _su2_steps, _qmul, _ordered_product,
+from .twolevel import (_GAUSS, _MIX, _cf4_factors, _qmul, _ordered_product,
                        _prefix_scan, _apply)
 
 __all__ = ["OcProblem", "OcResult", "evaluate", "optimize", "refine_result"]
@@ -59,7 +59,6 @@ __all__ = ["OcProblem", "OcResult", "evaluate", "optimize", "refine_result"]
 CONTINUATION = (1e-3, 1e-6)   # intermediate infidelity targets, then q_target/2
 FTOL = 1e-12                  # SLSQP's tolerance on the change of C
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
-_MIX = np.array([[_ALPHA[0], _ALPHA[1]], [_ALPHA[1], _ALPHA[0]]])   # CF4 node mixing
 
 
 @dataclass(frozen=True)
@@ -136,14 +135,13 @@ class _Evaluator:
         self.perp = np.array([-target[1].conj(), target[0].conj()])
 
     def _fields(self, x):
-        """(node g, node cost rate, z of the CF4 exponentials, their SU(2) rows)."""
+        """(node g, node cost rate, the CF4 factors' mixed (cx, cy, cz), their SU(2) rows)."""
         # einsum, not a BLAS matvec, here and in the gradient: threaded BLAS
         # between SLSQP's own calls oversubscribes a 2-core host (4 s against
         # 0.5 s per n_max-30 optimization, 16 against 2.5 ms per 8,192-row gradient)
         g = self.lin + np.einsum("ij,j->i", self.basis, x)
         rate = np.sqrt((self.delta**2 + g * g) / 2.0)
-        cz = (g.reshape(-1, 2) @ _MIX).ravel()
-        return g, rate, cz, _su2_steps(0.5 * self.delta, 0.0, cz, self.dt)
+        return g, rate, *_cf4_factors(self.delta, 0.0, g, self.dt)
 
     def final_state(self, steps) -> np.ndarray:
         """psi(tau): the product of the CF4 factors on psi0, rescaled to unit
@@ -168,7 +166,7 @@ class _Evaluator:
         z is an alpha mixture of the node g, symmetric, so dq/dg is the
         same mixture of dq/dz.
         """
-        g, rate, cz, steps = self._fields(x)
+        g, rate, (_, _, cz), steps = self._fields(x)
         prefix = _prefix_scan(steps)
         earlier = np.concatenate([[(1.0, 0.0, 0.0, 0.0)], prefix[:-1]])   # P_{k-1}, P_{-1} = 1
         eta = _apply(prefix[-1] * _CONJ, self.perp)

@@ -358,4 +358,5 @@ def oscillator_cost(ramp: Ramp, protocol: str, beta: float = 3.0,
     t, q = qstar_series(ramp, protocol, steps)
     coth = 1.0 / math.tanh(beta * float(ramp.value(0.0)) / 2.0)
     w = np.sqrt(lcd_frequency(ramp, t)) if protocol == "lcd" else ramp.value(t)
-    return float((0.5 * w * q * coth) @ _simpson_weights(len(t) - 1, t[1] - t[0]) / ramp.duration)
+    x = w * q * _simpson_weights(len(t) - 1, t[1] - t[0])
+    return float(x.sum() * (0.5 * coth) / ramp.duration)

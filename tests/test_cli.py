@@ -396,6 +396,52 @@ def test_fig4_runs_where_the_cd_edge_is_below_half(tmp_path, capsys):
     assert edge == pytest.approx(np.max(15.0 * x**2 * (1 - x) ** 2 / w**2), abs=1e-4)
 
 
+def test_explicit_scan_mode_beats_the_fig1_preset(tmp_path):
+    # a preset supplies only the default mode: fig1 told to scan scans
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"preset": "fig1", "mode": "scan", "tau": [1.0, 5.0],
+                                "protocols": ["cd", "lcd"], "out": str(tmp_path / "o")}))
+    assert main(["run", "--config", str(path)]) == 0
+    names = {p.name for p in (tmp_path / "o").iterdir()}
+    assert "cost_scan.csv" in names
+    assert "fidelity.csv" not in names
+
+
+def test_default_trajectory_rows_are_every_uniform_node(tmp_path):
+    # at the default 4,000 steps every grid node is written, so each t column
+    # is linspace(0, tau, 4001) to the byte (fig5's trajectories run at tau = 10)
+    for preset, names in (("fig1", ("fidelity.csv", "cost_rate.csv", "spectra.csv")),
+                          ("fig5", ("fidelity_n0.csv", "fidelity_coherent.csv"))):
+        outdir = run(parse_config({"preset": preset, "out": str(tmp_path / preset)}))
+        for name in names:
+            lines = (outdir / name).read_text().splitlines()
+            cols = lines[1].split(",")
+            t_of = {}
+            for row in (line.split(",") for line in lines[2:]):
+                tau = row[0] if cols[0] == "tau" else "10"
+                t_of.setdefault(tau, []).append(row[cols.index("t")])
+            assert len(t_of) == (2 if preset == "fig1" else 1)
+            for tau, t in t_of.items():
+                assert t == ["%.17g" % x for x in np.linspace(0.0, float(tau), 4001)], name
+
+
+def test_fig4_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # every Simpson cost is a row sum: the BLAS dot it replaced split the
+    # oscillator's long sums differently on 1 and 2 threads
+    src = str(Path(ctrlcost.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    procs = [subprocess.Popen([sys.executable, "-m", "ctrlcost.cli", "run", "fig4",
+                               "--out", str(tmp_path / n)],
+                              env={**env, "OPENBLAS_NUM_THREADS": n}, stdout=subprocess.DEVNULL)
+             for n in ("1", "2")]
+    assert [p.wait() for p in procs] == [0, 0]
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert "cost_scan.csv" in names
+    assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
 def test_fig3_crossover_matches_a_fresh_scan(tmp_path):
     cfg = parse_config({"preset": "fig3", "out": str(tmp_path / "o")})
     summary = json.loads((run(cfg) / "summary.json").read_text())

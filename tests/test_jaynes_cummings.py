@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from ctrlcost.landau_zener import LzConfig, lz_cd, lz_lcd, cost_scan
+from ctrlcost.landau_zener import (LzConfig, lz_cd, lz_lcd, cost_scan, lz_ground_state,
+                                   qsl_time)
 from ctrlcost.ramps import poly_smooth_ramp
-from ctrlcost.twolevel import integrated_cost, propagate
+from ctrlcost.twolevel import (DEFAULT_STEPS, converged_final_state, integrated_cost,
+                               propagate)
 from ctrlcost.jaynes_cummings import (INITIAL_STATE, JcConfig, jc_block, jc_cd_block,
                                       jc_lcd_block, mixing_angle_rate,
                                       coherent_weights, block_run,
@@ -304,3 +306,17 @@ def test_jc_adiabatic_limit_cost():
     for proto in ("cd", "lcd"):
         scan = jc_cost_scan(cfg, [3000.0], protocols=(proto,))
         assert scan[proto][0] == pytest.approx(oracle, rel=1e-3)
+
+
+def test_default_steps_converge_at_the_first_doubling():
+    # CF4 at DEFAULT_STEPS already meets CONVERGENCE_TOL on fig1's CD and LCD
+    # sweeps at tau_QSL and on fig5's fastest block, n = n_cut
+    base = LzConfig(tau=1.0)
+    lz = LzConfig(tau=qsl_time(base.delta, lz_ground_state(base.delta, base.g0),
+                               lz_ground_state(base.delta, base.g1)))
+    jc = JcConfig(tau=10.0, alpha=2.0)
+    runs = [(build(lz), lz_ground_state(lz.delta, lz.g0)) for build in (lz_cd, lz_lcd)]
+    runs += [(build(jc, jc.n_cut), INITIAL_STATE) for build in (jc_cd_block, jc_lcd_block)]
+    for sched, psi0 in runs:
+        _, steps = converged_final_state(sched, psi0)
+        assert steps == 2 * DEFAULT_STEPS, sched.label

@@ -84,8 +84,8 @@ def test_evaluate_matches_library_route(rng):
     # oracle for a shaped pulse: the same Fourier ramp built by
     # oc_fourier_ramp and run through the generic schedule, cost quadrature
     # and step-doubled propagation instead of the evaluator's cached basis;
-    # the library's midpoint steps converge to 1e-10 in infidelity, the
-    # evaluator's 32768 CF4 steps to far below it
+    # the library's step doubling stops once two refinements agree to 1e-10
+    # in infidelity, the evaluator's 32768 CF4 steps converge far below it
     n, steps = 8, 32_768
     prob = make_problem(tau=30.0, n_max=n, steps=steps)
     amps = rng.normal(0.0, 0.03, n)
@@ -259,7 +259,7 @@ def test_optimized_pulse_reproduces_through_the_library_route(bench_tau25):
 
 def test_refined_infidelity_is_the_optimizers(bench_tau25):
     # the optimizer's grid resolves q itself: the 32x finer grid moves it by
-    # under 5% (4,096 second-order midpoint steps leave 22%, half of q)
+    # under 5% (4,096 second-order steps leave 22%, half of q)
     _, res, fine = bench_tau25
     assert fine.q == pytest.approx(res.q, rel=0.05)
 
