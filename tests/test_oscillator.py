@@ -12,7 +12,7 @@ from ctrlcost.oscillator import (classical_solutions,
                                  qstar_ie, lcd_frequency, lcd_omega0,
                                  ie_energy, qstar_series, oscillator_cost,
                                  cd_is_valid, cd_validity_edge, lcd_is_valid,
-                                 CdValidityError, LcdValidityError,
+                                 default_steps, CdValidityError, LcdValidityError,
                                  OscillatorError)
 
 W0, W1, BETA = 1.0, 10.0, 3.0
@@ -320,6 +320,19 @@ def test_protocol_cost_ordering(tau):
     c_ie = oscillator_cost(omega, "ie", BETA)
     assert c_ie <= c_lcd
     assert c_ie <= c_cd
+
+
+@pytest.mark.parametrize("tau", [1.55, 2.5, 10.0])
+def test_default_steps_resolve_the_preset_sweep(tau):
+    # the CF4 step rule: costs and Q*(tau) at default_steps agree with 16x the steps
+    omega = poly_smooth_ramp(W0, W1 - W0, tau)
+    fine = 16 * default_steps(omega)
+    for proto in ("cd", "lcd", "ie"):
+        assert oscillator_cost(omega, proto, BETA) == pytest.approx(
+            oscillator_cost(omega, proto, BETA, fine), rel=1e-12, abs=0.0)
+    for proto in ("bare", "lcd"):
+        assert qstar_series(omega, proto)[1][-1] == pytest.approx(
+            qstar_series(omega, proto, fine)[1][-1], rel=1e-12, abs=0.0)
 
 
 def test_cd_cost_propagates_validity_error():

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
+from ctrlcost.landau_zener import LzConfig, lz_cd, lz_ground_state, qsl_time
 from ctrlcost.twolevel import (PauliSchedule, qubit_state, fidelity, propagate,
                                final_state, converged_final_state,
                                instantaneous_eigenstates, cost_rate,
@@ -213,6 +214,17 @@ def test_quaternion_norm_drift_at_20k_steps():
     norms = np.sum(_prefix_scan(q) ** 2, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
     assert abs(np.sum(_ordered_product(q) ** 2) - 1.0) < 1e-12
+
+
+def test_trajectory_stays_on_the_unit_sphere_at_64k_steps():
+    # fig1's CD sweep at tau_QSL: the prefix quaternions' round-off grew with
+    # the step count (2.4e-12 off norm 1, F 4.9e-12 off 1) until they were renormalized
+    cfg = LzConfig(tau=1.0)
+    psi0 = lz_ground_state(cfg.delta, cfg.g0)
+    tqsl = qsl_time(cfg.delta, psi0, lz_ground_state(cfg.delta, cfg.g1))
+    traj = propagate(lz_cd(LzConfig(tau=tqsl)), psi0, steps=64_000)
+    assert np.max(np.abs(traj.norms() - 1.0)) <= 1e-14
+    assert abs(1.0 - traj.fidelity[-1]) <= 1e-14
 
 
 def test_breakpoints_are_extra_nodes_of_the_uniform_grid():
