@@ -136,8 +136,8 @@ def mixing_angle_rate(cfg: JcConfig, n: int, t):
     """
     ramp = _sweep(cfg)
     rt = math.sqrt(n + 1.0)
-    omr = 2.0 * rt * ramp.value(t)
-    omrd = 2.0 * rt * ramp.deriv1(t)
+    g, gd, _ = ramp.rows(t)
+    omr, omrd = 2.0 * rt * g, 2.0 * rt * gd
     return 0.5 * omrd * cfg.delta / (cfg.delta**2 + omr * omr)
 
 

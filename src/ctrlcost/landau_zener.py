@@ -138,8 +138,8 @@ def lz_cd(cfg: LzConfig) -> PauliSchedule:
 def lz_lcd(cfg: LzConfig) -> PauliSchedule:
     """Local counterdiabatic schedule: H = P(t) sigma_x/2 + [g - eta_dot] sigma_z/2."""
     ramp = cfg.ramp_or_default()
-    edge = max(abs(float(ramp.deriv1(0.0))), abs(float(ramp.deriv1(cfg.tau))),
-               abs(float(ramp.deriv2(0.0))) * cfg.tau, abs(float(ramp.deriv2(cfg.tau))) * cfg.tau)
+    _, d1, d2 = ramp.rows(np.array([0.0, cfg.tau]))
+    edge = max(np.max(np.abs(d1)), np.max(np.abs(d2)) * cfg.tau)
     if edge > 1e-9 * max(1.0, abs(cfg.g1 - cfg.g0) / cfg.tau):
         warnings.warn("LCD requires a ramp with flat start and end points; "
                       "target-state fidelity is not guaranteed for this ramp",
@@ -248,8 +248,8 @@ def cd_cost_decomposition(cfg: LzConfig, s_grid) -> tuple:
     s = np.asarray(s_grid, dtype=float)
     ramp = cfg.ramp_or_default()
     delta = cfg.delta
-    g = ramp.value(s * cfg.tau)
-    gp = ramp.deriv1(s * cfg.tau) * cfg.tau  # dg/ds
+    g, gd, _ = ramp.rows(s * cfg.tau)
+    gp = gd * cfg.tau  # dg/ds
     r2 = delta**2 + g * g
     if np.any(r2 <= 0.0):
         raise ValueError("degenerate gap along the path")

@@ -1,8 +1,8 @@
 """Parametrically driven harmonic oscillator: protocols and energy cost.
 
 The frequency sweep omega(t) is a ``Ramp`` on [0, duration]; its closed-form
-deriv1 and deriv2 serve the CD and LCD constructions, and omega0 is its
-value at t = 0. The preset sweep is ``poly_smooth_ramp(w0, w1 - w0, tau)``.
+rows (omega, omega-dot, omega-ddot) serve the CD and LCD constructions, and
+omega0 is its value at t = 0. The preset sweep is ``poly_smooth_ramp(w0, w1 - w0, tau)``.
 The oscillator starts in thermal equilibrium of the initial trap. All
 dynamical quantities reduce to the classical auxiliary solutions X(t), Y(t)
 of x'' + omega^2(t) x = 0 (Wronskian X Y' - X' Y = -1) and the Ermakov scale
@@ -34,7 +34,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .landau_zener import bisect_sign_change
 from .ramps import Ramp, poly_smooth_ramp
 from .twolevel import _ALPHA, _gauss_nodes, _prefix_scan, _simpson_weights
 
@@ -49,7 +48,6 @@ __all__ = [
     "qstar_cd",
     "qstar_ie",
     "lcd_frequency",
-    "lcd_omega0",
     "ie_energy",
     "qstar_series",
     "oscillator_cost",
@@ -60,6 +58,7 @@ __all__ = [
 ]
 
 WRONSKIAN_TOL = 1e-6
+VALIDITY_SAMPLES = 4001   # grid points of cd_is_valid, lcd_is_valid and cd_validity_edge
 PROTOCOLS = ("bare", "cd", "lcd", "ie")
 
 
@@ -157,23 +156,21 @@ def classical_solutions(ramp: Ramp, steps: Optional[int] = None,
 
     They are the columns of the CF4 fundamental matrix (module docstring).
     ``omega2`` overrides the squared frequency (used for the LCD effective
-    trap); by default it is ramp.value(t)^2. The Wronskian is checked and
-    the grid refined once if the drift exceeds the tolerance.
+    trap); by default it is ramp.value(t)^2. Every CF4 step is unimodular, so
+    a Wronskian drift is round-off of a growing solution, which a finer grid
+    cannot lower: a drift above the tolerance raises OscillatorError.
     """
     if steps is None:
         steps = default_steps(ramp)
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     w2 = omega2 if omega2 is not None else (lambda t: ramp.value(t) ** 2)
-    for attempt in range(2):
-        t, E = _fundamental_matrix(w2, ramp.duration, steps)
-        Y, X, Yd, Xd = 1.0 + E[0], E[1], E[2], 1.0 + E[3]
-        drift = float(np.max(np.abs(X * Yd - Xd * Y + 1.0)))
-        if drift <= WRONSKIAN_TOL:
-            return OscillatorSolution(times=t, X=X, Xd=Xd, Y=Y, Yd=Yd)
-        steps *= 2
-    raise OscillatorError(
-        f"Wronskian drift {drift:.3e} above {WRONSKIAN_TOL} even after refinement")
+    t, E = _fundamental_matrix(w2, ramp.duration, steps)
+    Y, X, Yd, Xd = 1.0 + E[0], E[1], E[2], 1.0 + E[3]
+    drift = float(np.max(np.abs(X * Yd - Xd * Y + 1.0)))
+    if drift > WRONSKIAN_TOL:
+        raise OscillatorError(f"Wronskian drift {drift:.3e} above {WRONSKIAN_TOL} at {steps} steps")
+    return OscillatorSolution(times=t, X=X, Xd=Xd, Y=Y, Yd=Yd)
 
 
 def ermakov_solve(ramp: Ramp, steps: Optional[int] = None) -> OscillatorSolution:
@@ -247,7 +244,7 @@ def qstar_ie(ramp: Ramp, t):
 def _closed_form(ramp: Ramp, protocol: str, t):
     """omega and the closed-form Q* of the cd or ie protocol at t."""
     t = np.asarray(t, dtype=float)
-    w, wd = ramp.value(t), ramp.deriv1(t)
+    w, wd, _ = ramp.rows(t)
     if protocol == "ie":
         return w, 1.0 + wd**2 / (8.0 * w**4)
     arg = 1.0 - wd**2 / (4.0 * w**4)
@@ -263,51 +260,31 @@ def lcd_frequency(ramp: Ramp, t):
     Omega^2 = omega^2 - 3 omega_dot^2 / (4 omega^2) + omega_ddot / (2 omega).
     The sign is reported, not raised, so scans can map validity regions.
     """
-    t = np.asarray(t, dtype=float)
-    w = ramp.value(t)
-    return w**2 - 3.0 * ramp.deriv1(t) ** 2 / (4.0 * w**2) \
-        + ramp.deriv2(t) / (2.0 * w)
+    w, wd, wdd = ramp.rows(t)
+    return w**2 - 3.0 * wd**2 / (4.0 * w**2) + wdd / (2.0 * w)
 
 
-def lcd_omega0(ramp: Ramp) -> float:
-    """Initial effective LCD frequency (equals omega0 for flat-start ramps)."""
-    om2 = float(lcd_frequency(ramp, 0.0))
-    if om2 <= 0.0:
-        raise LcdValidityError(0.0)
-    return math.sqrt(om2)
+def cd_is_valid(ramp: Ramp) -> bool:
+    w, wd, _ = ramp.rows(np.linspace(0.0, ramp.duration, VALIDITY_SAMPLES))
+    return bool(np.all(4.0 * w**4 > wd**2))
 
 
-def cd_is_valid(ramp: Ramp, samples: int = 4001) -> bool:
-    t = np.linspace(0.0, ramp.duration, samples)
-    w = ramp.value(t)
-    return bool(np.all(4.0 * w**4 > ramp.deriv1(t) ** 2))
-
-
-def lcd_is_valid(ramp: Ramp, samples: int = 4001) -> bool:
-    t = np.linspace(0.0, ramp.duration, samples)
+def lcd_is_valid(ramp: Ramp) -> bool:
+    t = np.linspace(0.0, ramp.duration, VALIDITY_SAMPLES)
     return bool(np.all(lcd_frequency(ramp, t) > 0.0))
 
 
-def cd_validity_edge(omega0: float = 1.0, omega1: float = 10.0,
-                     tol: float = 1e-4) -> float:
-    """Smallest quintic-ramp duration with no trap inversion, by bisection.
+def cd_validity_edge(omega0: float = 1.0, omega1: float = 10.0) -> float:
+    """Smallest quintic-ramp duration that ``cd_is_valid`` accepts.
 
     The sweep is valid when tau > h(x) = 15 |w1 - w0| x^2 (1 - x)^2 / w(x)^2
-    for all x = t/tau, so the edge max h lies between h(1/2) and
-    15 |w1 - w0| / (16 min(w0, w1)^2); the bisection brackets it by these
-    bounds, widened by 10%. A constant frequency (w0 = w1) is valid at any
+    for all x = t/tau; the edge is the maximum of h over the samples that
+    ``cd_is_valid`` checks. A constant frequency (w0 = w1) is valid at any
     duration: the edge is 0.
     """
-    if omega0 == omega1:
-        return 0.0
-    scale = 15.0 * abs(omega1 - omega0) / 16.0
-    lo = scale / (0.5 * (omega0 + omega1)) ** 2
-    hi = scale / min(omega0, omega1) ** 2
-
-    def sign(tau):
-        return 1.0 if cd_is_valid(poly_smooth_ramp(omega0, omega1 - omega0, tau)) else -1.0
-
-    return bisect_sign_change(sign, 0.9 * lo, 1.1 * hi, tol)
+    x = np.linspace(0.0, 1.0, VALIDITY_SAMPLES)
+    w = poly_smooth_ramp(omega0, omega1 - omega0, 1.0).value(x)
+    return float(np.max(15.0 * abs(omega1 - omega0) * x**2 * (1.0 - x) ** 2 / w**2))
 
 
 def ie_energy(ramp: Ramp, sol: OscillatorSolution, beta: float):

@@ -2,7 +2,10 @@
 
 Every ramp carries closed-form first and second derivatives because the
 local counterdiabatic constructions need g-dot and g-ddot analytically;
-nothing in this package differentiates a ramp numerically.
+nothing in this package differentiates a ramp numerically. Each kind is one
+closed form t -> (g, g', g''), ``Ramp.rows``, that computes its shared
+intermediates once; a caller that needs more than one row takes them all
+from one call, and ``value``, ``deriv1`` and ``deriv2`` pick single rows.
 
 Ramp kinds
 ----------
@@ -54,29 +57,29 @@ class Ramp:
     params : dict
         Constructor parameters, sufficient to rebuild the ramp via
         :func:`ramp_from_dict`.
+    _rows : callable
+        The closed form: a float array t -> (g, g', g'') of t's shape.
     """
 
     kind: str
     duration: float
     params: dict
-    _value: Callable = field(repr=False)
-    _deriv1: Callable = field(repr=False)
-    _deriv2: Callable = field(repr=False)
-
-    def value(self, t):
-        return self._value(np.asarray(t, dtype=float))
-
-    def deriv1(self, t):
-        return self._deriv1(np.asarray(t, dtype=float))
-
-    def deriv2(self, t):
-        return self._deriv2(np.asarray(t, dtype=float))
-
-    __call__ = value
+    _rows: Callable = field(repr=False)
 
     def rows(self, t):
-        """(value, deriv1, deriv2) at t."""
-        return self.value(t), self.deriv1(t), self.deriv2(t)
+        """(value, deriv1, deriv2) at t, from one evaluation of the closed form."""
+        return self._rows(np.asarray(t, dtype=float))
+
+    def value(self, t):
+        return self.rows(t)[0]
+
+    def deriv1(self, t):
+        return self.rows(t)[1]
+
+    def deriv2(self, t):
+        return self.rows(t)[2]
+
+    __call__ = value
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "parameters": self.params}
@@ -94,20 +97,14 @@ def poly_smooth_ramp(g0: float, g_d: float, tau: float) -> Ramp:
     if tau <= 0:
         raise ValueError(f"ramp duration must be positive, got tau={tau}")
 
-    def value(t):
+    def rows(t):
         x = t / tau
-        return g0 + g_d * (10.0 * x**3 - 15.0 * x**4 + 6.0 * x**5)
+        x2, x3, x4 = x**2, x**3, x**4
+        return (g0 + g_d * (10.0 * x3 - 15.0 * x4 + 6.0 * x**5),
+                g_d * 30.0 * (x2 - 2.0 * x3 + x4) / tau,
+                g_d * (60.0 * x - 180.0 * x2 + 120.0 * x3) / tau**2)
 
-    def deriv1(t):
-        x = t / tau
-        return g_d * 30.0 * (x**2 - 2.0 * x**3 + x**4) / tau
-
-    def deriv2(t):
-        x = t / tau
-        return g_d * (60.0 * x - 180.0 * x**2 + 120.0 * x**3) / tau**2
-
-    return Ramp("polynomial", tau, {"g0": g0, "g_d": g_d, "tau": tau},
-                value, deriv1, deriv2)
+    return Ramp("polynomial", tau, {"g0": g0, "g_d": g_d, "tau": tau}, rows)
 
 
 def oc_fourier_ramp(g0: float, tau: float, coeffs=()) -> Ramp:
@@ -126,33 +123,19 @@ def oc_fourier_ramp(g0: float, tau: float, coeffs=()) -> Ramp:
     phases = np.array([c[1] for c in coeffs], dtype=float)
     nvec = np.arange(1, len(amps) + 1, dtype=float)
     w = nvec * np.pi / tau
+    amps_w, amps_w2 = amps * w, amps * w**2
 
-    def value(t):
-        t = np.asarray(t, dtype=float)
-        lin = g0 - 2.0 * g0 * t / tau
-        if amps.size == 0:
-            return lin
-        return lin + np.sin(np.multiply.outer(t, w) + phases) @ amps
-
-    def deriv1(t):
-        t = np.asarray(t, dtype=float)
-        lin = np.broadcast_to(-2.0 * g0 / tau, t.shape).copy() if t.shape else \
-            np.float64(-2.0 * g0 / tau)
-        if amps.size == 0:
-            return lin
-        return lin + np.cos(np.multiply.outer(t, w) + phases) @ (amps * w)
-
-    def deriv2(t):
-        t = np.asarray(t, dtype=float)
-        zero = np.zeros(t.shape) if t.shape else np.float64(0.0)
-        if amps.size == 0:
-            return zero
-        return zero - np.sin(np.multiply.outer(t, w) + phases) @ (amps * w**2)
+    def rows(t):
+        arg = np.multiply.outer(t, w) + phases
+        sin = np.sin(arg)
+        return (g0 - 2.0 * g0 * t / tau + sin @ amps,
+                -2.0 * g0 / tau + np.cos(arg) @ amps_w,
+                0.0 - sin @ amps_w2)
 
     return Ramp("fourier", tau,
                 {"g0": g0, "tau": tau,
                  "coeffs": [[float(a), float(p)] for a, p in zip(amps, phases)]},
-                value, deriv1, deriv2)
+                rows)
 
 
 def cd_na_ramp(delta: float, g0: float, g1: float) -> Ramp:
@@ -167,25 +150,18 @@ def cd_na_ramp(delta: float, g0: float, g1: float) -> Ramp:
         raise ValueError("delta must be nonzero")
     if g0 == g1:
         # degenerate boundary: the constant schedule g0 + 0 * quintic
-        q = poly_smooth_ramp(g0, 0.0, 1.0)
         return Ramp("tan-optimal", 1.0, {"delta": delta, "g0": g0, "g1": g1},
-                    q._value, q._deriv1, q._deriv2)
+                    poly_smooth_ramp(g0, 0.0, 1.0).rows)
 
     c1d = math.atan(g1 / delta) - math.atan(g0 / delta)
     c2 = math.atan(g0 / delta) / c1d
 
-    def value(s):
-        return delta * np.tan(c1d * (s + c2))
-
-    def deriv1(s):
-        return delta * c1d / np.cos(c1d * (s + c2)) ** 2
-
-    def deriv2(s):
+    def rows(s):
         u = c1d * (s + c2)
-        return 2.0 * delta * c1d**2 * np.tan(u) / np.cos(u) ** 2
+        tan_u, cos2_u = np.tan(u), np.cos(u) ** 2
+        return delta * tan_u, delta * c1d / cos2_u, 2.0 * delta * c1d**2 * tan_u / cos2_u
 
-    return Ramp("tan-optimal", 1.0, {"delta": delta, "g0": g0, "g1": g1},
-                value, deriv1, deriv2)
+    return Ramp("tan-optimal", 1.0, {"delta": delta, "g0": g0, "g1": g1}, rows)
 
 
 def cd_a_ramp(g0: float, m: float = 40.0) -> Ramp:
@@ -200,17 +176,14 @@ def cd_a_ramp(g0: float, m: float = 40.0) -> Ramp:
     if m <= 1:
         raise ValueError(f"steepness m must be > 1, got {m}")
 
-    def value(s):
-        return -g0 * (np.tanh(m * s - m) + np.tanh(m * s))
+    def rows(s):
+        ms = m * s
+        tanh_a, tanh_b = np.tanh(ms - m), np.tanh(ms)
+        cosh_a, cosh_b = np.cosh(ms - m), np.cosh(ms)
+        return (-g0 * (tanh_a + tanh_b), -g0 * m * (cosh_a**-2 + cosh_b**-2),
+                2.0 * g0 * m**2 * (tanh_a / cosh_a**2 + tanh_b / cosh_b**2))
 
-    def deriv1(s):
-        return -g0 * m * (np.cosh(m * s - m) ** -2 + np.cosh(m * s) ** -2)
-
-    def deriv2(s):
-        return 2.0 * g0 * m**2 * (np.tanh(m * s - m) / np.cosh(m * s - m) ** 2
-                                  + np.tanh(m * s) / np.cosh(m * s) ** 2)
-
-    return Ramp("tanh-optimal", 1.0, {"g0": g0, "m": m}, value, deriv1, deriv2)
+    return Ramp("tanh-optimal", 1.0, {"g0": g0, "m": m}, rows)
 
 
 def blend_weight(eps: float, tau: float) -> float:
@@ -240,21 +213,15 @@ def cd_blended_ramp(g_a: Ramp, g_na: Ramp, eps: float, tau: float) -> Ramp:
                 f"boundary mismatch at s={s}: g_a={va!r} vs g_na={vn!r}")
     f = blend_weight(eps, tau)
 
-    def value(t):
+    def rows(t):
         s = t / tau
-        return f * g_a._value(s) + (1.0 - f) * g_na._value(s)
-
-    def deriv1(t):
-        s = t / tau
-        return (f * g_a._deriv1(s) + (1.0 - f) * g_na._deriv1(s)) / tau
-
-    def deriv2(t):
-        s = t / tau
-        return (f * g_a._deriv2(s) + (1.0 - f) * g_na._deriv2(s)) / tau**2
+        (a0, a1, a2), (n0, n1, n2) = g_a.rows(s), g_na.rows(s)
+        return (f * a0 + (1.0 - f) * n0, (f * a1 + (1.0 - f) * n1) / tau,
+                (f * a2 + (1.0 - f) * n2) / tau**2)
 
     return Ramp("blended", tau,
                 {"eps": eps, "tau": tau, "g_a": g_a.to_dict(), "g_na": g_na.to_dict()},
-                value, deriv1, deriv2)
+                rows)
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import minimize_scalar
 
+from ctrlcost import oscillator
 from ctrlcost.ramps import Ramp, poly_smooth_ramp
 from ctrlcost.oscillator import (classical_solutions,
                                  ermakov_solve, husimi_qstar, qstar_cd,
-                                 qstar_ie, lcd_frequency, lcd_omega0,
+                                 qstar_ie, lcd_frequency,
                                  ie_energy, qstar_series, oscillator_cost,
                                  cd_is_valid, cd_validity_edge, lcd_is_valid,
                                  default_steps, CdValidityError, LcdValidityError,
@@ -23,22 +25,15 @@ def random_smooth_schedule(seed=19, tau=2.0):
     rng = np.random.default_rng(seed)
     a = rng.normal(0.0, 0.15, 3)
 
-    def om(t):
-        t = np.asarray(t, dtype=float)
-        return 1.5 + sum(ak * np.sin((k + 1) * np.pi * t / tau)
-                         for k, ak in enumerate(a))
+    def rows(t):
+        return (1.5 + sum(ak * np.sin((k + 1) * np.pi * t / tau)
+                          for k, ak in enumerate(a)),
+                sum(ak * (k + 1) * np.pi / tau * np.cos((k + 1) * np.pi * t / tau)
+                    for k, ak in enumerate(a)),
+                sum(-ak * ((k + 1) * np.pi / tau) ** 2 * np.sin((k + 1) * np.pi * t / tau)
+                    for k, ak in enumerate(a)))
 
-    def dom(t):
-        t = np.asarray(t, dtype=float)
-        return sum(ak * (k + 1) * np.pi / tau * np.cos((k + 1) * np.pi * t / tau)
-                   for k, ak in enumerate(a))
-
-    def ddom(t):
-        t = np.asarray(t, dtype=float)
-        return sum(-ak * ((k + 1) * np.pi / tau) ** 2 * np.sin((k + 1) * np.pi * t / tau)
-                   for k, ak in enumerate(a))
-
-    return Ramp("sine series", tau, {}, om, dom, ddom)
+    return Ramp("sine series", tau, {}, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +54,19 @@ def test_wronskian_conserved():
                   random_smooth_schedule()):
         sol = classical_solutions(omega)
         assert np.max(np.abs(sol.wronskian() + 1.0)) < 1e-8
+
+
+def test_wronskian_drift_raises_without_a_refined_retry(monkeypatch):
+    # in an inverted trap (Omega^2 = -1) the growing solution's round-off
+    # drifts the Wronskian; unimodular steps cannot lower it, so one pass raises
+    calls = []
+    fundamental_matrix = oscillator._fundamental_matrix
+    monkeypatch.setattr(oscillator, "_fundamental_matrix",
+                        lambda *a: calls.append(a[2]) or fundamental_matrix(*a))
+    with pytest.raises(OscillatorError, match=r"Wronskian drift .* at 4000 steps"):
+        classical_solutions(poly_smooth_ramp(W0, 0.0, 12.0), steps=4000,
+                            omega2=lambda t: -np.ones_like(t))
+    assert calls == [4000]
 
 
 def test_piecewise_constant_quench_matches_analytic():
@@ -167,7 +175,7 @@ def test_qstar_at_least_one(tau):
 def test_qstar_rejects_nonpositive_frequency():
     omega = poly_smooth_ramp(2.0, 0.0, 1.0)
     sol = classical_solutions(omega, steps=1000)
-    bad = Ramp("constant", 1.0, {}, lambda t: -np.ones_like(t), omega.deriv1, omega.deriv2)
+    bad = Ramp("constant", 1.0, {}, lambda t: (-np.ones_like(t), *omega.rows(t)[1:]))
     with pytest.raises(OscillatorError, match="positive"):
         husimi_qstar(bad, sol)
 
@@ -212,6 +220,19 @@ def test_cd_validity_edge_off_the_default_sweep():
     assert cd_validity_edge(2.0, 2.0) == 0.0
 
 
+@pytest.mark.parametrize("w0, w1", [(1.0, 10.0), (2.0, 3.0), (3.0, 2.0), (0.8, 12.0)])
+def test_cd_validity_edge_is_the_smallest_valid_duration(w0, w1):
+    # the edge is the least duration cd_is_valid accepts, and sits on the
+    # continuous maximum of h(x) = 15 |w1 - w0| x^2 (1 - x)^2 / w(x)^2
+    edge = cd_validity_edge(w0, w1)
+    assert cd_is_valid(poly_smooth_ramp(w0, w1 - w0, edge * (1.0 + 1e-12)))
+    assert not cd_is_valid(poly_smooth_ramp(w0, w1 - w0, edge * (1.0 - 1e-9)))
+    w = poly_smooth_ramp(w0, w1 - w0, 1.0)
+    res = minimize_scalar(lambda x: -15.0 * abs(w1 - w0) * x**2 * (1 - x) ** 2 / w.value(x) ** 2,
+                          bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-12})
+    assert edge == pytest.approx(-res.fun, rel=1e-6)
+
+
 def test_qstar_cd_diverges_toward_violation():
     edge = cd_validity_edge(W0, W1)
     taus = [edge * f for f in (1.5, 1.2, 1.05, 1.01)]
@@ -231,7 +252,7 @@ def test_lcd_frequency_constant_and_endpoints():
     omega = poly_smooth_ramp(W0, W1 - W0, 2.5)
     assert float(lcd_frequency(omega, 0.0)) == pytest.approx(W0**2, rel=1e-14)
     assert float(lcd_frequency(omega, 2.5)) == pytest.approx(W1**2, rel=1e-14)
-    assert lcd_omega0(omega) == pytest.approx(W0, rel=1e-14)
+    assert math.sqrt(float(lcd_frequency(omega, 0.0))) == pytest.approx(W0, rel=1e-14)
 
 
 def test_lcd_qstar_returns_to_one():

@@ -191,6 +191,21 @@ def test_finite_difference_derivatives(idx, rng):
     assert np.max(err2) < 1e-6
 
 
+@pytest.mark.parametrize("ramp",
+                         all_kinds() + [oc_fourier_ramp(G0, 10.0), cd_na_ramp(DELTA, 0.3, 0.3)],
+                         ids=["polynomial", "fourier", "tan-optimal", "tanh-optimal", "blended",
+                              "fourier-empty", "tan-degenerate"])
+def test_rows_keep_the_shape_of_t(ramp):
+    # one closed form serves scalar, 1-D and 2-D times, the empty Fourier
+    # series and the degenerate tan ramp included
+    for t in (0.37, np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 12).reshape(3, 4)):
+        rows = ramp.rows(np.multiply(t, ramp.duration))
+        assert len(rows) == 3
+        for row in rows:
+            assert np.shape(row) == np.shape(t)
+            assert np.all(np.isfinite(row))
+
+
 # ---------------------------------------------------------------------------
 # BOB pulse
 
