@@ -23,9 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, jaynes_cummings, landau_zener, oscillator
-from .ramps import bob_pulse, poly_smooth_ramp, ramp_from_dict, _finite
+from .ramps import poly_smooth_ramp, ramp_from_dict, _finite
 from .twolevel import DEFAULT_STEPS, integrated_cost, instantaneous_eigenstates
-from .landau_zener import (LzConfig, lz_cd, lz_lcd, lz_bob,
+from .landau_zener import (LzConfig, lz_schedule,
                            lz_ground_state, qsl_time, optimize_bob_kicks,
                            cost_scan, find_cd_lcd_crossover, run_protocol,
                            blended_ramp_for, DEFAULT_GQ)
@@ -65,7 +65,7 @@ class ExperimentConfig:
     scan_points: int = 25
     description: str = ""
     preset: str = ""
-    mode: str = ""          # "" (auto), "trajectory" or "scan"
+    mode: str = ""          # lz only: "" (auto), "trajectory" or "scan"
     ramp: dict | None = None  # {kind, parameters}, lz trajectory runs only
 
     def canonical(self) -> str:
@@ -145,10 +145,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if bad:
         raise ValueError(f"unknown protocol {bad[0]!r} for model {model!r}; "
                          f"it takes {list(_PROTOCOLS[model])}")
+    if mode and model != "lz":
+        raise ValueError("mode is only supported for the lz model")
     ramp = raw.get("ramp")
     if ramp is not None:
         if model != "lz":
             raise ValueError("a custom ramp is only supported for the lz model")
+        if "cd-blend" in protocols:
+            raise ValueError("cd-blend runs on its own blended ramp: drop the custom ramp")
         ramp_from_dict(ramp)  # fail early on malformed descriptions
     counts = {k: int(_number(k, raw.get(k, d), _INT))
               for k, d in (("seed", 0), ("trajectory_steps", DEFAULT_STEPS), ("scan_points", 25))}
@@ -277,7 +281,6 @@ def _run_lz(cfg: ExperimentConfig, outdir: Path, summary: dict):
     g_q = cfg.params.get("g_q", DEFAULT_GQ)
 
     taus = cfg.tau or [tqsl, 0.1]
-    trajectory_protocols = [p for p in cfg.protocols if p != "cd-blend"]
     trajectory_mode = _lz_trajectory_mode(cfg)
     if cfg.ramp is not None and not trajectory_mode:
         raise ValueError("a custom ramp requires mode='trajectory' "
@@ -286,49 +289,42 @@ def _run_lz(cfg: ExperimentConfig, outdir: Path, summary: dict):
     if trajectory_mode:
         # trajectory preset: fidelity / cost-rate / spectra CSVs
         fid = CsvWriter(outdir / "fidelity.csv",
-                        ["tau", "t"] + [f"F_{p}" for p in trajectory_protocols], h)
+                        ["tau", "t"] + [f"F_{p}" for p in cfg.protocols], h)
         rate = CsvWriter(outdir / "cost_rate.csv",
-                         ["tau", "t"] + [f"dC_{p}" for p in trajectory_protocols], h)
-        spectra_protocols = [p for p in ("cd", "lcd") if p in trajectory_protocols]
+                         ["tau", "t"] + [f"dC_{p}" for p in cfg.protocols], h)
+        spectra_protocols = [p for p in ("cd", "lcd") if p in cfg.protocols]
         spec = CsvWriter(outdir / "spectra.csv",
                          ["tau", "t"] + [f"E_{side}_{p}" for p in spectra_protocols
                                          for side in ("minus", "plus")], h)
-        kicks = optimize_bob_kicks(_lz_config(cfg, tqsl), g_q) \
-            if "bob" in trajectory_protocols else None
+        kicks = optimize_bob_kicks(_lz_config(cfg, tqsl), g_q) if "bob" in cfg.protocols else None
         if kicks is not None:
-            summary["bob"] = {"phi1": kicks.phi1, "phi2": kicks.phi2,
-                              "fidelity": kicks.fidelity}
+            summary["bob"] = {"phi1": kicks.phi1, "phi2": kicks.phi2, "fidelity": kicks.fidelity}
         for tau in taus:
             lzc = _lz_config(cfg, tau, with_ramp=True)
             trajs = {}
-            for proto in trajectory_protocols:
-                if proto == "bob":
-                    if abs(tau - tqsl) > 1e-9:
-                        continue  # BOB is defined at the speed limit
-                    traj, rep = run_protocol(lzc, "bob", steps=cfg.trajectory_steps,
-                                             g_q=g_q, bob_kicks=kicks)
-                else:
-                    traj, rep = run_protocol(lzc, proto, steps=cfg.trajectory_steps)
+            for proto in cfg.protocols:
+                if proto == "bob" and abs(tau - tqsl) > 1e-9:
+                    continue  # BOB is defined at the speed limit
+                traj, ffin, cost = run_protocol(lzc, proto, steps=cfg.trajectory_steps,
+                                                g_q=g_q, bob_kicks=kicks)
                 trajs[proto] = traj
                 summary.setdefault("runs", []).append(
                     {"model": "lz", "protocol": proto, "tau": tau,
-                     "final_fidelity": rep.final_fidelity,
-                     "integrated_cost": rep.integrated_cost})
+                     "final_fidelity": ffin, "integrated_cost": cost})
             # rows sit on the uniform nodes, which every protocol's grid holds
             # (BOB's also has its kick edges): take each protocol's row at t
             nodes = np.linspace(0.0, tau, cfg.trajectory_steps + 1)
             t = nodes[_rows(len(nodes))]
-            cols = {p: (np.nan, np.nan) for p in trajectory_protocols}
+            cols = {p: (np.nan, np.nan) for p in cfg.protocols}
             for p, traj in trajs.items():
                 j = np.searchsorted(traj.times, t)
                 if not np.array_equal(traj.times[j], t):
                     raise RuntimeError(f"{p} trajectory grid lacks the uniform nodes")
                 cols[p] = traj.fidelity[j], traj.cost_rate[j]
-            builders = {"cd": lz_cd, "lcd": lz_lcd}
             spec.add(tau, t, *[e for p in spectra_protocols
-                               for e in instantaneous_eigenstates(builders[p](lzc), t)[2:]])
-            fid.add(tau, t, *[cols[p][0] for p in trajectory_protocols])
-            rate.add(tau, t, *[cols[p][1] for p in trajectory_protocols])
+                               for e in instantaneous_eigenstates(lz_schedule(lzc, p), t)[2:]])
+            fid.add(tau, t, *[cols[p][0] for p in cfg.protocols])
+            rate.add(tau, t, *[cols[p][1] for p in cfg.protocols])
         for w in (fid, rate, spec):
             w.write()
         return
@@ -343,8 +339,8 @@ def _run_lz(cfg: ExperimentConfig, outdir: Path, summary: dict):
         summary["crossover_cd_lcd"] = find_cd_lcd_crossover(base, scan=scan)
     at_qsl = replace(base, tau=tqsl)
     kicks = optimize_bob_kicks(at_qsl, g_q)
-    sched = lz_bob(at_qsl, bob_pulse(g_q, tqsl, (kicks.phi1, kicks.phi2)))
-    summary["bob"] = {"tau": tqsl, "fidelity": kicks.fidelity, "cost": integrated_cost(sched)}
+    summary["bob"] = {"tau": tqsl, "fidelity": kicks.fidelity,
+                      "cost": integrated_cost(lz_schedule(at_qsl, "bob", kicks, g_q))}
 
 
 def _run_oscillator(cfg: ExperimentConfig, outdir: Path, summary: dict):
@@ -522,12 +518,12 @@ def validate(cfg: ExperimentConfig) -> dict:
     elif cfg.model == "lz":
         # what _run_lz enforces; a sweep LzConfig rejects raises, as in oc
         _lz_config(cfg, 1.0)
-        trajectory = _lz_trajectory_mode(cfg)
-        if "cd-blend" in cfg.protocols and not trajectory:
+        if "cd-blend" in cfg.protocols:
             err = _error(lambda: blended_ramp_for(_lz_config(cfg, 1.0), 1.0))
             check("cd-blend boundary", not err, err or "the blended ramp needs g1 = -g0")
         if cfg.ramp is not None:
-            check("ramp needs trajectory mode", trajectory, "cost scans use the default ramps")
+            check("ramp needs trajectory mode", _lz_trajectory_mode(cfg),
+                  "cost scans use the default ramps")
             for tau in cfg.tau or [_tau_qsl(cfg), 0.1]:
                 err = _error(lambda: _lz_config(cfg, tau, with_ramp=True))
                 check(f"ramp duration tau={tau:g}", not err, err)

@@ -7,11 +7,11 @@ block is a Landau-Zener problem with Delta -> delta and g -> -Omega_R:
 block n's bare, CD and LCD coefficients are ``landau_zener.lz_fields`` of
 the ramp rows g, g', g'' scaled by -2 sqrt(n+1). The coupling sweep is
 always the quintic ``poly_smooth_ramp(g0, g1 - g0, tau)``, the ramp that the
-scans require. ``jc_block``, ``jc_cd_block`` and ``jc_lcd_block`` return the
-block's ``PauliSchedule`` in the rotated dressed frame: cx = delta,
-cz = -Omega_R(t), and the constant block offset c0 = (2n+1) omega / 2,
-which is excluded from costs. Every block starts in |e,n>, which is
-``INITIAL_STATE`` = (1, 1)/sqrt(2) in this frame.
+scans require. ``jc_schedule(cfg, protocol, n)`` returns block n's
+``PauliSchedule`` in the rotated dressed frame: cx = delta, cz = -Omega_R(t),
+CD's cy twice the mixing-angle rate theta_n-dot, and the constant block
+offset c0 = (2n+1) omega / 2, which is excluded from costs. Every block
+starts in |e,n>, which is ``INITIAL_STATE`` = (1, 1)/sqrt(2) in this frame.
 
 Coherent-field initial states |e, alpha> populate blocks with Poisson
 weights p_n; per-block fidelities and costs combine by population
@@ -42,9 +42,7 @@ __all__ = [
     "JcConfig",
     "INITIAL_STATE",
     "JcEnsembleResult",
-    "jc_block",
-    "jc_cd_block",
-    "jc_lcd_block",
+    "jc_schedule",
     "mixing_angle_rate",
     "coherent_weights",
     "block_run",
@@ -54,7 +52,7 @@ __all__ = [
     "find_jc_crossover",
 ]
 
-PROTOCOLS = ("bare", "cd", "lcd")   # what the block builders and jc_cost_scan take
+PROTOCOLS = ("bare", "cd", "lcd")   # what jc_schedule and jc_cost_scan take
 TAIL_TOL = 1e-12
 INITIAL_STATE = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)   # |e,n> in every block
 
@@ -98,35 +96,18 @@ def _block_fields(cfg: JcConfig, kind: str, n: int, rows):
             *lz_fields(kind, cfg.delta, *(s * r for r in rows)))
 
 
-def _block(cfg: JcConfig, kind: str, n: int) -> PauliSchedule:
-    if kind not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {kind!r}")
+def jc_schedule(cfg: JcConfig, protocol: str, n: int) -> PauliSchedule:
+    """Block n under one protocol in ``PROTOCOLS``, labelled jc-<protocol>-n<n>.
+
+    Bare is H_n = (2n+1) omega/2 + delta sx/2 - Omega_R(t) sz/2; LCD reduces
+    to it wherever g' = g'' = 0.
+    """
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}")
     _rabi_scale(n)   # a negative index fails here, not at the first evaluation
     ramp = _sweep(cfg)
-    return PauliSchedule(duration=cfg.tau, label=f"jc-{kind}-n{n}",
-                         fields=lambda t: _block_fields(cfg, kind, n, ramp.rows(t)))
-
-
-def jc_block(cfg: JcConfig, n: int) -> PauliSchedule:
-    """Bare block: H_n = (2n+1) omega/2 + delta sx/2 - Omega_R(t) sz/2."""
-    return _block(cfg, "bare", n)
-
-
-def jc_cd_block(cfg: JcConfig, n: int) -> PauliSchedule:
-    """Block with the counterdiabatic field added.
-
-    The sigma_y coefficient is LZ's cy with g -> -Omega_R, twice the
-    mixing-angle rate theta_n-dot.
-    """
-    return _block(cfg, "cd", n)
-
-
-def jc_lcd_block(cfg: JcConfig, n: int) -> PauliSchedule:
-    """Block with the local counterdiabatic schedule: LZ's with g -> -Omega_R.
-
-    Reduces to the bare block wherever g' = g'' = 0.
-    """
-    return _block(cfg, "lcd", n)
+    return PauliSchedule(duration=cfg.tau, label=f"jc-{protocol}-n{n}",
+                         fields=lambda t: _block_fields(cfg, protocol, n, ramp.rows(t)))
 
 
 def mixing_angle_rate(cfg: JcConfig, n: int, t):
@@ -160,10 +141,10 @@ def block_run(cfg: JcConfig, protocol: str, n: int = 0,
     Fidelity series is taken against the instantaneous eigenstate of the
     bare block adiabatically connected to the initial dressed state.
     """
-    sched = _block(cfg, protocol, n)
+    sched = jc_schedule(cfg, protocol, n)
     if steps is None:
         _, steps = converged_final_state(sched, INITIAL_STATE)
-    traj = propagate(sched, INITIAL_STATE, steps, reference=jc_block(cfg, n))
+    traj = propagate(sched, INITIAL_STATE, steps, reference=jc_schedule(cfg, "bare", n))
     return traj, float(traj.fidelity[-1]), integrated_cost(sched)
 
 
@@ -197,7 +178,7 @@ def ensemble_run(cfg: JcConfig, protocol: str, steps: Optional[int] = None) -> J
             f"cutoff tail {tail:.3e} above {TAIL_TOL}: increase n_cut for alpha={cfg.alpha}")
     if steps is None:
         # converge on the fastest block (largest Rabi frequency), reuse for all
-        _, steps = converged_final_state(_block(cfg, protocol, cfg.n_cut), INITIAL_STATE)
+        _, steps = converged_final_state(jc_schedule(cfg, protocol, cfg.n_cut), INITIAL_STATE)
 
     ramp = _sweep(cfg)
     times = _segment_grid(cfg.tau, (), steps)
@@ -252,7 +233,6 @@ def jc_cost_scan(cfg: JcConfig, taus: Sequence[float], n: int = 0,
 
 def find_jc_crossover(cfg: JcConfig, n: int = 0,
                       taus: Optional[Sequence[float]] = None,
-                      tol: float = 1e-3,
                       scan: Optional[dict] = None) -> Optional[float]:
     """Duration where the block CD and LCD costs cross, or None.
 
@@ -261,4 +241,4 @@ def find_jc_crossover(cfg: JcConfig, n: int = 0,
     """
     if scan is None and taus is None:
         taus = np.geomspace(2.0, 60.0, 25)
-    return find_cd_lcd_crossover(_lz_equivalent(cfg, n), taus, tol, scan=scan)
+    return find_cd_lcd_crossover(_lz_equivalent(cfg, n), taus, scan=scan)

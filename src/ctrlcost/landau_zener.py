@@ -1,9 +1,10 @@
 """Landau-Zener control protocols and cost scans.
 
 Bare model: H0 = Delta sigma_x/2 + g(t) sigma_z/2, swept through the avoided
-crossing from g(0) = g0 to g(tau) = g1. Builders return PauliSchedules for
-the bare sweep, counterdiabatic (CD) and local counterdiabatic (LCD)
-driving, and the bang-off-bang (BOB) pulse; scan helpers integrate the
+crossing from g(0) = g0 to g(tau) = g1. A protocol is a name in ``PROTOCOLS``:
+bare, counterdiabatic (CD), local counterdiabatic (LCD), CD on the blended
+ramp, or the bang-off-bang (BOB) pulse. ``lz_schedule`` builds its
+PauliSchedule and ``run_protocol`` propagates it; scan helpers integrate the
 norm cost over protocol duration and locate the CD/LCD crossover.
 
 Every ramp here is a function of scaled time s = t/tau, and d/dt =
@@ -24,7 +25,7 @@ import numpy as np
 
 from .ramps import (Ramp, BobPulse, bob_pulse, poly_smooth_ramp, cd_na_ramp,
                     cd_a_ramp, cd_blended_ramp, blend_weight)
-from .twolevel import (PauliSchedule, CostReport, propagate,
+from .twolevel import (PauliSchedule, propagate,
                        converged_final_state, fidelity, integrated_cost,
                        _su2_steps, _qmul, _apply, _eigvec_pair, _simpson_weights)
 
@@ -33,9 +34,7 @@ __all__ = [
     "BobKicks",
     "lz_ground_state",
     "lz_fields",
-    "lz_bare",
-    "lz_cd",
-    "lz_lcd",
+    "lz_schedule",
     "lz_bob",
     "qsl_time",
     "optimize_bob_kicks",
@@ -47,10 +46,12 @@ __all__ = [
     "bisect_sign_change",
 ]
 
-PROTOCOLS = ("bare", "cd", "lcd", "cd-blend", "bob")   # what cost_scan and run_protocol take
+PROTOCOLS = ("bare", "cd", "lcd", "cd-blend", "bob")   # what lz_schedule and cost_scan take
 DEFAULT_GQ = 100.0
 BLEND_M = 40.0
 BLEND_EPS = 0.1
+BOB_TARGET = 0.999      # the kick fidelity that counts as success
+CROSSOVER_TOL = 1e-3    # bisection width of a CD/LCD crossover
 _SCAN_CHUNK = 1 << 15   # floats per (durations, s) temporary of a cost scan
 
 
@@ -119,32 +120,31 @@ def lz_fields(protocol: str, delta: float, g, gd, gdd):
     return np.sqrt(delta**2 + theta_d * theta_d), 0.0, g - eta_d
 
 
-def _sweep(cfg: LzConfig, protocol: str, label: str) -> PauliSchedule:
+def lz_schedule(cfg: LzConfig, protocol: str, bob_kicks: Optional[BobKicks] = None,
+                g_q: float = DEFAULT_GQ) -> PauliSchedule:
+    """The schedule of one protocol in ``PROTOCOLS``, labelled lz-<protocol>.
+
+    bare, cd and lcd are ``lz_fields`` on the config's ramp (LCD warns if its
+    ends are not flat); cd-blend is CD on ``blended_ramp_for(cfg, cfg.tau)``; bob
+    kicks at field g_q by ``bob_kicks``, or by what ``optimize_bob_kicks`` finds.
+    """
+    if protocol == "bob":
+        kicks = bob_kicks or optimize_bob_kicks(cfg, g_q)
+        return lz_bob(cfg, bob_pulse(g_q, cfg.tau, (kicks.phi1, kicks.phi2)))
+    if protocol == "cd-blend":
+        return lz_schedule(replace(cfg, ramp=blended_ramp_for(cfg, cfg.tau)), "cd")
+    if protocol not in ("bare", "cd", "lcd"):
+        raise ValueError(f"unknown protocol {protocol!r}")
     ramp = cfg.ramp_or_default()
-    return PauliSchedule(duration=cfg.tau, label=label,
+    if protocol == "lcd":
+        _, d1, d2 = ramp.rows(np.array([0.0, cfg.tau]))
+        edge = max(np.max(np.abs(d1)), np.max(np.abs(d2)) * cfg.tau)
+        if edge > 1e-9 * max(1.0, abs(cfg.g1 - cfg.g0) / cfg.tau):
+            warnings.warn("LCD requires a ramp with flat start and end points; "
+                          "target-state fidelity is not guaranteed for this ramp",
+                          stacklevel=2)
+    return PauliSchedule(duration=cfg.tau, label=f"lz-{protocol}",
                          fields=lambda t: (0.0, *lz_fields(protocol, cfg.delta, *ramp.rows(t))))
-
-
-def lz_bare(cfg: LzConfig) -> PauliSchedule:
-    """H0 = Delta sigma_x/2 + g(t) sigma_z/2."""
-    return _sweep(cfg, "bare", "lz-bare")
-
-
-def lz_cd(cfg: LzConfig) -> PauliSchedule:
-    """Bare sweep plus the counterdiabatic field (see ``lz_fields``)."""
-    return _sweep(cfg, "cd", "lz-cd")
-
-
-def lz_lcd(cfg: LzConfig) -> PauliSchedule:
-    """Local counterdiabatic schedule: H = P(t) sigma_x/2 + [g - eta_dot] sigma_z/2."""
-    ramp = cfg.ramp_or_default()
-    _, d1, d2 = ramp.rows(np.array([0.0, cfg.tau]))
-    edge = max(np.max(np.abs(d1)), np.max(np.abs(d2)) * cfg.tau)
-    if edge > 1e-9 * max(1.0, abs(cfg.g1 - cfg.g0) / cfg.tau):
-        warnings.warn("LCD requires a ramp with flat start and end points; "
-                      "target-state fidelity is not guaranteed for this ramp",
-                      stacklevel=2)
-    return _sweep(cfg, "lcd", "lz-lcd")
 
 
 def lz_bob(cfg: LzConfig, pulse: BobPulse) -> PauliSchedule:
@@ -197,8 +197,7 @@ def _bob_final_state(delta, g_q, tau, phi1, phi2, psi0):
     return _apply(_qmul(kick2, _qmul(free, kick1)), psi0)
 
 
-def optimize_bob_kicks(cfg: LzConfig, g_q: float = DEFAULT_GQ,
-                       grid: int = 64, target: float = 0.999) -> BobKicks:
+def optimize_bob_kicks(cfg: LzConfig, g_q: float = DEFAULT_GQ, grid: int = 64) -> BobKicks:
     """Maximize final target-state fidelity over the two kick angles.
 
     Deterministic: a coarse grid x grid sweep of [0, phimax)^2, then 9 x 9
@@ -207,7 +206,7 @@ def optimize_bob_kicks(cfg: LzConfig, g_q: float = DEFAULT_GQ,
     of the closed-form fidelity; points outside [0, phimax] are left out,
     and the best point moves only to a point that beats it. The protocol is
     designed for tau at the quantum speed limit; other durations are
-    allowed but may not reach the target fidelity.
+    allowed but may not reach the target fidelity ``BOB_TARGET``.
     """
     psi0 = lz_ground_state(cfg.delta, cfg.g0)
     psit = lz_ground_state(cfg.delta, cfg.g1)
@@ -231,7 +230,7 @@ def optimize_bob_kicks(cfg: LzConfig, g_q: float = DEFAULT_GQ,
         if fz > f:
             f, best = fz, zoom
         half /= 4.0
-    return BobKicks(phi1=best[0], phi2=best[1], fidelity=f, success=f >= target)
+    return BobKicks(phi1=best[0], phi2=best[1], fidelity=f, success=f >= BOB_TARGET)
 
 
 # ---------------------------------------------------------------------------
@@ -266,25 +265,11 @@ def decomposition_cost(cfg: LzConfig, points: int = 8193) -> float:
     return float(simpson(np.sqrt(sum_e2 + sum_a2 / cfg.tau**2), x=s))
 
 
-def blended_ramp_for(cfg: LzConfig, tau: float, m: float = BLEND_M,
-                     eps: float = BLEND_EPS) -> Ramp:
+def blended_ramp_for(cfg: LzConfig, tau: float) -> Ramp:
     """Cost-optimized blended CD ramp for the config's boundary values."""
     g_na = cd_na_ramp(cfg.delta, cfg.g0, cfg.g1)
-    g_a = cd_a_ramp(cfg.g0, m)
-    return cd_blended_ramp(g_a, g_na, eps, tau)
-
-
-def _schedule_for(cfg: LzConfig, protocol: str,
-                  bob_kicks: Optional[BobKicks] = None,
-                  g_q: float = DEFAULT_GQ) -> PauliSchedule:
-    if protocol == "bob":
-        kicks = bob_kicks or optimize_bob_kicks(cfg, g_q)
-        return lz_bob(cfg, bob_pulse(g_q, cfg.tau, (kicks.phi1, kicks.phi2)))
-    if protocol == "cd-blend":
-        return lz_cd(replace(cfg, ramp=blended_ramp_for(cfg, cfg.tau)))
-    if protocol not in ("bare", "cd", "lcd"):
-        raise ValueError(f"unknown protocol {protocol!r}")
-    return {"bare": lz_bare, "cd": lz_cd, "lcd": lz_lcd}[protocol](cfg)
+    g_a = cd_a_ramp(cfg.g0, BLEND_M)
+    return cd_blended_ramp(g_a, g_na, BLEND_EPS, tau)
 
 
 def _check_default_ramp(cfg: LzConfig) -> None:
@@ -376,13 +361,13 @@ def cost_scan(cfg: LzConfig, taus: Sequence[float],
     if "cd-blend" in protocols:
         costs["cd-blend"] = _scan_costs(("cd",), cfg.delta, _blend_rows(cfg, s), taus, w)[0]
     if "bob" in protocols:
-        costs["bob"] = np.array([integrated_cost(_schedule_for(replace(cfg, tau=float(t)), "bob"),
+        costs["bob"] = np.array([integrated_cost(lz_schedule(replace(cfg, tau=float(t)), "bob"),
                                                  quadrature_steps) for t in taus])
     return {"tau": taus, **{p: costs[p] for p in protocols}}
 
 
-def bisect_sign_change(f, a: float, b: float, tol: float = 1e-3) -> float:
-    """Root of f by bisection; f(a) and f(b) must differ in sign."""
+def bisect_sign_change(f, a: float, b: float) -> float:
+    """Root of f by bisection to width ``CROSSOVER_TOL``; f(a) and f(b) must differ in sign."""
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
@@ -390,7 +375,7 @@ def bisect_sign_change(f, a: float, b: float, tol: float = 1e-3) -> float:
         return b
     if fa * fb > 0:
         raise ValueError(f"no sign change on [{a}, {b}]")
-    while b - a > tol:
+    while b - a > CROSSOVER_TOL:
         m = 0.5 * (a + b)
         fm = f(m)
         if fm == 0.0:
@@ -403,22 +388,20 @@ def bisect_sign_change(f, a: float, b: float, tol: float = 1e-3) -> float:
 
 
 def find_cd_lcd_crossover(cfg: LzConfig, taus: Optional[Sequence[float]] = None,
-                          tol: float = 1e-3,
-                          quadrature_steps: int = 8192,
                           scan: Optional[dict] = None) -> Optional[float]:
     """Duration tau* where C_CD(tau) = C_LCD(tau), or None if none bracketed.
 
     The bracket is read from ``scan``, a :func:`cost_scan` result with "cd"
-    and "lcd" columns made at the same ``quadrature_steps``, when one is
-    given (``taus`` is then unused); otherwise that scan of ``taus`` is
-    computed here. The bisection runs one-duration scans at the same
-    quadrature, so the bracket and the bisection take one route.
+    and "lcd" columns made at its default quadrature, when one is given
+    (``taus`` is then unused); otherwise that scan of ``taus`` is computed
+    here. The bisection runs one-duration scans at the same quadrature, so
+    the bracket and the bisection take one route.
     """
     _check_default_ramp(cfg)
     if scan is None:
         if taus is None:
             taus = np.geomspace(0.5, 100.0, 25)
-        scan = cost_scan(cfg, taus, ("cd", "lcd"), quadrature_steps)
+        scan = cost_scan(cfg, taus, ("cd", "lcd"))
     diff = scan["cd"] - scan["lcd"]
     idx = np.where(np.sign(diff[:-1]) != np.sign(diff[1:]))[0]
     if len(idx) == 0:
@@ -426,31 +409,25 @@ def find_cd_lcd_crossover(cfg: LzConfig, taus: Optional[Sequence[float]] = None,
     i = int(idx[0])
 
     def f(tau):
-        c = cost_scan(cfg, [tau], ("cd", "lcd"), quadrature_steps)
+        c = cost_scan(cfg, [tau], ("cd", "lcd"))
         return float(c["cd"][0] - c["lcd"][0])
 
-    return bisect_sign_change(f, float(scan["tau"][i]), float(scan["tau"][i + 1]), tol)
+    return bisect_sign_change(f, float(scan["tau"][i]), float(scan["tau"][i + 1]))
 
 
 def run_protocol(cfg: LzConfig, protocol: str, steps: Optional[int] = None,
                  g_q: float = DEFAULT_GQ,
                  bob_kicks: Optional[BobKicks] = None):
-    """Propagate one protocol and report trajectory plus integrated cost.
+    """Propagate one protocol; returns (trajectory, final fidelity, integrated cost).
 
-    With steps=None the final fidelity is converged by step doubling and the
-    stored trajectory uses the converged count. The adiabatic reference for
-    the fidelity series is always the bare sweep.
+    The final fidelity is to the ground state at g1. With steps=None it is
+    converged by step doubling, and the trajectory keeps the converged count
+    (``trajectory.steps``). Its fidelity series is always to the bare sweep's.
     """
-    sched = _schedule_for(cfg, protocol, bob_kicks, g_q)
+    sched = lz_schedule(cfg, protocol, bob_kicks, g_q)
     psi0 = lz_ground_state(cfg.delta, cfg.g0)
-    psit = lz_ground_state(cfg.delta, cfg.g1)
     if steps is None:
         _, steps = converged_final_state(sched, psi0)
-    traj = propagate(sched, psi0, steps, reference=lz_bare(cfg))
-    report = CostReport(protocol=protocol, tau=cfg.tau,
-                        integrated_cost=integrated_cost(sched),
-                        final_fidelity=fidelity(traj.final_state, psit),
-                        times=traj.times, cost_rate=traj.cost_rate,
-                        metadata={"delta": cfg.delta, "g0": cfg.g0, "g1": cfg.g1,
-                                  "steps": steps})
-    return traj, report
+    traj = propagate(sched, psi0, steps, reference=lz_schedule(cfg, "bare"))
+    return (traj, fidelity(traj.final_state, lz_ground_state(cfg.delta, cfg.g1)),
+            integrated_cost(sched))

@@ -58,6 +58,7 @@ __all__ = ["OcProblem", "OcResult", "evaluate", "optimize", "refine_result"]
 
 CONTINUATION = (1e-3, 1e-6)   # intermediate infidelity targets, then q_target/2
 FTOL = 1e-12                  # SLSQP's tolerance on the change of C
+REFINE_STEPS = 16_384         # refine_result's steps, 32x the default
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
@@ -68,7 +69,8 @@ class OcProblem:
     ``budget`` caps the value-and-gradient evaluations over all
     continuation stages. ``seed`` is recorded with the result; the search
     starts from the bare linear ramp and draws nothing at random. The
-    Fourier method applies only above the quantum speed limit.
+    Fourier method applies only above the quantum speed limit, and only to
+    the sweep g0 -> g1 = -g0 that its linear part and endpoint pins follow.
     """
 
     config: LzConfig
@@ -88,6 +90,9 @@ class OcProblem:
         if not 0.0 < self.q_target < 1.0:
             raise ValueError(f"q_target must lie in (0, 1), got {self.q_target}")
         cfg = self.config
+        if abs(cfg.g1 + cfg.g0) > 1e-12 * max(1.0, abs(cfg.g0)):
+            raise ValueError(f"the Fourier ansatz sweeps g0 -> -g0: g1 must be "
+                             f"{-cfg.g0!r}, got {cfg.g1!r}")
         tqsl = qsl_time(cfg.delta, lz_ground_state(cfg.delta, cfg.g0),
                         lz_ground_state(cfg.delta, cfg.g1))
         if cfg.tau <= tqsl:
@@ -279,13 +284,13 @@ def optimize(problem: OcProblem) -> OcResult:
                     trace=trace)
 
 
-def refine_result(problem: OcProblem, result: OcResult, steps: int = 16_384) -> OcResult:
-    """Re-evaluate the reported point on 32x the default steps (integrator-bias check).
+def refine_result(problem: OcProblem, result: OcResult) -> OcResult:
+    """Re-evaluate the reported point on ``REFINE_STEPS`` steps (integrator-bias check).
 
     4,096 steps leave C 1.7e-9 from adaptive quadrature on a pulse whose
     amplitudes of 1,300 cancel (tau = 24.3, n_max 16); 16,384 leave 4.4e-12.
     """
-    q, C = _Evaluator(problem, steps=steps).q_and_cost(
+    q, C = _Evaluator(problem, steps=REFINE_STEPS).q_and_cost(
         _linear(result.best_params, problem.n_max))
     return replace(result, q=q, cost=C, success=q <= problem.q_target)
 

@@ -36,7 +36,7 @@ shared with the oscillator, the JC ensemble and the LZ scans (numpy, no scipy).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,7 +44,6 @@ import numpy as np
 __all__ = [
     "PauliSchedule",
     "QubitTrajectory",
-    "CostReport",
     "qubit_state",
     "fidelity",
     "propagate",
@@ -128,19 +127,6 @@ class QubitTrajectory:
 
     def norms(self) -> np.ndarray:
         return np.sqrt(np.einsum("ij,ij->i", self.states.conj(), self.states).real)
-
-
-@dataclass
-class CostReport:
-    """Integrated cost and outcome summary for one protocol run."""
-
-    protocol: str
-    tau: float
-    integrated_cost: float
-    final_fidelity: float
-    times: np.ndarray = field(repr=False)
-    cost_rate: np.ndarray = field(repr=False)
-    metadata: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +368,8 @@ def integrated_cost(schedule: PauliSchedule, quadrature_steps: int = 4096):
         n = max(16, int(round(quadrature_steps * (b - a) / tau)))
         n += n % 2  # even interval count for Simpson
         t = np.linspace(a, b, n + 1)
-        # sample strictly inside the segment so jumps at the edges don't leak
-        t_in = np.clip(t, a + 1e-12 * (b - a), b - 1e-12 * (b - a))
+        # a breakpoint is sampled just inside the segment, so its jump doesn't leak
+        t_in = np.clip(t, a + 1e-12 * (b - a) * (a > 0.0), b - 1e-12 * (b - a) * (b < tau))
         total += (cost_rate(schedule, t_in) * _simpson_weights(n, t[1] - t[0])).sum()
     return total / tau
 

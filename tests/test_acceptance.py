@@ -15,7 +15,7 @@ from conftest import record_criterion
 
 from ctrlcost.ramps import bob_pulse, poly_smooth_ramp
 from ctrlcost.twolevel import integrated_cost
-from ctrlcost.landau_zener import (LzConfig, lz_cd, lz_bob, lz_ground_state,
+from ctrlcost.landau_zener import (LzConfig, lz_schedule, lz_bob, lz_ground_state,
                                    qsl_time, optimize_bob_kicks, cost_scan,
                                    find_cd_lcd_crossover, run_protocol,
                                    decomposition_cost, blended_ramp_for)
@@ -23,7 +23,7 @@ from ctrlcost.oscillator import (classical_solutions,
                                  ermakov_solve, husimi_qstar, ie_energy,
                                  qstar_series, oscillator_cost,
                                  cd_validity_edge)
-from ctrlcost.jaynes_cummings import (JcConfig, jc_cd_block, mixing_angle_rate,
+from ctrlcost.jaynes_cummings import (JcConfig, jc_schedule, mixing_angle_rate,
                                       block_run, ensemble_run,
                                       find_jc_crossover)
 from ctrlcost.oc import OcProblem, optimize, refine_result
@@ -67,8 +67,8 @@ def test_criterion_2_lz_perfect_fidelity(tau_qsl):
     worst = 1.0
     for tau in (0.1, 22.14):
         for proto in ("cd", "lcd"):
-            _, rep = run_protocol(LzConfig(tau=tau), proto)
-            worst = min(worst, rep.final_fidelity)
+            _, ffin, _ = run_protocol(LzConfig(tau=tau), proto)
+            worst = min(worst, ffin)
     check(2, worst >= 1.0 - 1e-8, f"LZ CD/LCD worst final fidelity {worst:.3e}")
 
 
@@ -269,7 +269,7 @@ def test_criterion_10a_decomposition_vs_direct():
     for tau in (0.3, 3.0, 30.0):
         cfg = LzConfig(tau=tau)
         c_dec = decomposition_cost(cfg)
-        c_dir = integrated_cost(lz_cd(cfg), 8192)
+        c_dir = integrated_cost(lz_schedule(cfg, "cd"), 8192)
         worst = max(worst, abs(c_dec - c_dir) / c_dir)
     check(10, worst < 1e-6, f"decomposition vs direct cost rel err {worst:.2e}")
 
@@ -279,7 +279,7 @@ def test_criterion_10b_jc_cd_coefficient():
     t = np.linspace(0.0, 10.0, 2001)
     worst = 0.0
     for n in (0, 3, 40):
-        cy = jc_cd_block(cfg, n).coefficients(t)[2]
+        cy = jc_schedule(cfg, "cd", n).coefficients(t)[2]
         worst = max(worst, float(np.max(np.abs(cy / 2.0 - mixing_angle_rate(cfg, n, t)))))
     check(10, worst < 1e-12, f"JC CD coefficient vs mixing-angle rate {worst:.2e}")
 

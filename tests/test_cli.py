@@ -127,9 +127,49 @@ def test_cd_blend_off_the_antisymmetric_sweep_is_invalid(tmp_path, capsys):
     # run fails on the same config, as validate said it would
     assert main(["run", "--config", str(path)]) == 1
     assert "boundary mismatch" in capsys.readouterr().err
-    # the antisymmetric sweep scans, and trajectories leave cd-blend out
-    for change in ({"params": {"g1": 0.2}}, {"mode": "trajectory"}):
+    # trajectories run cd-blend too, so the boundary check holds in both modes
+    trajectory = {**raw, "mode": "trajectory"}
+    assert not validate(parse_config(trajectory))["valid"]
+    for change in ({"params": {"g1": 0.2}}, {"mode": "trajectory", "params": {"g1": 0.2}}):
         assert validate(parse_config({**raw, **change}))["valid"]
+
+
+def test_cd_blend_trajectory_is_run_and_written(tmp_path):
+    cfg = parse_config({"model": "lz", "mode": "trajectory", "tau": [5.0],
+                        "protocols": ["cd", "cd-blend"], "trajectory_steps": 2000,
+                        "out": str(tmp_path / "o")})
+    outdir = run(cfg)
+    with open(outdir / "fidelity.csv", encoding="utf-8") as fh:
+        assert fh.read().splitlines()[1] == "tau,t,F_cd,F_cd-blend"
+    runs = json.loads((outdir / "summary.json").read_text())["runs"]
+    assert [r["protocol"] for r in runs] == ["cd", "cd-blend"]
+    assert runs[1]["final_fidelity"] >= 1.0 - 1e-8
+
+
+def test_cd_blend_with_a_custom_ramp_is_rejected(tmp_path, capsys):
+    ramp = {"kind": "polynomial", "parameters": {"g0": -0.2, "g_d": 0.4, "tau": 5.0}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": "lz", "mode": "trajectory", "tau": [5.0],
+                                "protocols": ["cd-blend"], "ramp": ramp,
+                                "out": str(tmp_path / "o")}))
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: cd-blend runs on its own blended ramp")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("model", ["jc", "oscillator", "oc"])
+def test_mode_is_rejected_for_models_other_than_lz(model, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": model, "mode": "scan", "tau": [30.0],
+                                "out": str(tmp_path / "o")}))
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: mode is only supported for the lz model\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_custom_ramp_validation_matches_run(tmp_path):
@@ -182,6 +222,22 @@ def test_bad_oc_problem_is_invalid_and_fails_run_in_one_line(params, tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert next(iter(params)) in err
+    assert not (tmp_path / "o" / "oc_results.csv").exists()
+
+
+def test_oc_sweep_off_minus_g0_is_invalid_and_fails_run(tmp_path, capsys):
+    # the Fourier ansatz ends at -g0, so g1 = 0.35 would be ignored, not reached
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"preset": "fig3-oc", "params": {"g1": 0.35},
+                                "out": str(tmp_path / "o")}))
+    assert main(["validate", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    checks = json.loads(out)["checks"]
+    assert [c["ok"] for c in checks] == [False] * 3
+    assert all("g1 must be 0.2, got 0.35" in c["detail"] for c in checks)
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "g1 must be 0.2" in err and err.count("\n") == 1
     assert not (tmp_path / "o" / "oc_results.csv").exists()
 
 

@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from ctrlcost.landau_zener import (LzConfig, lz_cd, lz_lcd, cost_scan, lz_ground_state,
+from ctrlcost.landau_zener import (LzConfig, lz_schedule, cost_scan, lz_ground_state,
                                    qsl_time)
 from ctrlcost.ramps import poly_smooth_ramp
 from ctrlcost.twolevel import (DEFAULT_STEPS, converged_final_state, integrated_cost,
                                propagate)
-from ctrlcost.jaynes_cummings import (INITIAL_STATE, JcConfig, jc_block, jc_cd_block,
-                                      jc_lcd_block, mixing_angle_rate,
+from ctrlcost.jaynes_cummings import (INITIAL_STATE, JcConfig, jc_schedule, mixing_angle_rate,
                                       coherent_weights, block_run,
                                       ensemble_run, coherent_cost_scan,
                                       jc_cost_scan, find_jc_crossover)
@@ -22,10 +21,10 @@ from ctrlcost.jaynes_cummings import (INITIAL_STATE, JcConfig, jc_block, jc_cd_b
 
 def test_block_coefficients_and_rabi():
     cfg = JcConfig(tau=10.0)
-    blk = jc_block(cfg, 0)
+    blk = jc_schedule(cfg, "bare", 0)
     # g(tau) = 0.2 -> Omega_R = 2 g sqrt(n+1) = 0.4 for n = 0, and cz = -Omega_R
     assert float(blk.coefficients(np.float64(10.0))[3]) == pytest.approx(-0.4, rel=1e-12)
-    blk3 = jc_block(cfg, 3)
+    blk3 = jc_schedule(cfg, "bare", 3)
     assert float(blk3.coefficients(np.float64(10.0))[3]) == pytest.approx(-0.8, rel=1e-12)
     # identity offset (2n+1) omega / 2 recorded on the schedule
     assert float(blk3.coefficients(np.float64(1.0))[0]) == pytest.approx(3.5)
@@ -37,7 +36,7 @@ def test_block_coefficients_and_rabi():
 
 def test_block_rejects_negative_index():
     with pytest.raises(ValueError):
-        jc_block(JcConfig(tau=1.0), -1)
+        jc_schedule(JcConfig(tau=1.0), "bare", -1)
 
 
 def test_config_rejects_zero_detuning():
@@ -53,14 +52,14 @@ def test_cd_coefficient_matches_mixing_angle_rate():
     cfg = JcConfig(tau=10.0)
     t = np.linspace(0.0, 10.0, 1001)
     for n in (0, 1, 5, 40):
-        cy = jc_cd_block(cfg, n).coefficients(t)[2]
+        cy = jc_schedule(cfg, "cd", n).coefficients(t)[2]
         # the appendix closed form must equal theta_n-dot exactly
         assert np.max(np.abs(cy / 2.0 - mixing_angle_rate(cfg, n, t))) < 1e-12
 
 
 def test_cd_term_vanishes_at_flat_endpoints():
     cfg = JcConfig(tau=10.0)
-    sched = jc_cd_block(cfg, 2)
+    sched = jc_schedule(cfg, "cd", 2)
     assert float(sched.coefficients(np.float64(0.0))[2]) == 0.0
     assert float(sched.coefficients(np.float64(10.0))[2]) == 0.0
 
@@ -84,8 +83,8 @@ def _mapped_lz(cfg: JcConfig, n: int) -> LzConfig:
 @pytest.mark.parametrize("n", [0, 2, 7])
 def test_lcd_block_reduces_to_lz_builder(n):
     cfg = JcConfig(tau=10.0)
-    jc_sched = jc_lcd_block(cfg, n)
-    lz_sched = lz_lcd(_mapped_lz(cfg, n))
+    jc_sched = jc_schedule(cfg, "lcd", n)
+    lz_sched = lz_schedule(_mapped_lz(cfg, n), "lcd")
     t = np.linspace(0.0, 10.0, 801)
     assert np.max(np.abs(jc_sched.coefficients(t)[1] - lz_sched.coefficients(t)[1])) < 1e-12
     assert np.max(np.abs(jc_sched.coefficients(t)[3] - lz_sched.coefficients(t)[3])) < 1e-12
@@ -94,8 +93,8 @@ def test_lcd_block_reduces_to_lz_builder(n):
 @pytest.mark.parametrize("n", [0, 2, 7])
 def test_cd_block_reduces_to_lz_builder(n):
     cfg = JcConfig(tau=10.0)
-    jc_sched = jc_cd_block(cfg, n)
-    lz_sched = lz_cd(_mapped_lz(cfg, n))
+    jc_sched = jc_schedule(cfg, "cd", n)
+    lz_sched = lz_schedule(_mapped_lz(cfg, n), "cd")
     t = np.linspace(0.0, 10.0, 801)
     assert np.max(np.abs(jc_sched.coefficients(t)[2] - lz_sched.coefficients(t)[2])) < 1e-12
 
@@ -103,8 +102,8 @@ def test_cd_block_reduces_to_lz_builder(n):
 def test_lcd_block_reduces_to_bare_at_endpoints():
     cfg = JcConfig(tau=10.0)
     for n in (0, 4):
-        lcd = jc_lcd_block(cfg, n)
-        bare = jc_block(cfg, n)
+        lcd = jc_schedule(cfg, "lcd", n)
+        bare = jc_schedule(cfg, "bare", n)
         for t in (np.float64(0.0), np.float64(10.0)):
             _, lcd_x, _, lcd_z = lcd.coefficients(t)
             _, bare_x, _, bare_z = bare.coefficients(t)
@@ -161,7 +160,7 @@ def test_ensemble_norms_conserved():
     # no leakage outside each block: every block propagation stays normalized
     cfg = JcConfig(tau=5.0, alpha=1.0, n_cut=10)
     for n in (0, 3, 10):
-        traj = propagate(jc_cd_block(cfg, n), INITIAL_STATE, 3000)
+        traj = propagate(jc_schedule(cfg, "cd", n), INITIAL_STATE, 3000)
         assert np.max(np.abs(traj.norms() - 1.0)) < 1e-10
 
 
@@ -195,11 +194,10 @@ def test_ensemble_matches_per_block_propagation(protocol):
     cfg = JcConfig(tau=10.0, alpha=2.0, n_cut=40)
     steps = 2000
     res = ensemble_run(cfg, protocol, steps=steps)
-    build = {"cd": jc_cd_block, "lcd": jc_lcd_block}[protocol]
     fid_w = np.zeros_like(res.fidelity)
     for n in range(cfg.n_cut + 1):
-        blk = build(cfg, n)
-        traj = propagate(blk, INITIAL_STATE, steps, reference=jc_block(cfg, n))
+        blk = jc_schedule(cfg, protocol, n)
+        traj = propagate(blk, INITIAL_STATE, steps, reference=jc_schedule(cfg, "bare", n))
         assert np.array_equal(traj.times, res.times)
         fid_w += res.weights[n] * traj.fidelity
         assert abs(res.block_final_fidelity[n] - traj.fidelity[-1]) < 1e-12
@@ -254,8 +252,8 @@ def test_jc_scan_matches_real_time_blocks(n):
     scan = jc_cost_scan(JcConfig(tau=1.0), taus, n)
     for i, tau in enumerate(taus):
         cfg = JcConfig(tau=tau)
-        for key, build in (("cd", jc_cd_block), ("lcd", jc_lcd_block)):
-            direct = integrated_cost(build(cfg, n), 8192)
+        for key in ("cd", "lcd"):
+            direct = integrated_cost(jc_schedule(cfg, key, n), 8192)
             assert scan[key][i] == pytest.approx(direct, rel=1e-12)
 
 
@@ -272,8 +270,8 @@ def test_coherent_scan_is_the_weighted_block_scans():
         assert np.max(np.abs(scan[key] - want) / want) < 1e-13
     # one cell against the real-time blocks
     at = JcConfig(tau=taus[2], delta=cfg.delta, alpha=cfg.alpha, n_cut=cfg.n_cut)
-    for key, build in (("cd", jc_cd_block), ("lcd", jc_lcd_block)):
-        direct = sum(w * integrated_cost(build(at, n), 8192) for n, w in enumerate(p))
+    for key in ("cd", "lcd"):
+        direct = sum(w * integrated_cost(jc_schedule(at, key, n), 8192) for n, w in enumerate(p))
         assert scan[key][2] == pytest.approx(direct, rel=1e-12)
 
 
@@ -281,9 +279,9 @@ def test_jc_scan_is_even_in_the_detuning():
     taus = [2.0, 30.0]
     plus = jc_cost_scan(JcConfig(tau=1.0, delta=0.1), taus, 2)
     minus = jc_cost_scan(JcConfig(tau=1.0, delta=-0.1), taus, 2)
-    for key, build in (("cd", jc_cd_block), ("lcd", jc_lcd_block)):
+    for key in ("cd", "lcd"):
         assert np.array_equal(plus[key], minus[key])
-        direct = integrated_cost(build(JcConfig(tau=2.0, delta=-0.1), 2), 8192)
+        direct = integrated_cost(jc_schedule(JcConfig(tau=2.0, delta=-0.1), key, 2), 8192)
         assert minus[key][0] == pytest.approx(direct, rel=1e-12)
 
 
@@ -315,8 +313,8 @@ def test_default_steps_converge_at_the_first_doubling():
     lz = LzConfig(tau=qsl_time(base.delta, lz_ground_state(base.delta, base.g0),
                                lz_ground_state(base.delta, base.g1)))
     jc = JcConfig(tau=10.0, alpha=2.0)
-    runs = [(build(lz), lz_ground_state(lz.delta, lz.g0)) for build in (lz_cd, lz_lcd)]
-    runs += [(build(jc, jc.n_cut), INITIAL_STATE) for build in (jc_cd_block, jc_lcd_block)]
+    runs = [(lz_schedule(lz, p), lz_ground_state(lz.delta, lz.g0)) for p in ("cd", "lcd")]
+    runs += [(jc_schedule(jc, p, jc.n_cut), INITIAL_STATE) for p in ("cd", "lcd")]
     for sched, psi0 in runs:
         _, steps = converged_final_state(sched, psi0)
         assert steps == 2 * DEFAULT_STEPS, sched.label

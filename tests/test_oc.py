@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
-from ctrlcost.landau_zener import LzConfig, lz_bare, lz_ground_state
+from ctrlcost.landau_zener import LzConfig, lz_schedule, lz_ground_state
 from ctrlcost.ramps import oc_fourier_ramp
 from ctrlcost.twolevel import (converged_final_state, cost_rate, fidelity,
                                integrated_cost, _GAUSS, _simpson_weights)
@@ -39,6 +39,15 @@ def test_rejects_bad_gamma_and_nmax():
         make_problem(n_max=0)
     with pytest.raises(ValueError, match="steps"):
         make_problem(steps=1)
+
+
+def test_rejects_a_sweep_that_does_not_end_at_minus_g0():
+    # the ansatz's linear part and endpoint pin end at -g0, whatever g1 says
+    with pytest.raises(ValueError, match=r"g1 must be 0\.2, got 0\.35"):
+        OcProblem(config=LzConfig(tau=30.0, g0=-0.2, g1=0.35))
+    with pytest.raises(ValueError, match=r"g1 must be -0\.3, got 0\.2"):
+        OcProblem(config=LzConfig(tau=60.0, g0=0.3, g1=0.2))
+    OcProblem(config=LzConfig(tau=60.0, g0=0.3, g1=-0.3))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 4096])
@@ -93,7 +102,7 @@ def test_evaluate_matches_library_route(rng):
     q, C = evaluate(prob, np.concatenate([amps, phases]))
     cfg = prob.config
     ramp = oc_fourier_ramp(cfg.g0, cfg.tau, list(zip(amps, phases)))
-    sched = lz_bare(LzConfig(tau=cfg.tau, ramp=ramp))
+    sched = lz_schedule(LzConfig(tau=cfg.tau, ramp=ramp), "bare")
     psi, _ = converged_final_state(sched, lz_ground_state(cfg.delta, cfg.g0))
     q_lib = 1.0 - fidelity(lz_ground_state(cfg.delta, cfg.g1), psi)
     assert q > 1e-3  # a pulse far from the target, so q is a real check
@@ -244,7 +253,7 @@ def test_optimized_pulse_reproduces_through_the_library_route(bench_tau25):
     cfg = prob.config
     ramp = oc_fourier_ramp(cfg.g0, cfg.tau, list(zip(res.best_params[:16],
                                                      res.best_params[16:])))
-    sched = lz_bare(LzConfig(tau=cfg.tau, ramp=ramp))
+    sched = lz_schedule(LzConfig(tau=cfg.tau, ramp=ramp), "bare")
     psi, _ = converged_final_state(sched, lz_ground_state(cfg.delta, cfg.g0), tol=1e-14)
     q_lib = 1.0 - fidelity(lz_ground_state(cfg.delta, cfg.g1), psi)
     assert q_lib == pytest.approx(fine.q, abs=1e-9)

@@ -9,10 +9,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from ctrlcost.jaynes_cummings import (JcConfig, jc_block, jc_cd_block,  # noqa: E402
-                                      jc_lcd_block)
-from ctrlcost.landau_zener import (LzConfig, blended_ramp_for, cost_scan,  # noqa: E402
-                                   lz_bare, lz_cd, lz_lcd)
+from ctrlcost.jaynes_cummings import JcConfig, jc_schedule  # noqa: E402
+from ctrlcost.landau_zener import LzConfig, cost_scan, lz_schedule  # noqa: E402
 from ctrlcost.ramps import (cd_a_ramp, cd_blended_ramp, cd_na_ramp,  # noqa: E402
                             oc_fourier_ramp, poly_smooth_ramp, ramp_from_dict)
 from ctrlcost.oscillator import (cd_validity_edge,  # noqa: E402
@@ -162,8 +160,8 @@ def test_jc_blocks_match_their_closed_forms(delta, sign, n, g0, g1, tau, omega):
     rows = (g0 + dg * (10 * x**3 - 15 * x**4 + 6 * x**5),
             dg * 30 * (x**2 - 2 * x**3 + x**4) / tau,
             dg * (60 * x - 180 * x**2 + 120 * x**3) / tau**2)
-    for kind, build in (("bare", jc_block), ("cd", jc_cd_block), ("lcd", jc_lcd_block)):
-        got = np.array(build(cfg, n).coefficients(t))
+    for kind in ("bare", "cd", "lcd"):
+        got = np.array(jc_schedule(cfg, kind, n).coefficients(t))
         want = np.array(jc_block_oracle(kind, cfg.delta, omega, n, *rows))
         assert np.array_equal(got[0], np.full_like(t, (2 * n + 1) * omega / 2.0))
         # relative to the field's size |(cx, cy, cz)| >= |delta|, so cz's zero crossing counts too
@@ -186,8 +184,8 @@ def test_scan_rows_are_the_real_time_costs_and_do_not_depend_on_the_batch(delta,
     batch = cost_scan(cfg, taus, protocols)
     for i, tau in enumerate(taus):
         at = LzConfig(tau=tau, delta=delta, g0=g, g1=-g)
-        blend = LzConfig(tau=tau, delta=delta, g0=g, g1=-g, ramp=blended_ramp_for(at, tau))
-        for p, sched in zip(protocols, (lz_bare(at), lz_cd(at), lz_lcd(at), lz_cd(blend))):
+        for p in protocols:
+            sched = lz_schedule(at, p)
             assert batch[p][i] == pytest.approx(integrated_cost(sched, 8192), rel=1e-12), p
             assert cost_scan(cfg, [tau], (p,))[p][0] == batch[p][i], p
 

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from ctrlcost.landau_zener import LzConfig, lz_cd, lz_ground_state, qsl_time
+from ctrlcost.landau_zener import LzConfig, lz_schedule, lz_ground_state, qsl_time
 from ctrlcost.twolevel import (PauliSchedule, qubit_state, fidelity, propagate,
                                final_state, converged_final_state,
                                instantaneous_eigenstates, cost_rate,
@@ -222,7 +222,7 @@ def test_trajectory_stays_on_the_unit_sphere_at_64k_steps():
     cfg = LzConfig(tau=1.0)
     psi0 = lz_ground_state(cfg.delta, cfg.g0)
     tqsl = qsl_time(cfg.delta, psi0, lz_ground_state(cfg.delta, cfg.g1))
-    traj = propagate(lz_cd(LzConfig(tau=tqsl)), psi0, steps=64_000)
+    traj = propagate(lz_schedule(LzConfig(tau=tqsl), "cd"), psi0, steps=64_000)
     assert np.max(np.abs(traj.norms() - 1.0)) <= 1e-14
     assert abs(1.0 - traj.fidelity[-1]) <= 1e-14
 
