@@ -12,9 +12,11 @@ sin(n pi t/tau) and cos(n pi t/tau) columns, where the gradient does not
 vanish at the all-zero start as the phase gradient does.
 
 ``optimize`` minimizes the time-averaged Frobenius cost C subject to
-q <= q_t with scipy's SLSQP (imported when an optimization starts, so the
-rest of the package loads with numpy alone). q = |<psi_perp|psi(tau)>|^2,
-the weight on the state orthogonal to the target, cannot go negative. q_t
+q <= q_t with scipy's SLSQP. scipy is imported when an optimization starts,
+so the rest of the package loads with numpy alone, and with its BLAS pool
+pinned to one thread, so SLSQP gives the same bits on any host; a caller who
+imported scipy first keeps their own pool. q = |<psi_perp|psi(tau)>|^2, the
+weight on the state orthogonal to the target, cannot go negative. q_t
 is tightened by continuation, 1e-3, 1e-6, then q_target/2: aimed at
 q_target itself, the refined q (``refine_result``) lands on either side of
 it (1.0015e-9 for 1e-9 at tau = 25, n_max 16), and the margin costs about
@@ -31,11 +33,14 @@ with z = a1 g1 + a2 g2 and then a2 g1 + a1 g2 for g at the step's Gauss
 nodes, built by ``twolevel._cf4_factors`` as every qubit step is. C is the
 two-point Gauss-Legendre sum on the same node rows. At the default 512
 steps the refined q is within 2.2% of the optimizer's at the fig3-oc
-preset; 4,096 second-order steps leave 22%. Each evaluation also returns
-the exact gradients of q and C in x, q's by GRAPE (Khaneja et al., J. Magn.
-Reson. 172, 296 (2005)) from one prefix scan of the 2N exponentials, both
-through the fixed basis as in GOAT (Machnes et al., PRL 120, 150401
-(2018)). The ansatz is CRAB-like (Caneva et al., PRA 84, 022326 (2011)).
+preset; 4,096 second-order steps leave 22%. One evaluation, what ``nfev``
+counts, runs the up-sweep of the prefix scan of the 2N exponentials and reads
+q off it. When 2N is not a power of two, that q may differ from the full
+scan's last prefix in the last bits. Only where SLSQP reads a gradient does
+the down-sweep run, for the exact gradients of q and C in x, q's by GRAPE
+(Khaneja et al., J. Magn. Reson. 172, 296 (2005)), both through the fixed
+basis as in GOAT (Machnes et al., PRL 120, 150401 (2018)). The ansatz is
+CRAB-like (Caneva et al., PRA 84, 022326 (2011)).
 
 The [sin | cos] columns are nearly dependent on [0, tau] (smallest singular
 value 3e-11 at n_max 16), so an optimum may carry amplitudes of tens or
@@ -45,20 +50,23 @@ checked.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .landau_zener import LzConfig, lz_ground_state, qsl_time
-from .twolevel import (_GAUSS, _MIX, _cf4_factors, _qmul, _ordered_product,
-                       _prefix_scan, _apply)
+from .twolevel import (_GAUSS, _MIX, _apply, _cf4_factors, _last_prefix, _ordered_product,
+                       _prefix_scan, _qmul, _up_sweep)
 
 __all__ = ["OcProblem", "OcResult", "evaluate", "optimize", "refine_result"]
 
 CONTINUATION = (1e-3, 1e-6)   # intermediate infidelity targets, then q_target/2
 FTOL = 1e-12                  # SLSQP's tolerance on the change of C
 REFINE_STEPS = 16_384         # refine_result's steps, 32x the default
+NODE_BLOCK = 2_048            # nodes per block of basis rows in q_and_cost
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
@@ -66,11 +74,12 @@ _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 class OcProblem:
     """Optimization instance for one protocol duration.
 
-    ``budget`` caps the value-and-gradient evaluations over all
-    continuation stages. ``seed`` is recorded with the result; the search
-    starts from the bare linear ramp and draws nothing at random. The
-    Fourier method applies only above the quantum speed limit, and only to
-    the sweep g0 -> g1 = -g0 that its linear part and endpoint pins follow.
+    ``budget`` caps the evaluations (new points, with or without a
+    gradient) over all continuation stages. ``seed`` is recorded with the
+    result; the search starts from the bare linear ramp and draws nothing at
+    random. The Fourier method applies only above the quantum speed limit,
+    and only to the sweep g0 -> g1 = -g0 that its linear part and endpoint
+    pins follow.
     """
 
     config: LzConfig
@@ -120,33 +129,34 @@ class _Evaluator:
 
     def __init__(self, problem: OcProblem, steps: Optional[int] = None):
         cfg = problem.config
-        self.delta = cfg.delta
+        self.delta, self.tau = cfg.delta, cfg.tau
         self.n_max = problem.n_max
         self.steps = steps or problem.steps
         self.dt = cfg.tau / self.steps
-        tt = np.add.outer(np.linspace(0.0, cfg.tau, self.steps + 1)[:-1],
-                          np.multiply(_GAUSS, self.dt)).ravel()
-        # built in place, so the peak stays at the basis plus one argument table
-        arg = np.outer(tt, np.arange(1, self.n_max + 1))
-        arg *= np.pi
-        arg /= cfg.tau
-        self.basis = np.empty((len(tt), 2 * self.n_max))
-        np.sin(arg, out=self.basis[:, :self.n_max])
-        np.cos(arg, out=self.basis[:, self.n_max:])
-        self.lin = cfg.g0 - 2.0 * cfg.g0 * tt / cfg.tau
+        self.tt = np.add.outer(np.linspace(0.0, cfg.tau, self.steps + 1)[:-1],
+                               np.multiply(_GAUSS, self.dt)).ravel()
+        self.lin = cfg.g0 - 2.0 * cfg.g0 * self.tt / cfg.tau
         self.psi0 = lz_ground_state(cfg.delta, cfg.g0)
         self.units_psi0 = _apply(np.eye(4), self.psi0)   # A(e_a) psi0, a = 0..3
         target = lz_ground_state(cfg.delta, cfg.g1)
         self.perp = np.array([-target[1].conj(), target[0].conj()])
 
-    def _fields(self, x):
-        """(node g, node cost rate, the CF4 factors' mixed (cx, cy, cz), their SU(2) rows)."""
-        # einsum, not a BLAS matvec, here and in the gradient: threaded BLAS
-        # between SLSQP's own calls oversubscribes a 2-core host (4 s against
-        # 0.5 s per n_max-30 optimization, 16 against 2.5 ms per 8,192-row gradient)
-        g = self.lin + np.einsum("ij,j->i", self.basis, x)
+    def _rows(self, nodes=slice(None)):
+        """[sin | cos](n pi t/tau) at the nodes, in place: the peak is the rows and one arg table."""
+        arg = np.outer(self.tt[nodes], np.arange(1, self.n_max + 1))
+        arg *= np.pi
+        arg /= self.tau
+        rows = np.empty((len(arg), 2 * self.n_max))
+        np.sin(arg, out=rows[:, :self.n_max])
+        np.cos(arg, out=rows[:, self.n_max:])
+        return rows
+
+    basis = cached_property(_rows)   # every node's rows, built on first use and kept
+
+    def _fields(self, g):
+        """(node cost rate, the CF4 factors' mixed (cx, cy, cz), their SU(2) rows) for node g."""
         rate = np.sqrt((self.delta**2 + g * g) / 2.0)
-        return g, rate, *_cf4_factors(self.delta, 0.0, g, self.dt)
+        return rate, *_cf4_factors(self.delta, 0.0, g, self.dt)
 
     def final_state(self, steps) -> np.ndarray:
         """psi(tau): the product of the CF4 factors on psi0, rescaled to unit
@@ -155,11 +165,27 @@ class _Evaluator:
         return _apply(u / np.sqrt(u @ u), self.psi0)
 
     def q_and_cost(self, x) -> tuple:
-        _, rate, _, steps = self._fields(x)
+        """(q, C) by the ordered product, g built in node blocks with no basis kept; each
+        node's sum is its own, so g is bitwise lin + basis x."""
+        blocks = [slice(i, i + NODE_BLOCK) for i in range(0, len(self.tt), NODE_BLOCK)]
+        g = np.concatenate([self.lin[b] + np.einsum("ij,j->i", self._rows(b), x) for b in blocks])
+        rate, _, steps = self._fields(g)
         return float(abs(np.vdot(self.perp, self.final_state(steps))) ** 2), float(rate.mean())
 
-    def with_gradient(self, x) -> tuple:
-        """(q, C, dq/dx, dC/dx) from one prefix scan of the 2N exponentials.
+    def value(self, x) -> tuple:
+        """(q, C, kept) from the fields and the up-sweep alone; ``gradient`` finishes from kept."""
+        # einsum, not a BLAS matvec, here and in the gradient: threaded BLAS
+        # between SLSQP's own calls oversubscribes a 2-core host (4 s against
+        # 0.5 s per n_max-30 optimization, 16 against 2.5 ms per 8,192-row gradient)
+        g = self.lin + np.einsum("ij,j->i", self.basis, x)
+        rate, (_, _, cz), steps = self._fields(g)
+        levels = _up_sweep(steps)
+        eta = _apply(_last_prefix(levels) * _CONJ, self.perp)
+        m = self.units_psi0 @ eta.conj()                # m_a = <eta|A(e_a)|psi0>
+        return float(abs(m[0]) ** 2), float(rate.mean()), (g, rate, cz, levels, m)
+
+    def gradient(self, kept) -> tuple:
+        """(dq/dx, dC/dx) from a ``value``'s kept state: the down-sweep, then GRAPE.
 
         With P_k = Q_k ... Q_0, U = P_{2N-1} and the operator
         A(a) = a0 - i a.sigma of a quaternion, factor k's derivative is
@@ -171,11 +197,9 @@ class _Evaluator:
         z is an alpha mixture of the node g, symmetric, so dq/dg is the
         same mixture of dq/dz.
         """
-        g, rate, (_, _, cz), steps = self._fields(x)
-        prefix = _prefix_scan(steps)
+        g, rate, cz, levels, m = kept
+        steps, prefix = levels[0], _prefix_scan(levels[0], levels=levels)
         earlier = np.concatenate([[(1.0, 0.0, 0.0, 0.0)], prefix[:-1]])   # P_{k-1}, P_{-1} = 1
-        eta = _apply(prefix[-1] * _CONJ, self.perp)
-        m = self.units_psi0 @ eta.conj()                # m_a = <eta|A(e_a)|psi0>
         mu = 2.0 * (m[0].conjugate() * m).real          # c = m_0
         # d(factor)/dz: a0 = cos h, a = s (Delta/2, 0, z), s = sin(h)/r,
         # h = r dt/2, r^2 = Delta^2/4 + z^2
@@ -187,7 +211,7 @@ class _Evaluator:
                           _qmul(dstep, earlier))
         dq = np.einsum("i,ij->j", (dq_dz.reshape(-1, 2) @ _MIX).ravel(), self.basis)
         dC = np.einsum("i,ij->j", g / (2.0 * len(g) * rate), self.basis)
-        return float(abs(m[0]) ** 2), float(rate.mean()), dq, dC
+        return dq, dC
 
 
 def evaluate(problem: OcProblem, params) -> tuple:
@@ -231,7 +255,14 @@ def optimize(problem: OcProblem) -> OcResult:
     is then 9 (limit reached). ``success`` says whether the returned point
     meets q_target on the optimizer's grid.
     """
-    from scipy.optimize import minimize  # deferred: the rest of the package loads without scipy
+    held = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"   # read once, as scipy's BLAS loads
+    try:
+        from scipy.optimize import minimize
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+        if held is not None:
+            os.environ["OPENBLAS_NUM_THREADS"] = held
 
     ev = _Evaluator(problem)
     n = problem.n_max
@@ -243,16 +274,18 @@ def optimize(problem: OcProblem) -> OcResult:
     trace: list = []
     state = {"x": None, "nfev": 0}
 
-    def point(x):
+    def point(x, grad=False):
         if state["x"] is None or not np.array_equal(x, state["x"]):
             if state["nfev"] >= problem.budget:
                 raise _BudgetSpent
             state["nfev"] += 1
-            state["x"], state["value"] = np.array(x), ev.with_gradient(x)
-            q, C = state["value"][:2]
+            q, C, state["kept"] = ev.value(x)
+            state["x"], state["value"], state["grad"] = np.array(x), (q, C), None
             if not trace or q < trace[-1]["q"]:
                 trace.append({"nfev": state["nfev"], "q": q, "C": C})
-        return state["value"]
+        if grad and state["grad"] is None:   # only where SLSQP reads a gradient
+            state["grad"] = ev.gradient(state["kept"])
+        return state["grad"] if grad else state["value"]
 
     x = np.zeros(2 * n)
     stage_nfev = []
@@ -262,10 +295,10 @@ def optimize(problem: OcProblem) -> OcResult:
         start, last = state["nfev"], [x]
         constraints = [   # 1 - q/q_t >= 0 in amplitude units (module docstring)
             {"type": "ineq", "fun": lambda x, q_t=q_t: (q_t - point(x)[0]) / q_t**0.5,
-             "jac": lambda x, q_t=q_t: -point(x)[2] / q_t**0.5},
+             "jac": lambda x, q_t=q_t: -point(x, grad=True)[0] / q_t**0.5},
             {"type": "eq", "fun": lambda x: pins @ x, "jac": lambda x: pins}]
         try:
-            res = minimize(lambda x: point(x)[1], x, jac=lambda x: point(x)[3],
+            res = minimize(lambda x: point(x)[1], x, jac=lambda x: point(x, grad=True)[1],
                            method="SLSQP", constraints=constraints,
                            callback=lambda xk: last.append(np.array(xk)),
                            options={"maxiter": problem.budget, "ftol": FTOL})

@@ -19,11 +19,12 @@ products. The identity part commutes with everything and is carried as one
 phase: exp(-i sum theta) for a final state and exp(-i cumsum(theta)) along
 a trajectory, theta being a step's two-node Gauss sum of c0 dt. Final
 states reduce the steps pairwise; trajectories take a work-efficient
-inclusive prefix scan of them (an up-sweep of pairwise products and a
+inclusive prefix scan of them (an up-sweep of pairwise products, then a
 down-sweep, about 2n products; Ladner & Fischer, JACM 27, 831 (1980);
-Blelloch, "Prefix sums and their applications", 1990). Only ``propagate``
-applies them to the initial state: a fidelity is a Bloch rotation, psi0's
-Bloch vector turned by each prefix.
+Blelloch, "Prefix sums and their applications", 1990). OC reads its final
+state off the up-sweep alone (``_last_prefix``). Only ``propagate`` applies
+them to the initial state: a fidelity is a Bloch rotation, psi0's Bloch
+vector turned by each prefix.
 
 A schedule is one callable t -> (c0, cx, cy, cz), so a protocol whose
 coefficients share intermediate values (the LCD derivative chain)
@@ -192,24 +193,39 @@ def _ordered_product(q: np.ndarray) -> np.ndarray:
     return q[0]
 
 
-def _prefix_scan(q: np.ndarray, mul=_qmul) -> np.ndarray:
-    """Inclusive prefix products P[k] = q[k] ... q[0], work-efficient (about 2n products).
+def _up_sweep(q: np.ndarray, mul=_qmul) -> list:
+    """Levels [q, its pair products q[2i+1] q[2i], theirs, ...] to one row; odd tails stay out."""
+    levels = [q]
+    while len(levels[-1]) > 1:
+        levels.append(mul(levels[-1][1::2], levels[-1][0:-1:2]))
+    return levels
 
-    Up-sweep: the pair products q[2i+1] q[2i] are scanned recursively, which
-    gives the odd prefixes P[2i+1]. Down-sweep: each even prefix is
-    P[2i] = q[2i] P[2i-1]. An odd tail q[n-1] is left out of the pairs and
-    reached by the down-sweep, so no identity element is needed (the
-    oscillator's M - I rows have none). ``mul(later, earlier)`` multiplies
-    rows; the oscillator passes its own 2x2 product.
-    """
-    if len(q) < 2:
-        return q
-    odd = _prefix_scan(mul(q[1::2], q[0:-1:2]), mul)
-    out = np.empty_like(q)
-    out[0] = q[0]
-    out[1::2] = odd
-    out[2::2] = mul(q[2::2], odd[:(len(q) - 1) // 2])
-    return out
+
+def _last_prefix(levels: list, mul=_qmul) -> np.ndarray:
+    """P[n-1] off the up-sweep: its top row times each left-out tail. The scan's last row to
+    the bit when n is a power of two; otherwise single-row products may differ in the last bits."""
+    p = levels[-1][0]
+    for q in reversed(levels[:-1]):
+        if len(q) % 2:
+            p = mul(q[-1], p)
+    return p
+
+
+def _prefix_scan(q: np.ndarray, mul=_qmul, levels=None) -> np.ndarray:
+    """Inclusive prefix products P[k] = q[k] ... q[0]: q's up-sweep (``levels``, if made),
+    then a down-sweep. A level's odd prefixes are the level above's, its even ones
+    P[2i] = q[2i] P[2i-1], so no identity is needed (the oscillator's M - I has none).
+    ``mul(later, earlier)`` multiplies rows; the oscillator passes its 2x2 product."""
+    levels = list(levels or _up_sweep(q, mul))   # each level is let go once swept
+    odd = levels.pop()
+    while levels:
+        q = levels.pop()
+        out = np.empty_like(q)
+        out[0] = q[0]
+        out[1::2] = odd
+        out[2::2] = mul(q[2::2], odd[:(len(q) - 1) // 2])
+        odd = out
+    return odd
 
 
 def _apply(q, psi):

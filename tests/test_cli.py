@@ -502,6 +502,27 @@ def test_fig4_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
+def test_fig3_oc_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # SLSQP's own linear algebra runs on scipy's BLAS, which reads its pool
+    # size as it loads; optimize pins it to one thread for that import, so a
+    # short fig3-oc run writes the same bytes at 1 and 2 threads
+    src = str(Path(ctrlcost.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    config = tmp_path / "oc.json"
+    config.write_text(json.dumps({"preset": "fig3-oc", "tau": [25.0],
+                                  "params": {"n_max": 16, "budget": 50}}))
+    procs = [subprocess.Popen([sys.executable, "-m", "ctrlcost.cli", "run", "--config",
+                               str(config), "--out", str(tmp_path / n)],
+                              env={**env, "OPENBLAS_NUM_THREADS": n}, stdout=subprocess.DEVNULL)
+             for n in ("1", "2")]
+    assert [p.wait() for p in procs] == [0, 0]
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert "oc_results.json" in names
+    assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
 def test_fig3_crossover_matches_a_fresh_scan(tmp_path):
     cfg = parse_config({"preset": "fig3", "out": str(tmp_path / "o")})
     summary = json.loads((run(cfg) / "summary.json").read_text())

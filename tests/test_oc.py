@@ -1,6 +1,7 @@
 """Fourier optimal control: evaluation, gradients, determinism, small optimizations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,12 @@ from scipy.integrate import quad, simpson
 from ctrlcost.landau_zener import LzConfig, lz_schedule, lz_ground_state
 from ctrlcost.ramps import oc_fourier_ramp
 from ctrlcost.twolevel import (converged_final_state, cost_rate, fidelity,
-                               integrated_cost, _GAUSS, _simpson_weights)
-from ctrlcost.oc import OcProblem, evaluate, optimize, refine_result, _Evaluator
+                               integrated_cost, _GAUSS, _MIX, _apply, _cf4_factors,
+                               _qmul, _simpson_weights)
+from ctrlcost.oc import (OcProblem, REFINE_STEPS, evaluate, optimize, refine_result,
+                         _Evaluator, _linear)
+
+from oracles import recursive_prefix_scan
 
 
 def make_problem(tau=30.0, **kw):
@@ -18,6 +23,42 @@ def make_problem(tau=30.0, **kw):
     kw.setdefault("budget", 3000)
     kw.setdefault("steps", 2048)
     return OcProblem(config=LzConfig(tau=tau), **kw)
+
+
+def cf4_steps(ev, x):
+    """The evaluator's CF4 factors for x, g from its kept basis."""
+    return ev._fields(ev.lin + np.einsum("ij,j->i", ev.basis, x))[2]
+
+
+def one_scan_evaluation(ev, x):
+    """(q, C, dq/dx, dC/dx) as one evaluation made them before the value and the
+    gradient were split: the basis built whole, and the full recursive prefix scan."""
+    tau, n = ev.tau, ev.n_max
+    tt = np.add.outer(np.linspace(0.0, tau, ev.steps + 1)[:-1],
+                      np.multiply(_GAUSS, ev.dt)).ravel()
+    arg = np.outer(tt, np.arange(1, n + 1))
+    arg *= np.pi
+    arg /= tau
+    basis = np.empty((len(tt), 2 * n))
+    np.sin(arg, out=basis[:, :n])
+    np.cos(arg, out=basis[:, n:])
+    g = ev.lin + np.einsum("ij,j->i", basis, x)
+    rate = np.sqrt((ev.delta**2 + g * g) / 2.0)
+    (_, _, cz), steps = _cf4_factors(ev.delta, 0.0, g, ev.dt)
+    prefix = recursive_prefix_scan(steps)
+    earlier = np.concatenate([[(1.0, 0.0, 0.0, 0.0)], prefix[:-1]])
+    eta = _apply(prefix[-1] * np.array([1.0, -1.0, -1.0, -1.0]), ev.perp)
+    m = ev.units_psi0 @ eta.conj()
+    mu = 2.0 * (m[0].conjugate() * m).real
+    half, cx = 0.5 * ev.dt, 0.5 * ev.delta
+    s = steps[:, 1] / cx
+    ds = (half * steps[:, 0] - s) * cz / (cx * cx + cz * cz)
+    dstep = np.stack([-half * s * cz, ds * cx, np.zeros_like(cz), ds * cz + s]).T
+    dq_dz = np.einsum("ij,ij->i", _qmul(prefix, np.broadcast_to(mu, prefix.shape)),
+                      _qmul(dstep, earlier))
+    dq = np.einsum("i,ij->j", (dq_dz.reshape(-1, 2) @ _MIX).ravel(), basis)
+    dC = np.einsum("i,ij->j", g / (2.0 * len(g) * rate), basis)
+    return float(abs(m[0]) ** 2), float(rate.mean()), dq, dC
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +165,8 @@ def test_linear_ramp_cost_independent_of_tau():
 def test_gradient_matches_central_differences(seed):
     ev = _Evaluator(make_problem(tau=30.0, n_max=8))
     x = np.random.default_rng(seed).normal(0.0, 0.03, 16)
-    q, C, dq, dC = ev.with_gradient(x)
+    q, C, kept = ev.value(x)
+    dq, dC = ev.gradient(kept)
     assert (q, C) == pytest.approx(ev.q_and_cost(x), rel=1e-12)
     h = 1e-6
     num = np.array([np.subtract(ev.q_and_cost(x + h * e), ev.q_and_cost(x - h * e))
@@ -133,12 +175,25 @@ def test_gradient_matches_central_differences(seed):
         assert np.max(np.abs(analytic - numeric)) <= 1e-6 * np.max(np.abs(analytic))
 
 
+@pytest.mark.parametrize("scale", [0.0, 0.03, 30.0])
+def test_value_and_gradient_are_the_one_scan_evaluation_bitwise(scale):
+    # at 512 steps 2N = 1,024 is a power of two: q read off the up-sweep, and
+    # the gradient finished from it, are the full scan's to the bit
+    ev = _Evaluator(make_problem(tau=25.0, n_max=16, steps=512))
+    x = np.random.default_rng(7).normal(0.0, 1.0, 32) * scale
+    q, C, kept = ev.value(x)
+    dq, dC = ev.gradient(kept)
+    q0, C0, dq0, dC0 = one_scan_evaluation(ev, x)
+    assert (q, C) == (q0, C0)
+    assert np.array_equal(dq, dq0) and np.array_equal(dC, dC0)
+
+
 def test_infidelity_is_the_orthogonal_weight(rng):
     # q = |<psi_perp|psi>|^2 equals 1 - |<target|psi>|^2 and is never negative
     ev = _Evaluator(make_problem(tau=30.0))
     for x in (np.zeros(16), rng.normal(0.0, 0.03, 16)):
         q, _ = ev.q_and_cost(x)
-        psi = ev.final_state(ev._fields(x)[3])
+        psi = ev.final_state(cf4_steps(ev, x))
         assert q >= 0.0
         assert q == pytest.approx(1.0 - fidelity(lz_ground_state(0.1, 0.2), psi), abs=1e-14)
 
@@ -153,7 +208,7 @@ def test_cf4_steps_converge_at_fourth_order():
 
     def amplitude(steps):
         ev = _Evaluator(prob, steps=steps)
-        return np.vdot(ev.perp, ev.final_state(ev._fields(x)[3]))
+        return np.vdot(ev.perp, ev.final_state(cf4_steps(ev, x)))
 
     reference = amplitude(8192)
     errors = [abs(amplitude(n) - reference) for n in (64, 128, 256, 512)]
@@ -214,14 +269,14 @@ def test_budget_caps_evaluations():
 
 def test_every_evaluation_nonnegative_and_endpoints_pinned(monkeypatch):
     seen = []
-    with_gradient = _Evaluator.with_gradient
+    value = _Evaluator.value
 
     def record(self, x):
-        out = with_gradient(self, x)
+        out = value(self, x)
         seen.append(out[0])
         return out
 
-    monkeypatch.setattr(_Evaluator, "with_gradient", record)
+    monkeypatch.setattr(_Evaluator, "value", record)
     prob = make_problem(tau=30.0)
     res = optimize(prob)
     # converged, not stopped by the budget: SLSQP ends only when the
@@ -264,6 +319,39 @@ def test_optimized_pulse_reproduces_through_the_library_route(bench_tau25):
     gauss = float(np.sum(cost_rate(sched, nodes)) * 0.5 * dt / cfg.tau)
     assert res.cost == pytest.approx(gauss, rel=1e-12)
     assert fine.cost == pytest.approx(integrated_cost(sched, 32_768), rel=1e-10)
+
+
+def test_gradients_are_made_only_where_slsqp_reads_them(monkeypatch):
+    # every new point is one value step and one counted evaluation; SLSQP
+    # reads a gradient at only some of them (200 of 273 on this problem)
+    calls = {"value": 0, "gradient": 0}
+    for name in calls:
+        def counted(self, arg, name=name, method=getattr(_Evaluator, name)):
+            calls[name] += 1
+            return method(self, arg)
+        monkeypatch.setattr(_Evaluator, name, counted)
+    res = optimize(make_problem(tau=25.0, n_max=16, steps=512, budget=2000, q_target=1e-9))
+    assert calls["value"] == res.nfev
+    assert 0 < calls["gradient"] < res.nfev
+
+
+def test_refinement_holds_no_full_basis_and_keeps_the_bits(bench_tau25):
+    # the 16,384-step basis is 32,768 x 32 floats (8 MB) plus a 4 MB argument
+    # table; built in node blocks, g and so q and C keep the whole basis's bits
+    prob, res, fine = bench_tau25
+    tracemalloc.start()
+    try:
+        refine_result(prob, res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7e6, peak
+    x = _linear(res.best_params, prob.n_max)
+    ev = _Evaluator(prob, steps=REFINE_STEPS)
+    rate, _, steps = ev._fields(ev.lin + np.einsum("ij,j->i", ev.basis, x))
+    whole = (float(abs(np.vdot(ev.perp, ev.final_state(steps))) ** 2), float(rate.mean()))
+    assert (fine.q, fine.cost) == whole
+    assert _Evaluator(prob, steps=REFINE_STEPS).q_and_cost(x) == whole
 
 
 def test_refined_infidelity_is_the_optimizers(bench_tau25):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from ctrlcost.jaynes_cummings import JcConfig, jc_schedule  # noqa: E402
 from ctrlcost.landau_zener import LzConfig, cost_scan, lz_schedule  # noqa: E402
@@ -176,6 +176,7 @@ def test_jc_blocks_match_their_closed_forms(delta, sign, n, g0, g1, tau, omega):
 @settings(max_examples=25, deadline=None)
 @given(delta=st.floats(0.02, 1.0), g0=st.floats(-1.0, -0.02), n=st.integers(0, 40),
        taus=st.lists(st.floats(0.1, 100.0), min_size=1, max_size=5))
+@example(delta=0.02, g0=-1.0, n=33, taus=[3.0])   # cd-blend's real-time cost once sat 1.25e-12 off
 def test_scan_rows_are_the_real_time_costs_and_do_not_depend_on_the_batch(delta, g0, n, taus):
     # an antisymmetric sweep (the blend needs g1 = -g0) at a JC block's scale -2 sqrt(n+1)
     g = -2.0 * math.sqrt(n + 1.0) * g0

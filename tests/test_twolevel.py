@@ -12,7 +12,11 @@ from ctrlcost.twolevel import (PauliSchedule, qubit_state, fidelity, propagate,
                                final_state, converged_final_state,
                                instantaneous_eigenstates, cost_rate,
                                integrated_cost,
-                               _su2_steps, _ordered_product, _prefix_scan)
+                               _su2_steps, _ordered_product, _prefix_scan,
+                               _last_prefix, _qmul, _up_sweep)
+from ctrlcost.oscillator import _exp_minus_identity, _near_identity_product
+
+from oracles import recursive_prefix_scan
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -206,6 +210,29 @@ def test_prefix_scan_matches_sequential_loop(n):
         P = su2_matrix(q[k]) @ P
         assert np.max(np.abs(su2_matrix(scan[k]) - P)) < 1e-12
     assert np.max(np.abs(scan[-1] - _ordered_product(q))) < 1e-13
+
+
+def test_split_scan_is_the_recursive_scan_bitwise():
+    # the up-sweep and the down-sweep make the recursion's products in its
+    # order, so every prefix row (trajectories, OC's gradient, the oscillator)
+    # keeps its bits; the last prefix read off the up-sweep alone is the scan's
+    # at a power of two and within round-off of it otherwise
+    rng = np.random.default_rng(2024)
+    for n in [*range(1, 301), 1023, 1024, 4001]:
+        cx, cy, cz = rng.normal(0.0, 2.0, (3, n))
+        q = _su2_steps(cx, cy, cz, rng.uniform(0.01, 0.3, n))
+        e = _exp_minus_identity(0.05, rng.uniform(-2.0, 6.0, n))
+        for steps, mul in ((q, _qmul), (e, _near_identity_product)):
+            levels = _up_sweep(steps, mul)
+            scan = _prefix_scan(steps, mul)
+            assert np.array_equal(scan, recursive_prefix_scan(steps, mul)), (n, mul)
+            assert np.array_equal(_prefix_scan(steps, mul, levels), scan), (n, mul)
+            last = _last_prefix(levels, mul)
+            if n & (n - 1) == 0:
+                assert np.array_equal(last, scan[-1]), (n, mul)
+            else:
+                size = max(1.0, np.max(np.abs(scan[-1])))
+                assert np.max(np.abs(last - scan[-1])) <= 1e-15 * size, (n, mul)
 
 
 def test_quaternion_norm_drift_at_20k_steps():
