@@ -16,7 +16,6 @@ from .twolevel import (PauliSchedule, QubitTrajectory, qubit_state, fidelity,
                        instantaneous_eigenstates, cost_rate, integrated_cost)
 from .landau_zener import (LzConfig, lz_fields, lz_schedule, lz_bob,
                            lz_ground_state, qsl_time, optimize_bob_kicks,
-                           cd_cost_decomposition, decomposition_cost,
                            cost_scan, find_cd_lcd_crossover, run_protocol)
 from .oscillator import (OscillatorSolution,
                          classical_solutions, ermakov_solve, husimi_qstar,
@@ -33,8 +32,8 @@ __all__ = [
     "fidelity", "propagate", "final_state", "converged_final_state",
     "instantaneous_eigenstates", "cost_rate", "integrated_cost",
     "LzConfig", "lz_fields", "lz_schedule", "lz_bob", "lz_ground_state",
-    "qsl_time", "optimize_bob_kicks", "cd_cost_decomposition",
-    "decomposition_cost", "cost_scan", "find_cd_lcd_crossover", "run_protocol",
+    "qsl_time", "optimize_bob_kicks", "cost_scan", "find_cd_lcd_crossover",
+    "run_protocol",
     "OscillatorSolution", "classical_solutions",
     "ermakov_solve", "husimi_qstar", "qstar_cd", "qstar_ie", "lcd_frequency",
     "ie_energy", "qstar_series", "oscillator_cost", "cd_validity_edge",

@@ -33,7 +33,7 @@ import numpy as np
 
 from .ramps import Ramp, poly_smooth_ramp
 from .twolevel import (PauliSchedule, propagate, converged_final_state,
-                       integrated_cost, _rate, _simpson_weights,
+                       integrated_cost, _rate, _cost_nodes, QUADRATURE_INTERVALS,
                        _segment_grid, _gauss_nodes, _steps, _trajectory)
 from .landau_zener import (LzConfig, lz_fields, cost_scan, find_cd_lcd_crossover,
                            _scan_costs, _scan_grid)
@@ -43,7 +43,6 @@ __all__ = [
     "INITIAL_STATE",
     "JcEnsembleResult",
     "jc_schedule",
-    "mixing_angle_rate",
     "coherent_weights",
     "block_run",
     "ensemble_run",
@@ -100,26 +99,14 @@ def jc_schedule(cfg: JcConfig, protocol: str, n: int) -> PauliSchedule:
     """Block n under one protocol in ``PROTOCOLS``, labelled jc-<protocol>-n<n>.
 
     Bare is H_n = (2n+1) omega/2 + delta sx/2 - Omega_R(t) sz/2; LCD reduces
-    to it wherever g' = g'' = 0.
+    to it wherever g' = g'' = 0. Every block crosses where the sweep does.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     _rabi_scale(n)   # a negative index fails here, not at the first evaluation
     ramp = _sweep(cfg)
-    return PauliSchedule(duration=cfg.tau, label=f"jc-{protocol}-n{n}",
+    return PauliSchedule(duration=cfg.tau, label=f"jc-{protocol}-n{n}", crossings=ramp.zeros(),
                          fields=lambda t: _block_fields(cfg, protocol, n, ramp.rows(t)))
-
-
-def mixing_angle_rate(cfg: JcConfig, n: int, t):
-    """theta_n-dot from the mixing angle theta_n = (1/2) arctan(Omega_R/delta).
-
-    Independent route used to cross-check the closed-form CD coefficient.
-    """
-    ramp = _sweep(cfg)
-    rt = math.sqrt(n + 1.0)
-    g, gd, _ = ramp.rows(t)
-    omr, omrd = 2.0 * rt * g, 2.0 * rt * gd
-    return 0.5 * omrd * cfg.delta / (cfg.delta**2 + omr * omr)
 
 
 def coherent_weights(alpha: float, n_cut: int) -> np.ndarray:
@@ -167,7 +154,7 @@ def ensemble_run(cfg: JcConfig, protocol: str, steps: Optional[int] = None) -> J
     photon-number cutoff must leave a tail below 1e-12.
 
     The ramp is evaluated once on the steps' Gauss nodes, once on the grid
-    nodes and once on the cost quadrature's 4097 points; each block's
+    nodes and once on ``integrated_cost``'s nodes, which every block shares; each block's
     coefficients follow from those rows, and the blocks are taken one at a
     time, each fidelity from its prefix quaternions alone, so memory stays at one block's steps.
     """
@@ -182,9 +169,8 @@ def ensemble_run(cfg: JcConfig, protocol: str, steps: Optional[int] = None) -> J
 
     ramp = _sweep(cfg)
     times = _segment_grid(cfg.tau, (), steps)
-    t_cost = np.linspace(0.0, cfg.tau, 4097)
+    t_cost, w = _cost_nodes(cfg.tau, ramp.zeros())
     gauss, nodes, quad = (ramp.rows(t) for t in (_gauss_nodes(times), times, t_cost))
-    w = _simpson_weights(4096, t_cost[1] - t_cost[0])
     fid_w = np.zeros(len(times))
     bf, bc = np.empty(cfg.n_cut + 1), np.empty(cfg.n_cut + 1)
     for n in range(cfg.n_cut + 1):
@@ -207,8 +193,9 @@ def coherent_cost_scan(cfg: JcConfig, taus: Sequence[float]) -> dict:
     times -2 sqrt(n+1), and ``landau_zener._scan_costs`` computes the parts that
     depend on s alone once per block; the durations enter only in its last passes.
     """
-    taus, s, w = _scan_grid(taus, 8192)
-    rows = _sweep(replace(cfg, tau=1.0)).rows(s)
+    unit = _sweep(replace(cfg, tau=1.0))
+    taus, s, w = _scan_grid(taus, QUADRATURE_INTERVALS, unit.zeros())
+    rows = unit.rows(s)
     costs = [_scan_costs(("cd", "lcd"), abs(cfg.delta), [_rabi_scale(n) * r for r in rows], taus, w)
              for n in range(cfg.n_cut + 1)]
     cd, lcd = np.tensordot(coherent_weights(cfg.alpha, cfg.n_cut), costs, 1)
@@ -223,7 +210,7 @@ def _lz_equivalent(cfg: JcConfig, n: int) -> LzConfig:
 
 def jc_cost_scan(cfg: JcConfig, taus: Sequence[float], n: int = 0,
                  protocols: Sequence[str] = ("cd", "lcd"),
-                 quadrature_steps: int = 8192) -> dict:
+                 quadrature_steps: int = QUADRATURE_INTERVALS) -> dict:
     """Integrated cost of block n (vacuum: n = 0) per protocol over durations."""
     for p in protocols:
         if p not in PROTOCOLS:

@@ -27,7 +27,8 @@ from .ramps import (Ramp, BobPulse, bob_pulse, poly_smooth_ramp, cd_na_ramp,
                     cd_a_ramp, cd_blended_ramp, blend_weight)
 from .twolevel import (PauliSchedule, propagate,
                        converged_final_state, fidelity, integrated_cost,
-                       _su2_steps, _qmul, _apply, _eigvec_pair, _simpson_weights)
+                       _su2_steps, _qmul, _apply, _eigvec_pair, _cost_nodes,
+                       QUADRATURE_INTERVALS)
 
 __all__ = [
     "LzConfig",
@@ -38,8 +39,6 @@ __all__ = [
     "lz_bob",
     "qsl_time",
     "optimize_bob_kicks",
-    "cd_cost_decomposition",
-    "decomposition_cost",
     "cost_scan",
     "find_cd_lcd_crossover",
     "run_protocol",
@@ -124,9 +123,9 @@ def lz_schedule(cfg: LzConfig, protocol: str, bob_kicks: Optional[BobKicks] = No
                 g_q: float = DEFAULT_GQ) -> PauliSchedule:
     """The schedule of one protocol in ``PROTOCOLS``, labelled lz-<protocol>.
 
-    bare, cd and lcd are ``lz_fields`` on the config's ramp (LCD warns if its
-    ends are not flat); cd-blend is CD on ``blended_ramp_for(cfg, cfg.tau)``; bob
-    kicks at field g_q by ``bob_kicks``, or by what ``optimize_bob_kicks`` finds.
+    bare, cd and lcd are ``lz_fields`` on the config's ramp, its zeros the
+    crossings (LCD warns if its ends are not flat); cd-blend is CD on ``blended_ramp_for(cfg,
+    cfg.tau)``; bob kicks at field g_q by ``bob_kicks``, or by what ``optimize_bob_kicks`` finds.
     """
     if protocol == "bob":
         kicks = bob_kicks or optimize_bob_kicks(cfg, g_q)
@@ -143,7 +142,7 @@ def lz_schedule(cfg: LzConfig, protocol: str, bob_kicks: Optional[BobKicks] = No
             warnings.warn("LCD requires a ramp with flat start and end points; "
                           "target-state fidelity is not guaranteed for this ramp",
                           stacklevel=2)
-    return PauliSchedule(duration=cfg.tau, label=f"lz-{protocol}",
+    return PauliSchedule(duration=cfg.tau, label=f"lz-{protocol}", crossings=ramp.zeros(),
                          fields=lambda t: (0.0, *lz_fields(protocol, cfg.delta, *ramp.rows(t))))
 
 
@@ -234,36 +233,7 @@ def optimize_bob_kicks(cfg: LzConfig, g_q: float = DEFAULT_GQ, grid: int = 64) -
 
 
 # ---------------------------------------------------------------------------
-# cost decomposition, scans, crossover
-
-def cd_cost_decomposition(cfg: LzConfig, s_grid) -> tuple:
-    """Spectral decomposition of the CD cost in scaled time.
-
-    Returns (sum_n E_n^2, sum_{n != a} |A_{n,a}|^2) on the s grid, where
-    A collects the scaled-time nonadiabatic couplings. The integrated cost
-    C(tau) = int_0^1 sqrt(sum E^2 + tau^-2 sum |A|^2) ds must match the
-    direct Frobenius quadrature of the CD schedule.
-    """
-    s = np.asarray(s_grid, dtype=float)
-    ramp = cfg.ramp_or_default()
-    delta = cfg.delta
-    g, gd, _ = ramp.rows(s * cfg.tau)
-    gp = gd * cfg.tau  # dg/ds
-    r2 = delta**2 + g * g
-    if np.any(r2 <= 0.0):
-        raise ValueError("degenerate gap along the path")
-    sum_e2 = r2 / 2.0
-    sum_a2 = gp * gp * delta**2 / (2.0 * r2 * r2)
-    return sum_e2, sum_a2
-
-
-def decomposition_cost(cfg: LzConfig, points: int = 8193) -> float:
-    """CD cost via the spectral decomposition route (independent of Eq.-norm path)."""
-    from scipy.integrate import simpson
-    s = np.linspace(0.0, 1.0, points)
-    sum_e2, sum_a2 = cd_cost_decomposition(cfg, s)
-    return float(simpson(np.sqrt(sum_e2 + sum_a2 / cfg.tau**2), x=s))
-
+# scans, crossover
 
 def blended_ramp_for(cfg: LzConfig, tau: float) -> Ramp:
     """Cost-optimized blended CD ramp for the config's boundary values."""
@@ -295,15 +265,12 @@ def _blend_rows(cfg: LzConfig, s: np.ndarray):
     return parts
 
 
-def _scan_grid(taus, quadrature_steps: int):
-    """The durations as an array, and the scan's s grid and Simpson weights."""
+def _scan_grid(taus, quadrature_steps: int, cuts):
+    """The durations as an array, and ``_cost_nodes`` on [0, 1] cut at the unit sweep's zeros."""
     taus = np.asarray(list(taus), dtype=float)
     if np.any(taus <= 0):
         raise ValueError("all tau values must be positive")
-    if quadrature_steps < 16:
-        raise ValueError(f"quadrature_steps must be >= 16, got {quadrature_steps}")
-    n = quadrature_steps + quadrature_steps % 2
-    return taus, np.linspace(0.0, 1.0, n + 1), _simpson_weights(n, 1.0 / n)
+    return (taus, *_cost_nodes(1.0, cuts, quadrature_steps))
 
 
 def _scan_costs(protocols, delta: float, rows, taus: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -342,22 +309,23 @@ def _scan_costs(protocols, delta: float, rows, taus: np.ndarray, w: np.ndarray) 
 
 def cost_scan(cfg: LzConfig, taus: Sequence[float],
               protocols: Sequence[str] = ("cd", "lcd"),
-              quadrature_steps: int = 8192) -> dict:
+              quadrature_steps: int = QUADRATURE_INTERVALS) -> dict:
     """Integrated cost per protocol over a list of durations, for the default ramps.
 
     Returns {"tau": array, protocol: array, ...}. All but BOB are scanned in
-    scaled time (``_scan_costs``), so a cost does not depend on the other
-    durations. BOB optimizes its kicks and integrates its piecewise-constant
-    schedule per duration. A config with a custom ramp is rejected.
+    scaled time (``_scan_costs``) on the nodes of ``integrated_cost``, cut where
+    the quintic (and the blend, g1 = -g0) crosses, so a cost does not depend on
+    the other durations. BOB optimizes its kicks and integrates its
+    piecewise-constant schedule per duration. A config with a custom ramp is rejected.
     """
     _check_default_ramp(cfg)
     for p in protocols:
         if p not in PROTOCOLS:
             raise ValueError(f"unknown protocol {p!r}")
-    taus, s, w = _scan_grid(taus, quadrature_steps)
+    unit = poly_smooth_ramp(cfg.g0, cfg.g1 - cfg.g0, 1.0)
+    taus, s, w = _scan_grid(taus, quadrature_steps, unit.zeros())
     quintic = [p for p in protocols if p in ("bare", "cd", "lcd")]
-    costs = dict(zip(quintic, _scan_costs(
-        quintic, cfg.delta, poly_smooth_ramp(cfg.g0, cfg.g1 - cfg.g0, 1.0).rows(s), taus, w)))
+    costs = dict(zip(quintic, _scan_costs(quintic, cfg.delta, unit.rows(s), taus, w)))
     if "cd-blend" in protocols:
         costs["cd-blend"] = _scan_costs(("cd",), cfg.delta, _blend_rows(cfg, s), taus, w)[0]
     if "bob" in protocols:

@@ -81,6 +81,28 @@ class Ramp:
 
     __call__ = value
 
+    def zeros(self) -> tuple:
+        """Interior times in (0, duration) where g changes sign, ascending.
+
+        Sign changes are bracketed on 1,025 samples, where an exact 0 between opposite
+        signs is a zero itself (an antisymmetric sweep's duration/2), and refined by
+        Newton steps on the closed-form g', which bisect where a step leaves the bracket.
+        """
+        t = np.linspace(0.0, self.duration, 1025)
+        g = self.value(t)
+        exact = t[1:-1][(g[1:-1] == 0.0) & (g[:-2] * g[2:] < 0.0)]
+        k = np.flatnonzero(g[:-1] * g[1:] < 0.0)
+        lo, hi, x = t[k], t[k + 1], 0.5 * (t[k] + t[k + 1])
+        for _ in range(64 if k.size else 0):   # Newton converges in a handful of steps
+            gx, dx, _ = self.rows(x)
+            lo, hi = np.where(gx * g[k] > 0.0, x, lo), np.where(gx * g[k] > 0.0, hi, x)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = x - gx / dx
+            x, prev = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi)), x
+            if np.all(np.abs(x - prev) <= 1e-15 * self.duration):
+                break
+        return tuple(sorted(map(float, np.concatenate([exact, x]))))
+
     def to_dict(self) -> dict:
         return {"kind": self.kind, "parameters": self.params}
 

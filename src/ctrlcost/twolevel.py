@@ -31,8 +31,8 @@ coefficients share intermediate values (the LCD derivative chain)
 computes them once per evaluation.
 
 Cost integrals are row sums (x * w).sum(-1), which unlike a BLAS dot do not
-depend on the thread count, with the Simpson weights ``_simpson_weights``
-shared with the oscillator, the JC ensemble and the LZ scans (numpy, no scipy).
+depend on the thread count, on the nodes of ``_cost_nodes``, clustered at the
+sweep's ends and at its avoided crossing, for every two-level cost (no scipy).
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ __all__ = [
 
 _NORM_TOL = 1e-12
 DEFAULT_STEPS = 4_000
+QUADRATURE_INTERVALS = 4_096   # Simpson intervals of every two-level cost, shared by the pieces
 CONVERGENCE_TOL = 1e-10
 _MAX_DOUBLINGS = 8
 # CF4 (Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006)): Gauss nodes in units of
@@ -74,12 +75,14 @@ class PauliSchedule:
     [0, duration]; a coefficient constant in time may be a scalar.
     ``breakpoints`` lists interior times where coefficients jump; the
     propagator and the cost quadrature split the interval there.
+    ``crossings`` lists where the sweep's g = 0; only the cost quadrature cuts there.
     """
 
     duration: float
     fields: Callable
     breakpoints: tuple = ()
     label: str = ""
+    crossings: tuple = ()
 
     def coefficients(self, t):
         """(c0, cx, cy, cz) at times t, broadcast to t's shape.
@@ -353,6 +356,24 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
+def _cost_nodes(duration: float, cuts, intervals: int = QUADRATURE_INTERVALS):
+    """Nodes and weights of the cost rule on [0, duration], cut at the interior ``cuts``.
+
+    Each piece [a, b] takes an equal share of the intervals and Simpson in u on
+    t = a + (b - a) phi(u), phi(u) = u^3 (10 - 15 u + 6 u^2). The weights vanish
+    at the piece ends, which are left out, and sum to b - a, so constants are exact.
+    """
+    if intervals < 16:
+        raise ValueError(f"quadrature_steps must be >= 16, got {intervals}")
+    edges = np.array([0.0, *sorted({float(c) for c in cuts if 0.0 < c < duration}), duration])
+    m = 2 * max(8, intervals // (2 * len(edges) - 2))   # even, at least 16
+    u = np.arange(1, m) / m
+    w = (u * (1.0 - u)) ** 2 * np.where(np.arange(1, m) % 2, 4.0, 2.0)
+    a, length = edges[:-1, None], np.diff(edges)[:, None]
+    nodes = a + length * (u**3 * (10.0 - 15.0 * u + 6.0 * u * u))
+    return nodes.ravel(), (length * (w / w.sum())).ravel()
+
+
 def _rate(coefficients):
     """Frobenius norm of H from its (c0, cx, cy, cz) rows; see ``cost_rate``."""
     _, cx, cy, cz = coefficients
@@ -368,26 +389,17 @@ def cost_rate(schedule: PauliSchedule, t):
     return _rate(schedule.coefficients(t))
 
 
-def integrated_cost(schedule: PauliSchedule, quadrature_steps: int = 4096):
-    """Time-averaged cost C = (1/tau) int_0^tau ||H|| dt.
+def integrated_cost(schedule: PauliSchedule, quadrature_steps: int = QUADRATURE_INTERVALS):
+    """Time-averaged cost C = (1/tau) int_0^tau ||H|| dt, one row sum.
 
-    Composite Simpson per smooth segment, one row sum with its weights.
-    Rectangular segments between breakpoints have a constant integrand so
-    they are integrated exactly.
+    The rule is ``_cost_nodes`` cut at the breakpoints and the crossings, the
+    nodes and weights the scaled-time scans use. No node lies on a cut, so a
+    jump is never sampled, and the constant segments between breakpoints are
+    integrated exactly.
     """
-    if quadrature_steps < 16:
-        raise ValueError(f"quadrature_steps must be >= 16, got {quadrature_steps}")
-    tau = schedule.duration
-    edges = [0.0] + sorted(b for b in schedule.breakpoints if 0.0 < b < tau) + [tau]
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        n = max(16, int(round(quadrature_steps * (b - a) / tau)))
-        n += n % 2  # even interval count for Simpson
-        t = np.linspace(a, b, n + 1)
-        # a breakpoint is sampled just inside the segment, so its jump doesn't leak
-        t_in = np.clip(t, a + 1e-12 * (b - a) * (a > 0.0), b - 1e-12 * (b - a) * (b < tau))
-        total += (cost_rate(schedule, t_in) * _simpson_weights(n, t[1] - t[0])).sum()
-    return total / tau
+    t, w = _cost_nodes(schedule.duration, (*schedule.breakpoints, *schedule.crossings),
+                       quadrature_steps)
+    return (cost_rate(schedule, t) * w).sum() / schedule.duration
 
 
 # ---------------------------------------------------------------------------

@@ -12,19 +12,19 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import record_criterion
+from oracles import decomposition_cost, mixing_angle_rate
 
 from ctrlcost.ramps import bob_pulse, poly_smooth_ramp
 from ctrlcost.twolevel import integrated_cost
 from ctrlcost.landau_zener import (LzConfig, lz_schedule, lz_bob, lz_ground_state,
                                    qsl_time, optimize_bob_kicks, cost_scan,
                                    find_cd_lcd_crossover, run_protocol,
-                                   decomposition_cost, blended_ramp_for)
+                                   blended_ramp_for)
 from ctrlcost.oscillator import (classical_solutions,
                                  ermakov_solve, husimi_qstar, ie_energy,
                                  qstar_series, oscillator_cost,
                                  cd_validity_edge)
-from ctrlcost.jaynes_cummings import (JcConfig, jc_schedule, mixing_angle_rate,
-                                      block_run, ensemble_run,
+from ctrlcost.jaynes_cummings import (JcConfig, jc_schedule, block_run, ensemble_run,
                                       find_jc_crossover)
 from ctrlcost.oc import OcProblem, optimize, refine_result
 from ctrlcost.cli import parse_config, run as cli_run

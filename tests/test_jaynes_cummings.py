@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from oracles import mixing_angle_rate, split_quad_cost
 from ctrlcost.landau_zener import (LzConfig, lz_schedule, cost_scan, lz_ground_state,
                                    qsl_time)
 from ctrlcost.ramps import poly_smooth_ramp
-from ctrlcost.twolevel import (DEFAULT_STEPS, converged_final_state, integrated_cost,
-                               propagate)
-from ctrlcost.jaynes_cummings import (INITIAL_STATE, JcConfig, jc_schedule, mixing_angle_rate,
-                                      coherent_weights, block_run,
-                                      ensemble_run, coherent_cost_scan,
+from ctrlcost.twolevel import (DEFAULT_STEPS, QUADRATURE_INTERVALS, converged_final_state,
+                               integrated_cost, propagate)
+from ctrlcost.jaynes_cummings import (INITIAL_STATE, JcConfig, jc_schedule, coherent_weights,
+                                      block_run, ensemble_run, coherent_cost_scan,
                                       jc_cost_scan, find_jc_crossover)
 
 
@@ -234,7 +234,7 @@ def test_jc_crossover_bisects_at_the_scan_quadrature(monkeypatch):
     import ctrlcost.landau_zener as lzm
     steps = []
 
-    def spy(cfg, taus, protocols=("cd", "lcd"), quadrature_steps=8192):
+    def spy(cfg, taus, protocols=("cd", "lcd"), quadrature_steps=QUADRATURE_INTERVALS):
         steps.append(quadrature_steps)
         return cost_scan(cfg, taus, protocols, quadrature_steps)
 
@@ -242,7 +242,7 @@ def test_jc_crossover_bisects_at_the_scan_quadrature(monkeypatch):
     given = find_jc_crossover(cfg, scan=jc_cost_scan(cfg, [10.0, 20.0]))
     monkeypatch.setattr(lzm, "cost_scan", spy)
     tstar = find_jc_crossover(cfg, taus=[10.0, 20.0])
-    assert len(steps) > 4 and set(steps) == {8192}
+    assert len(steps) > 4 and set(steps) == {QUADRATURE_INTERVALS}
     assert tstar is not None and tstar == given
 
 
@@ -255,6 +255,22 @@ def test_jc_scan_matches_real_time_blocks(n):
         for key in ("cd", "lcd"):
             direct = integrated_cost(jc_schedule(cfg, key, n), 8192)
             assert scan[key][i] == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, 40])
+def test_block_costs_match_quad_split_at_the_kinks(n):
+    # by the scan, by integrated_cost and in the ensemble, which share one rule
+    taus = [0.1, 0.5, 5.0, 40.0]
+    scan = jc_cost_scan(JcConfig(tau=1.0), taus, n)
+    for i, tau in enumerate(taus):
+        cfg = JcConfig(tau=tau, n_cut=n)
+        for p in ("cd", "lcd"):
+            sched = jc_schedule(cfg, p, n)
+            want = split_quad_cost(sched)
+            assert scan[p][i] == pytest.approx(want, rel=1e-11), (tau, p)
+            assert integrated_cost(sched) == pytest.approx(want, rel=1e-11), (tau, p)
+    block = ensemble_run(cfg, "lcd", steps=64).block_costs[n]
+    assert block == pytest.approx(integrated_cost(jc_schedule(cfg, "lcd", n)), rel=1e-14)
 
 
 def test_coherent_scan_is_the_weighted_block_scans():

@@ -8,13 +8,13 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
+from oracles import cd_cost_decomposition, decomposition_cost, split_quad_cost
 from ctrlcost.ramps import bob_pulse, oc_fourier_ramp
 from ctrlcost.twolevel import (integrated_cost, instantaneous_eigenstates,
                                cost_rate)
 from ctrlcost.landau_zener import (LzConfig, lz_schedule, lz_bob,
                                    lz_ground_state, qsl_time,
-                                   optimize_bob_kicks, cd_cost_decomposition,
-                                   decomposition_cost, cost_scan,
+                                   optimize_bob_kicks, cost_scan,
                                    find_cd_lcd_crossover, run_protocol,
                                    blended_ramp_for, bisect_sign_change,
                                    _bob_final_state)
@@ -338,6 +338,24 @@ def test_real_time_cost_samples_the_sweep_ends():
     scan = cost_scan(LzConfig(tau=1.0), [0.1], ("lcd",), 4096)
     direct = integrated_cost(lz_schedule(LzConfig(tau=0.1), "lcd"), 4096)
     assert direct == pytest.approx(scan["lcd"][0], rel=1e-15)
+
+
+@pytest.mark.parametrize("delta,g,taus,rtol", [
+    (0.1, 0.2, [0.1, 0.237, 1.0, 3.0, 10.0, 30.0, 100.0], 1e-11),   # the preset sweep
+    (0.02, 12.8, [0.1, 3.0, 30.0], 1e-6),                           # a narrow gap
+])
+def test_costs_match_quad_split_at_the_kinks(delta, g, taus, rtol):
+    # uniform Simpson on 8,192 intervals was 9.2e-7 off for LCD at tau = 0.237 (its
+    # field cz crosses zero near each end) and 1.2e-5 for CD on the narrow gap,
+    # whose avoided crossing the rule now cuts at
+    protocols = ("bare", "cd", "lcd", "cd-blend")
+    scan = cost_scan(LzConfig(tau=1.0, delta=delta, g0=-g, g1=g), taus, protocols)
+    for i, tau in enumerate(taus):
+        for p in protocols:
+            sched = lz_schedule(LzConfig(tau=tau, delta=delta, g0=-g, g1=g), p)
+            want = split_quad_cost(sched)
+            assert scan[p][i] == pytest.approx(want, rel=rtol), (tau, p)
+            assert integrated_cost(sched) == pytest.approx(want, rel=rtol), (tau, p)
 
 
 def test_scan_rows_do_not_depend_on_the_batch():

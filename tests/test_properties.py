@@ -17,9 +17,9 @@ from ctrlcost.oscillator import (cd_validity_edge,  # noqa: E402
                                  classical_solutions, ermakov_solve,
                                  husimi_qstar, ie_energy,
                                  _exp_minus_identity, _near_identity_product)
-from ctrlcost.twolevel import (PauliSchedule, instantaneous_eigenstates,  # noqa: E402
-                               integrated_cost, propagate, _ordered_product, _prefix_scan,
-                               _qmul, _su2_steps)
+from ctrlcost.twolevel import (QUADRATURE_INTERVALS, PauliSchedule,  # noqa: E402
+                               instantaneous_eigenstates, integrated_cost, propagate,
+                               _ordered_product, _prefix_scan, _qmul, _su2_steps)
 
 BETA = 3.0
 
@@ -187,7 +187,8 @@ def test_scan_rows_are_the_real_time_costs_and_do_not_depend_on_the_batch(delta,
         at = LzConfig(tau=tau, delta=delta, g0=g, g1=-g)
         for p in protocols:
             sched = lz_schedule(at, p)
-            assert batch[p][i] == pytest.approx(integrated_cost(sched, 8192), rel=1e-12), p
+            assert batch[p][i] == pytest.approx(integrated_cost(sched, QUADRATURE_INTERVALS),
+                                                rel=1e-12), p
             assert cost_scan(cfg, [tau], (p,))[p][0] == batch[p][i], p
 
 
@@ -248,3 +249,20 @@ def test_ramp_round_trips_through_its_dict(ramp):
         assert clone.kind == ramp.kind and clone.duration == ramp.duration
         for a, b in zip(clone.rows(t), ramp.rows(t)):
             assert np.array_equal(a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ramp=ramps())
+def test_ramp_zeros_are_its_interior_sign_changes(ramp):
+    tau = ramp.duration
+    zeros = ramp.zeros()
+    assert list(zeros) == sorted(zeros)
+    for z in zeros:
+        assert 0.0 < z < tau
+        g = ramp.value(np.array([z - 1e-9 * tau, z, z + 1e-9 * tau]))
+        assert g[1] == 0.0 or g[0] * g[2] < 0.0
+    # every sign change that a finer grid than the search's sees has its zero
+    t = np.linspace(0.0, tau, 20_001)
+    g = ramp.value(t)
+    for k in np.flatnonzero(g[:-1] * g[1:] < 0.0):
+        assert any(t[k] - 1e-12 * tau <= z <= t[k + 1] + 1e-12 * tau for z in zeros), t[k]

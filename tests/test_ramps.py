@@ -48,6 +48,25 @@ def test_quintic_flat_endpoints_machine_exact(g0, gd, tau):
         assert float(r.deriv2(t)) == 0.0
 
 
+@pytest.mark.parametrize("g0,tau", [(-0.2, 1.0), (0.7, 22.142974355881808), (-12.8, 0.1)])
+def test_antisymmetric_quintic_crosses_at_exactly_half_its_duration(g0, tau):
+    # the crossing is a sample of the search grid, where g is exactly 0
+    assert poly_smooth_ramp(g0, -2.0 * g0, tau).zeros() == (tau / 2.0,)
+
+
+def test_zeros_skip_the_ends_and_refine_off_grid_crossings():
+    # the Jaynes-Cummings sweep from g0 = 0 touches zero only at t = 0
+    assert poly_smooth_ramp(0.0, 0.2, 10.0).zeros() == ()
+    assert poly_smooth_ramp(0.3, 0.5, 2.0).zeros() == ()
+    ramp = poly_smooth_ramp(-0.1, 0.4, 3.0)   # 10 x^3 - 15 x^4 + 6 x^5 = 1/4
+    (z,) = ramp.zeros()
+    assert abs(float(ramp.value(z))) < 1e-16
+    # a Fourier ramp with several crossings, one found per sign change
+    ramp = oc_fourier_ramp(-0.2, 10.0, [(0.0, 0.0), (0.0, 0.0), (0.5, 0.0)])
+    zeros = ramp.zeros()
+    assert len(zeros) == 3 and np.max(np.abs(ramp.value(np.array(zeros)))) < 1e-15
+
+
 def test_quintic_rejects_nonpositive_duration():
     with pytest.raises(ValueError):
         poly_smooth_ramp(-0.2, 0.4, 0.0)
