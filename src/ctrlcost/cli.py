@@ -3,9 +3,10 @@
 Configs are JSON files (nested key-value); unknown keys are rejected so
 typos fail loudly. Every CSV starts with a comment line carrying the hash
 of the resolved config, and reruns with the same config and seed are
-byte-identical. CTRLCOST_OUT and CTRLCOST_SEED stand in for the --out and
---seed flags: a flag given on the command line wins, then the environment
-variable, then the config or default value. Every run is serial.
+byte-identical. The --out and --seed flags beat the config's values.
+Every run is serial. One input stage builds what a model's runner builds
+before anything runs or is written, so every bad config fails run and
+validate alike, with one error line and exit code 2.
 
 Subcommands: run, validate, list-presets.
 """
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -32,16 +32,13 @@ from .landau_zener import (LzConfig, lz_schedule,
 from .oscillator import (qstar_series, oscillator_cost, cd_validity_edge,
                          cd_is_valid, lcd_is_valid, OscillatorError)
 from .jaynes_cummings import (JcConfig, block_run, ensemble_run, jc_cost_scan,
-                              coherent_cost_scan, find_jc_crossover, coherent_weights,
-                              TAIL_TOL)
+                              coherent_cost_scan, find_jc_crossover, ensemble_weights)
 from .oc import OcProblem, optimize, refine_result
-
-ENV_PREFIX = "CTRLCOST_"
 
 # each model's params and the kind of number each must be
 _REAL, _INT, _POSITIVE = "a finite number", "an integer", "a positive number"
 _MODEL_KEYS = {
-    "lz": dict.fromkeys(("delta", "g0", "g1", "g_q"), _REAL),
+    "lz": {**dict.fromkeys(("delta", "g0", "g1"), _REAL), "g_q": _POSITIVE},
     "oscillator": dict.fromkeys(("omega0", "omega1", "beta"), _POSITIVE),
     "jc": {**dict.fromkeys(("omega", "delta", "g0", "g1", "alpha"), _REAL), "n_cut": _INT},
     "oc": {**dict.fromkeys(("delta", "g0", "g1", "q_target"), _REAL),
@@ -63,7 +60,6 @@ class ExperimentConfig:
     out: str = "out"
     trajectory_steps: int = DEFAULT_STEPS
     scan_points: int = 25
-    description: str = ""
     preset: str = ""
     mode: str = ""          # lz only: "" (auto), "trajectory" or "scan"
     ramp: dict | None = None  # {kind, parameters}, lz trajectory runs only
@@ -103,20 +99,25 @@ def _parse_tau(tau) -> list:
         num = tau.get("num")
         if not isinstance(num, int) or isinstance(num, bool) or num < 1:
             raise ValueError(f"tau grid 'num' must be an integer >= 1, got {num!r}")
+        log = tau.get("log", True)
+        if not isinstance(log, bool):
+            raise ValueError(f"tau grid 'log' must be true or false, got {log!r}")
         lo, hi = _durations([tau.get("min"), tau.get("max")])
-        tau = (np.geomspace if tau.get("log", True) else np.linspace)(lo, hi, num)
+        tau = (np.geomspace if log else np.linspace)(lo, hi, num)
     return _durations(tau)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
+    if not isinstance(raw, dict):
+        raise ValueError(f"a config must be a JSON object, got {raw!r}")
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if not isinstance(raw.get("params", {}), dict):
         raise ValueError(f"params must map names to numbers, got {raw['params']!r}")
     if "preset" in raw:
-        if raw["preset"] not in PRESETS:
-            raise ValueError(f"unknown preset {raw['preset']!r}")
+        if not isinstance(raw["preset"], str) or raw["preset"] not in PRESETS:
+            raise ValueError(f"unknown preset {raw['preset']!r}; available: {', '.join(PRESETS)}")
         preset = PRESETS[raw["preset"]]
         raw = {**preset, **raw, "params": {**preset.get("params", {}), **raw.get("params", {})}}
     if "model" not in raw:
@@ -134,10 +135,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
     mode = raw.get("mode", "")
     if mode not in ("", "trajectory", "scan"):
         raise ValueError(f"unknown mode {mode!r}")
-    # an lz scan (mode "scan", or a preset with durations) has none to fall back on
-    scans = mode == "scan" or (not mode and PRESETS.get(raw.get("preset"), {}).get("tau"))
-    if model == "lz" and not tau and scans:
-        raise ValueError("tau is empty: an lz cost scan needs at least one duration")
     protocols = raw.get("protocols", [])
     if not isinstance(protocols, list):
         raise ValueError(f"protocols must be a list, got {protocols!r}")
@@ -148,20 +145,18 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if mode and model != "lz":
         raise ValueError("mode is only supported for the lz model")
     ramp = raw.get("ramp")
-    if ramp is not None:
-        if model != "lz":
-            raise ValueError("a custom ramp is only supported for the lz model")
-        if "cd-blend" in protocols:
-            raise ValueError("cd-blend runs on its own blended ramp: drop the custom ramp")
-        ramp_from_dict(ramp)  # fail early on malformed descriptions
+    if ramp is not None and model != "lz":
+        raise ValueError("a custom ramp is only supported for the lz model")
     counts = {k: int(_number(k, raw.get(k, d), _INT))
               for k, d in (("seed", 0), ("trajectory_steps", DEFAULT_STEPS), ("scan_points", 25))}
     for k, least in (("trajectory_steps", 2), ("scan_points", 1)):
         if counts[k] < least:
             raise ValueError(f"{k} must be >= {least}, got {counts[k]}")
+    out = raw.get("out", "out")
+    if not isinstance(out, str):
+        raise ValueError(f"out must be a directory path, got {out!r}")
     return ExperimentConfig(model=model, protocols=list(protocols), tau=tau,
-                            params=params, out=raw.get("out", "out"),
-                            description=raw.get("description", ""),
+                            params=params, out=out,
                             preset=raw.get("preset", ""), mode=mode, ramp=ramp, **counts)
 
 
@@ -271,7 +266,13 @@ def _tau_qsl(cfg: ExperimentConfig) -> float:
 
 def _lz_trajectory_mode(cfg: ExperimentConfig) -> bool:
     """Whether an lz config runs trajectories: an explicit mode decides, else fig1 or no tau."""
-    return cfg.mode == "trajectory" or (not cfg.mode and (cfg.preset == "fig1" or not cfg.tau))
+    durations = cfg.tau or PRESETS.get(cfg.preset, {}).get("tau")   # the config's or its preset's
+    return cfg.mode == "trajectory" or (not cfg.mode and (cfg.preset == "fig1" or not durations))
+
+
+def _lz_durations(cfg: ExperimentConfig) -> list:
+    """An lz config's durations; trajectories given none run at [tau_QSL, 0.1]."""
+    return cfg.tau or [_tau_qsl(cfg), 0.1]
 
 
 def _run_lz(cfg: ExperimentConfig, outdir: Path, summary: dict):
@@ -280,13 +281,8 @@ def _run_lz(cfg: ExperimentConfig, outdir: Path, summary: dict):
     summary["tau_qsl"] = tqsl
     g_q = cfg.params.get("g_q", DEFAULT_GQ)
 
-    taus = cfg.tau or [tqsl, 0.1]
-    trajectory_mode = _lz_trajectory_mode(cfg)
-    if cfg.ramp is not None and not trajectory_mode:
-        raise ValueError("a custom ramp requires mode='trajectory' "
-                         "(scans rebuild the ramp family per duration)")
-
-    if trajectory_mode:
+    taus = _lz_durations(cfg)
+    if _lz_trajectory_mode(cfg):
         # trajectory preset: fidelity / cost-rate / spectra CSVs
         fid = CsvWriter(outdir / "fidelity.csv",
                         ["tau", "t"] + [f"F_{p}" for p in cfg.protocols], h)
@@ -444,12 +440,16 @@ def _oc_problem(cfg: ExperimentConfig, tau: float) -> OcProblem:
     return OcProblem(config=_lz_config(cfg, float(tau)), seed=cfg.seed, **kw)
 
 
+def _oc_problems(cfg: ExperimentConfig) -> list:
+    """One problem per duration of the config, by default tau = 25, 50 and 100."""
+    return [_oc_problem(cfg, tau) for tau in cfg.tau or [25.0, 50.0, 100.0]]
+
+
 def _run_oc(cfg: ExperimentConfig, outdir: Path, summary: dict):
     h = cfg.digest()
-    problems = [_oc_problem(cfg, tau) for tau in cfg.tau or [25.0, 50.0, 100.0]]
     w = CsvWriter(outdir / "oc_results.csv", ["tau", "q", "C", "nfev", "success"], h)
     records = []
-    for prob in problems:
+    for prob in _oc_problems(cfg):
         tau = prob.config.tau
         res = refine_result(prob, optimize(prob))
         records.append(res.to_record())
@@ -467,8 +467,37 @@ _RUNNERS = {"lz": _run_lz, "oscillator": _run_oscillator, "jc": _run_jc,
             "oc": _run_oc}
 
 
+# ---------------------------------------------------------------------------
+# input stage, run and validate
+
+def _check_inputs(cfg: ExperimentConfig) -> None:
+    """The input stage: build what the model's runner builds from the config, so
+    that a bad input raises its ValueError before anything runs or is written."""
+    if cfg.model == "lz":
+        base = _lz_config(cfg, 1.0)
+        if _tau_qsl(cfg) == 0.0:   # a scan runs BOB at tau_QSL, trajectories default to it
+            raise ValueError(f"g1 = {base.g1!r} is too close to g0 = {base.g0!r}: tau_QSL is 0")
+        if not cfg.tau and not _lz_trajectory_mode(cfg):
+            raise ValueError("tau is empty: an lz cost scan needs at least one duration")
+        if "cd-blend" in cfg.protocols:
+            blended_ramp_for(base, 1.0)
+        if cfg.ramp is not None:
+            if "cd-blend" in cfg.protocols:
+                raise ValueError("cd-blend runs on its own blended ramp: drop the custom ramp")
+            if not _lz_trajectory_mode(cfg):
+                raise ValueError("a custom ramp requires mode='trajectory' "
+                                 "(scans rebuild the ramp family per duration)")
+            for tau in _lz_durations(cfg):
+                _lz_config(cfg, tau, with_ramp=True)
+    elif cfg.model == "oc":
+        _oc_problems(cfg)
+    elif cfg.model == "jc":
+        ensemble_weights(_jc_config(cfg))
+
+
 def run(cfg: ExperimentConfig, threads: int = 1) -> Path:
-    """Run one config and write its outputs; ``threads`` is ignored, runs are serial."""
+    """Run one config after the input stage and write its outputs; ``threads`` is ignored."""
+    _check_inputs(cfg)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     summary = {"config_hash": cfg.digest(), "model": cfg.model,
@@ -479,83 +508,24 @@ def run(cfg: ExperimentConfig, threads: int = 1) -> Path:
     return outdir
 
 
-# ---------------------------------------------------------------------------
-# validation
-
 def validate(cfg: ExperimentConfig) -> dict:
-    """Dry-run schema and physics-validity checks; report only."""
-    report = {"model": cfg.model, "checks": [], "valid": True}
-
-    def check(name, ok, detail=""):
-        report["checks"].append({"check": name, "ok": bool(ok), "detail": detail})
-        if not ok:
-            report["valid"] = False
-
+    """The input stage, then the oscillator's physics-validity report; a dry run."""
+    _check_inputs(cfg)
+    checks = []
     if cfg.model == "oscillator":
         p = cfg.params
         w0, w1 = p.get("omega0", 1.0), p.get("omega1", 10.0)
         for tau in cfg.tau or [1.6, 2.5]:
             omega = poly_smooth_ramp(w0, w1 - w0, tau)
-            check(f"cd_validity tau={tau:g}", cd_is_valid(omega),
-                  "trap inversion: no CD protocol below the validity edge")
-            check(f"lcd_validity tau={tau:g}", lcd_is_valid(omega),
-                  "effective LCD frequency must stay positive")
-    elif cfg.model == "oc":
-        # what _run_oc builds; a sweep LzConfig rejects raises, as in lz
-        _lz_config(cfg, 25.0)
-        for tau in cfg.tau or [25.0, 50.0, 100.0]:
-            err = _error(lambda: _oc_problem(cfg, tau))
-            check(f"oc problem tau={tau:g}", not err, err)
-    elif cfg.model == "jc":
-        # what _run_jc builds
-        err = _error(lambda: _jc_config(cfg))
-        check("jc config", not err, err)
-        if not err:
-            jc = _jc_config(cfg)
-            tail = max(0.0, 1.0 - float(coherent_weights(jc.alpha, jc.n_cut).sum()))
-            check("cutoff_tail", tail <= TAIL_TOL,
-                  f"tail mass {tail:.3e} for alpha={jc.alpha}, n_cut={jc.n_cut}")
-    elif cfg.model == "lz":
-        # what _run_lz enforces; a sweep LzConfig rejects raises, as in oc
-        _lz_config(cfg, 1.0)
-        if "cd-blend" in cfg.protocols:
-            err = _error(lambda: blended_ramp_for(_lz_config(cfg, 1.0), 1.0))
-            check("cd-blend boundary", not err, err or "the blended ramp needs g1 = -g0")
-        if cfg.ramp is not None:
-            check("ramp needs trajectory mode", _lz_trajectory_mode(cfg),
-                  "cost scans use the default ramps")
-            for tau in cfg.tau or [_tau_qsl(cfg), 0.1]:
-                err = _error(lambda: _lz_config(cfg, tau, with_ramp=True))
-                check(f"ramp duration tau={tau:g}", not err, err)
-    return report
-
-
-def _error(call) -> str:
-    """The message of the ValueError that call() raises, or ''."""
-    try:
-        call()
-    except ValueError as err:
-        return str(err)
-    return ""
+            checks += [{"check": f"cd_validity tau={tau:g}", "ok": cd_is_valid(omega),
+                        "detail": "trap inversion: no CD protocol below the validity edge"},
+                       {"check": f"lcd_validity tau={tau:g}", "ok": lcd_is_valid(omega),
+                        "detail": "effective LCD frequency must stay positive"}]
+    return {"model": cfg.model, "checks": checks, "valid": all(c["ok"] for c in checks)}
 
 
 # ---------------------------------------------------------------------------
 # entry point
-
-def _env(name: str):
-    return os.environ.get(ENV_PREFIX + name)
-
-
-def _int_setting(name: str, flag):
-    """The flag's value, else CTRLCOST_<name>, as an int; None if neither is set."""
-    value = flag if flag is not None else _env(name)
-    if value is None:
-        return None
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"{ENV_PREFIX}{name} must be an integer, got {value!r}") from None
-
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -587,18 +557,12 @@ def main(argv=None) -> int:
             with open(args.config, encoding="utf-8") as fh:
                 raw = json.load(fh)
         elif args.preset:
-            if args.preset not in PRESETS:
-                raise ValueError(f"unknown preset {args.preset!r}; "
-                                 f"available: {', '.join(PRESETS)}")
             raw = {"preset": args.preset}
         else:
             raise ValueError("give a preset name or --config FILE")
         cfg = parse_config(raw)
-        if args.command == "run":
-            seed = _int_setting("SEED", args.seed)
-        else:
-            report = validate(cfg)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as err:
+        report = validate(cfg) if args.command == "validate" else _check_inputs(cfg)
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
@@ -611,13 +575,12 @@ def main(argv=None) -> int:
             return 1
         return 0
 
-    out = args.out if args.out is not None else _env("OUT")
-    if out is not None:
-        cfg.out = out
+    if args.out is not None:
+        cfg.out = args.out
     elif cfg.preset and cfg.out == "out":
         cfg.out = f"out_{cfg.preset}"
-    if seed is not None:
-        cfg.seed = seed
+    if args.seed is not None:
+        cfg.seed = args.seed
     try:
         outdir = run(cfg)
     except (ValueError, OscillatorError) as err:

@@ -44,6 +44,7 @@ __all__ = [
     "JcEnsembleResult",
     "jc_schedule",
     "coherent_weights",
+    "ensemble_weights",
     "block_run",
     "ensemble_run",
     "coherent_cost_scan",
@@ -146,6 +147,16 @@ class JcEnsembleResult:
     tail: float
 
 
+def ensemble_weights(cfg: JcConfig) -> tuple[np.ndarray, float]:
+    """The blocks' Poisson weights and the tail mass past the cutoff, at most ``TAIL_TOL``."""
+    weights = coherent_weights(cfg.alpha, cfg.n_cut)
+    tail = max(0.0, 1.0 - float(weights.sum()))
+    if tail > TAIL_TOL:
+        raise ValueError(
+            f"cutoff tail {tail:.3e} above {TAIL_TOL}: increase n_cut for alpha={cfg.alpha}")
+    return weights, tail
+
+
 def ensemble_run(cfg: JcConfig, protocol: str, steps: Optional[int] = None) -> JcEnsembleResult:
     """Coherent-state ensemble: propagate every block and combine.
 
@@ -158,11 +169,7 @@ def ensemble_run(cfg: JcConfig, protocol: str, steps: Optional[int] = None) -> J
     coefficients follow from those rows, and the blocks are taken one at a
     time, each fidelity from its prefix quaternions alone, so memory stays at one block's steps.
     """
-    weights = coherent_weights(cfg.alpha, cfg.n_cut)
-    tail = max(0.0, 1.0 - float(weights.sum()))
-    if tail > TAIL_TOL:
-        raise ValueError(
-            f"cutoff tail {tail:.3e} above {TAIL_TOL}: increase n_cut for alpha={cfg.alpha}")
+    weights, tail = ensemble_weights(cfg)
     if steps is None:
         # converge on the fastest block (largest Rabi frequency), reuse for all
         _, steps = converged_final_state(jc_schedule(cfg, protocol, cfg.n_cut), INITIAL_STATE)

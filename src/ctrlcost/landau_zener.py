@@ -242,11 +242,6 @@ def blended_ramp_for(cfg: LzConfig, tau: float) -> Ramp:
     return cd_blended_ramp(g_a, g_na, BLEND_EPS, tau)
 
 
-def _check_default_ramp(cfg: LzConfig) -> None:
-    if cfg.ramp is not None:
-        raise ValueError("cost scans use the default ramps: a custom ramp cannot be scanned")
-
-
 def _blend_rows(cfg: LzConfig, s: np.ndarray):
     """Scan parts (g, r^2, a^2) of the blended CD ramp per duration, formed in place in the
     (durations, s) buffers given (r^2 and a as ``_theta_rates`` forms them); tau sets the blend."""
@@ -318,7 +313,8 @@ def cost_scan(cfg: LzConfig, taus: Sequence[float],
     the other durations. BOB optimizes its kicks and integrates its
     piecewise-constant schedule per duration. A config with a custom ramp is rejected.
     """
-    _check_default_ramp(cfg)
+    if cfg.ramp is not None:
+        raise ValueError("cost scans use the default ramps: a custom ramp cannot be scanned")
     for p in protocols:
         if p not in PROTOCOLS:
             raise ValueError(f"unknown protocol {p!r}")
@@ -365,7 +361,6 @@ def find_cd_lcd_crossover(cfg: LzConfig, taus: Optional[Sequence[float]] = None,
     here. The bisection runs one-duration scans at the same quadrature, so
     the bracket and the bisection take one route.
     """
-    _check_default_ramp(cfg)
     if scan is None:
         if taus is None:
             taus = np.geomspace(0.5, 100.0, 25)

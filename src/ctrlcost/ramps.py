@@ -313,7 +313,7 @@ def ramp_from_dict(d: dict) -> Ramp:
     if not isinstance(d, dict):
         raise ValueError(f"a ramp must be a {{kind, parameters}} object, got {d!r}")
     kind, p = d.get("kind"), d.get("parameters")
-    if kind not in _RAMP_KEYS:
+    if not isinstance(kind, str) or kind not in _RAMP_KEYS:
         raise ValueError(f"unknown ramp kind {kind!r}")
     if not isinstance(p, dict):
         raise ValueError(f"{kind} ramp needs a 'parameters' object")

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -12,13 +13,30 @@ import numpy as np
 import pytest
 
 import ctrlcost
-from ctrlcost.cli import parse_config, validate, run, PRESETS, main, _oc_problem, CsvWriter
+from ctrlcost.cli import (parse_config, validate, run, PRESETS, main, _oc_problem, CsvWriter,
+                          _MODEL_KEYS, _TOP_KEYS)
 from ctrlcost.landau_zener import LzConfig, find_cd_lcd_crossover
 from ctrlcost.jaynes_cummings import JcConfig, find_jc_crossover
 
 
 def read_csv(path):
     return np.genfromtxt(path, delimiter=",", names=True, skip_header=1)
+
+
+def input_error(tmp_path, raw, capsys):
+    """The one error line that ends both validate and run on raw, each with exit code 2,
+    before the output directory tmp_path / "o" exists."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**raw, "out": str(tmp_path / "o")}))
+    errs = []
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        errs.append(err)
+    assert errs[0] == errs[1]
+    assert not (tmp_path / "o").exists()
+    return errs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -115,21 +133,11 @@ def test_every_preset_validates(capsys):
 
 def test_cd_blend_off_the_antisymmetric_sweep_is_invalid(tmp_path, capsys):
     raw = {"model": "lz", "protocols": ["cd", "cd-blend"], "tau": [1.0, 5.0],
-           "params": {"g1": 0.3}, "out": str(tmp_path / "o")}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(raw))
-    assert main(["validate", "--config", str(path)]) == 1
-    captured = capsys.readouterr()
-    checks = {c["check"]: c for c in json.loads(captured.out)["checks"]}
-    assert not checks["cd-blend boundary"]["ok"]
-    assert "boundary mismatch" in checks["cd-blend boundary"]["detail"]
-    assert captured.err == "error: invalid config, failed checks: cd-blend boundary\n"
-    # run fails on the same config, as validate said it would
-    assert main(["run", "--config", str(path)]) == 1
-    assert "boundary mismatch" in capsys.readouterr().err
+           "params": {"g1": 0.3}}
     # trajectories run cd-blend too, so the boundary check holds in both modes
-    trajectory = {**raw, "mode": "trajectory"}
-    assert not validate(parse_config(trajectory))["valid"]
+    for change in ({}, {"mode": "trajectory"}):
+        assert input_error(tmp_path, {**raw, **change}, capsys).startswith(
+            "error: boundary mismatch at s=1.0: g_a=0.2 vs g_na=0.3")
     for change in ({"params": {"g1": 0.2}}, {"mode": "trajectory", "params": {"g1": 0.2}}):
         assert validate(parse_config({**raw, **change}))["valid"]
 
@@ -172,18 +180,19 @@ def test_mode_is_rejected_for_models_other_than_lz(model, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_custom_ramp_validation_matches_run(tmp_path):
+def test_custom_ramp_validation_matches_run(tmp_path, capsys):
     ramp = {"kind": "polynomial", "parameters": {"g0": -0.2, "g_d": 0.4, "tau": 2.0}}
-    base = {"model": "lz", "protocols": ["cd"], "ramp": ramp, "out": str(tmp_path / "o")}
-    for change, failed in (({"mode": "scan", "tau": [2.0]}, "ramp needs trajectory mode"),
-                           ({"mode": "trajectory", "tau": [2.0, 3.0]}, "ramp duration tau=3"),
-                           ({}, "ramp duration tau=0.1")):   # tau_QSL and 0.1 by default
-        cfg = parse_config({**base, **change})
-        report = validate(cfg)
-        assert not report["valid"]
-        assert failed in [c["check"] for c in report["checks"] if not c["ok"]]
-        with pytest.raises(ValueError):
-            run(cfg)
+    base = {"model": "lz", "protocols": ["cd"], "ramp": ramp}
+    for change, match in (({"mode": "scan", "tau": [2.0]},
+                           "a custom ramp requires mode='trajectory'"),
+                          ({"mode": "trajectory", "tau": [2.0, 3.0]},
+                           "custom ramp duration 2.0 differs from tau=3.0"),
+                          ({}, "custom ramp duration 2.0 differs from tau=22.14")):   # tau_QSL
+        assert input_error(tmp_path, {**base, **change}, capsys).startswith(f"error: {match}")
+        # a config built by hand meets the same input stage
+        with pytest.raises(ValueError, match=match):
+            run(parse_config({**base, **change, "out": str(tmp_path / "o")}))
+        assert not (tmp_path / "o").exists()
     assert validate(parse_config({**base, "mode": "trajectory", "tau": [2.0]}))["valid"]
 
 
@@ -195,50 +204,29 @@ def test_oscillator_cd_below_edge_flagged():
     assert checks["cd_validity tau=1"] is False
 
 
-def test_jc_large_alpha_tail_flagged():
-    cfg = parse_config({"model": "jc", "params": {"alpha": 5.0, "n_cut": 40}})
-    report = validate(cfg)
-    assert not report["valid"]
+def test_jc_large_alpha_tail_flagged(tmp_path, capsys):
+    err = input_error(tmp_path, {"model": "jc", "params": {"alpha": 5.0, "n_cut": 40}}, capsys)
+    assert err == "error: cutoff tail 2.036e-03 above 1e-12: increase n_cut for alpha=5.0\n"
 
 
-def test_oc_below_qsl_flagged():
-    cfg = parse_config({"model": "oc", "tau": [10.0]})
-    report = validate(cfg)
-    assert not report["valid"]
+def test_oc_below_qsl_flagged(tmp_path, capsys):
+    err = input_error(tmp_path, {"model": "oc", "tau": [10.0]}, capsys)
+    assert err == ("error: Fourier optimal control requires tau > tau_QSL = 22.1430, "
+                   "got tau = 10.0\n")
 
 
 @pytest.mark.parametrize("params", [{"n_max": 0}, {"steps": 1}, {"budget": 0},
                                     {"q_target": -1}])
 def test_bad_oc_problem_is_invalid_and_fails_run_in_one_line(params, tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"preset": "fig3-oc", "params": params,
-                                "out": str(tmp_path / "o")}))
-    assert main(["validate", "--config", str(path)]) == 1
-    out, err = capsys.readouterr()
-    report = json.loads(out)
-    assert [c["ok"] for c in report["checks"]] == [False] * 3
-    assert err.startswith("error: invalid config") and err.count("\n") == 1
-    assert main(["run", "--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert next(iter(params)) in err
-    assert not (tmp_path / "o" / "oc_results.csv").exists()
+    name, value = next(iter(params.items()))
+    err = input_error(tmp_path, {"preset": "fig3-oc", "params": params}, capsys)
+    assert err.startswith(f"error: {name} must ") and err.endswith(f"got {value}\n")
 
 
 def test_oc_sweep_off_minus_g0_is_invalid_and_fails_run(tmp_path, capsys):
     # the Fourier ansatz ends at -g0, so g1 = 0.35 would be ignored, not reached
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"preset": "fig3-oc", "params": {"g1": 0.35},
-                                "out": str(tmp_path / "o")}))
-    assert main(["validate", "--config", str(path)]) == 1
-    out, err = capsys.readouterr()
-    checks = json.loads(out)["checks"]
-    assert [c["ok"] for c in checks] == [False] * 3
-    assert all("g1 must be 0.2, got 0.35" in c["detail"] for c in checks)
-    assert main(["run", "--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "g1 must be 0.2" in err and err.count("\n") == 1
-    assert not (tmp_path / "o" / "oc_results.csv").exists()
+    err = input_error(tmp_path, {"preset": "fig3-oc", "params": {"g1": 0.35}}, capsys)
+    assert err == "error: the Fourier ansatz sweeps g0 -> -g0: g1 must be 0.2, got 0.35\n"
 
 
 @pytest.mark.parametrize("name", ["gamma", "restarts", "polish_budget"])
@@ -293,14 +281,24 @@ def test_removed_oc_params_rejected(name, tmp_path, capsys):
     ({"preset": "smoke", "tau": []}, "tau is empty: an lz cost scan needs at least one duration"),
     ({"model": "lz", "mode": "scan"}, "tau is empty: an lz cost scan needs at least one duration"),
     ({"model": "lz", "mode": "scan", "tau": []}, "tau is empty: an lz cost scan"),
+    (5, "a config must be a JSON object, got 5"),
+    ({"preset": ["fig1"]}, "unknown preset ['fig1']"),
+    ({"model": "lz", "mode": "trajectory", "ramp": {"kind": ["x"]}}, "unknown ramp kind ['x']"),
+    ({"preset": "smoke", "out": 5}, "out must be a directory path, got 5"),
+    ({"model": "lz", "tau": {"min": 1.0, "max": 2.0, "num": 3, "log": "no"}},
+     "tau grid 'log' must be true or false, got 'no'"),
+    ({"preset": "smoke", "params": {"g_q": 0}}, "param 'g_q' must be a positive number, got 0"),
+    ({"preset": "smoke", "params": {"g1": -0.2}}, "g1 = -0.2 is too close to g0 = -0.2"),
 ])
 def test_bad_param_values_rejected_in_one_line(raw, match, tmp_path, capsys):
     # wrong types, fractional or too small counts, non-positive oscillator
     # parameters, incomplete ramps, ramp parameters that are not finite
-    # numbers (a nested ramp's too) and an lz scan without durations end both
-    # subcommands before anything runs
+    # numbers (a nested ramp's too), malformed shapes and an lz scan without
+    # durations end both subcommands before anything runs
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({**raw, "out": str(tmp_path / "o")}))
+    if isinstance(raw, dict):
+        raw = {"out": str(tmp_path / "o"), **raw}
+    path.write_text(json.dumps(raw))
     for command in ("validate", "run"):
         assert main([command, "--config", str(path)]) == 2
         out, err = capsys.readouterr()
@@ -311,20 +309,12 @@ def test_bad_param_values_rejected_in_one_line(raw, match, tmp_path, capsys):
 @pytest.mark.parametrize("params, match", [({"delta": 0}, "detuning delta must be nonzero"),
                                            ({"n_cut": -1}, "excitation cutoff must be >= 0")])
 def test_bad_jc_config_is_invalid_and_fails_run_in_one_line(params, match, tmp_path, capsys):
-    # validate builds the blocks' JcConfig, so it rejects what run rejects,
-    # and neither warns on the way
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"preset": "fig5", "params": params, "out": str(tmp_path / "o")}))
+    # the input stage builds the blocks' JcConfig for both subcommands, and
+    # neither warns on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["validate", "--config", str(path)]) == 1
-        out, err = capsys.readouterr()
-        assert err == "error: invalid config, failed checks: jc config\n"
-        assert [(c["check"], c["ok"]) for c in json.loads(out)["checks"]] == [("jc config", False)]
-        assert main(["run", "--config", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {match}") and err.count("\n") == 1
-    assert not list((tmp_path / "o").glob("*"))
+        err = input_error(tmp_path, {"preset": "fig5", "params": params}, capsys)
+    assert err.startswith(f"error: {match}")
 
 
 def test_integral_float_counts_are_accepted():
@@ -595,25 +585,14 @@ def test_threads_flag_is_a_usage_error(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("name", ["SEED"])
-def test_main_errors_on_non_integer_env_setting(name, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(f"CTRLCOST_{name}", "abc")
-    assert main(["run", "smoke", "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"CTRLCOST_{name}" in err
-    assert not (tmp_path / "o").exists()
-
-
-def test_flag_wins_over_env_which_wins_over_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("CTRLCOST_SEED", "5")
-    monkeypatch.setenv("CTRLCOST_OUT", str(tmp_path / "env"))
-    assert main(["run", "smoke", "--seed", "3", "--out", str(tmp_path / "flag")]) == 0
+def test_flag_wins_over_config_which_wins_over_default(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"preset": "smoke", "seed": 5, "out": str(tmp_path / "config")}))
+    assert main(["run", "--config", str(path), "--seed", "3", "--out", str(tmp_path / "flag")]) == 0
     assert json.loads((tmp_path / "flag" / "summary.json").read_text())["seed"] == 3
-    assert not (tmp_path / "env").exists()
-    assert main(["run", "smoke"]) == 0
-    assert json.loads((tmp_path / "env" / "summary.json").read_text())["seed"] == 5
-    monkeypatch.delenv("CTRLCOST_SEED")
+    assert not (tmp_path / "config").exists()
+    assert main(["run", "--config", str(path)]) == 0
+    assert json.loads((tmp_path / "config" / "summary.json").read_text())["seed"] == 5
     assert main(["run", "smoke", "--out", str(tmp_path / "default")]) == 0
     assert json.loads((tmp_path / "default" / "summary.json").read_text())["seed"] == 0
 
@@ -653,15 +632,72 @@ def test_custom_ramp_trajectory_run(tmp_path):
     assert (outdir / "fidelity.csv").exists()
 
 
-def test_custom_ramp_guards():
+def test_custom_ramp_guards(tmp_path, capsys):
     ramp = {"kind": "polynomial", "parameters": {"g0": -0.2, "g_d": 0.4, "tau": 2.0}}
-    with pytest.raises(ValueError, match="only supported for the lz"):
-        parse_config({"model": "jc", "ramp": ramp})
-    cfg = parse_config({"model": "lz", "mode": "scan", "protocols": ["cd"],
-                        "tau": [2.0], "ramp": ramp})
-    with pytest.raises(ValueError, match="mode='trajectory'"):
-        run(cfg)
-    cfg = parse_config({"model": "lz", "mode": "trajectory", "protocols": ["cd"],
-                        "tau": [3.0], "ramp": ramp})
-    with pytest.raises(ValueError, match="differs from tau"):
-        run(cfg)
+    for raw, match in (({"model": "jc", "ramp": ramp},
+                        "a custom ramp is only supported for the lz"),
+                       ({"model": "lz", "mode": "scan", "protocols": ["cd"], "tau": [2.0],
+                         "ramp": ramp}, "a custom ramp requires mode='trajectory'"),
+                       ({"model": "lz", "mode": "trajectory", "protocols": ["cd"], "tau": [3.0],
+                         "ramp": ramp}, "custom ramp duration 2.0 differs from tau=3.0")):
+        assert input_error(tmp_path, raw, capsys).startswith(f"error: {match}")
+
+
+# ---------------------------------------------------------------------------
+# mutated presets
+
+def _mutations(st, presets):
+    """(raw config, its preset): one key or model param of a preset replaced by a
+    value of the wrong type, a negative number, zero or NaN. Numbers stay within
+    64: counts have no upper bound, and a scan of 10**9 points would not fit."""
+    small = st.integers(-64, 64)
+    values = st.one_of(
+        st.text(max_size=4), st.booleans(), st.none(),
+        st.lists(st.one_of(small, st.text(max_size=2)), max_size=3),
+        st.dictionaries(st.sampled_from(["min", "max", "num", "log", "kind", "parameters"]),
+                        small, max_size=3),
+        st.integers(-64, -1), st.floats(-64.0, -1e-3), st.sampled_from([0, 0.0, math.nan]))
+
+    @st.composite
+    def mutation(draw):
+        name = draw(st.sampled_from(presets))
+        params = sorted(_MODEL_KEYS[PRESETS[name]["model"]])
+        key = draw(st.sampled_from(sorted(_TOP_KEYS) + [f"params.{p}" for p in params]))
+        # a string out would be a directory to write to
+        value = draw(values.filter(lambda v: not isinstance(v, str)) if key == "out" else values)
+        if key.startswith("params."):
+            return {"preset": name, "params": {key[len("params."):]: value}}, name
+        return {"preset": name, key: value}, name
+
+    return mutation()
+
+
+def _fuzz(capsys, tmp_path, presets, max_examples):
+    """Validate every mutation: exit 0, 1 or 2 with at most one error line; run
+    each mutation of smoke that validates, which must then exit 0."""
+    hypothesis = pytest.importorskip("hypothesis")
+    path = tmp_path / "cfg.json"
+
+    @hypothesis.settings(max_examples=max_examples, deadline=None)
+    @hypothesis.given(_mutations(hypothesis.strategies, presets))
+    def check(case):
+        raw, name = case
+        path.write_text(json.dumps(raw))
+        code = main(["validate", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), raw
+        assert err == "" if code == 0 else err.startswith("error: ") and err.count("\n") == 1
+        if code == 0 and name == "smoke":
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0, raw
+            capsys.readouterr()
+            shutil.rmtree(tmp_path / "o")
+
+    check()
+
+
+def test_mutated_presets_fail_validate_in_one_line(capsys, tmp_path):
+    _fuzz(capsys, tmp_path, sorted(PRESETS), 150)
+
+
+def test_mutated_smoke_that_validates_runs(capsys, tmp_path):
+    _fuzz(capsys, tmp_path, ["smoke"], 100)
