@@ -212,8 +212,110 @@ PRESETS = {
 # ---------------------------------------------------------------------------
 # output helpers
 
+# "%.17g" in numpy, cell for cell the bytes of %. A finite x with 1e-4 <= |x| < 1e17
+# prints in fixed notation: with e = floor(log10 |x|), D = |x| 10^(16 - e) rounded
+# half-even has 17 digits, the point follows digit e, and trailing zeros are dropped.
+# 10^k is a double for k <= 22, so Dekker's TwoProduct (Numer. Math. 18, 224 (1971))
+# splits |x| 10^k exactly into p + err, and p >= 1e16 > 2^53 is an even integer, so
+# D = p + rint(err). Zeros and nan are literals; every other cell is written by %
+# itself. A block is laid out one byte row per slot of a field (sign, the "0.000"
+# prefix, 18 digit-or-point slots, separator), 0 where a slot is empty; the rows are
+# transposed to cell order and the zeros squeezed out.
+_SPLIT = 134217729.0   # 2^27 + 1, Dekker's split
+_FIELD = 25            # slots per cell; the longest %.17g is 24 bytes, "-1.2345678901234567e-308"
+_BLOCK_ROWS = 1024     # table rows formatted at a time, which bounds the kernel's memory
+# digits of v < 10^9 from y = v ceil(2^57 / 10^8): each is y >> 57, then y = (y mod 2^57) 10.
+# y's error v (ceil - 2^57 / 10^8) < 2.5e8 stays below 2^57 / 10^8 = 1.4e9, so none is off
+_DIGIT_MUL, _LOW57 = np.uint64(-(-2**57 // 10**8)), np.uint64(2**57 - 1)
+_NAN_CODE, _FALLBACK_CODE = 21, 22   # layout codes; a fixed-notation cell's is e + 4
+_PREFIX = np.zeros((5, _FALLBACK_CODE + 1), dtype=np.uint8)  # slots before the digits, per code
+for _code, _text in ((0, b"0.000"), (1, b"0.00"), (2, b"0.0"), (3, b"0."), (_NAN_CODE, b"nan")):
+    _PREFIX[:len(_text), _code] = list(_text)
+_SLOT = np.arange(17, dtype=np.uint8)[:, None]
+
+
+def _split(a):
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10 = np.array([float(10**k) for k in range(21)])
+_POW10_HI, _POW10_LO = _split(_POW10)
+# the least doubles >= 10^j, j = -3..16, so |x| >= edge j exactly when e >= j: 10^j
+# itself for j >= 0, and the nearest double to 10^j, which lies above it, for j < 0
+_E_EDGES = np.array([float(f"1e{j}") for j in range(-3, 17)])
+
+
+def _two_prod(a, k):
+    """(p, err) with p + err = a 10^k exactly: Dekker's TwoProduct."""
+    p = a * _POW10[k]
+    ah, al = _split(a)
+    bh, bl = _POW10_HI[k], _POW10_LO[k]
+    err = ah * bh
+    err -= p
+    err += ah * bl
+    err += al * bh
+    err += al * bl
+    return p, err
+
+
+def _format_cells(x: np.ndarray, ncols: int) -> bytes:
+    """The bytes of ``"%.17g" % v`` for every v of x, a row-major table of ncols columns,
+    "," after each cell and "\\n" after each row's last."""
+    n = len(x)
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e17)
+    a[~fast] = 1.0
+    e = np.searchsorted(_E_EDGES, a, side="right") - 4
+    p, err = _two_prod(a, 16 - e)
+    # D < 10^17, no carry into e + 1: a double below 10^(e + 1) is below it by
+    # at least 5e-17 of it, and D would round up only within 5e-18
+    d = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    d[~fast] = 0   # so a zero prints as the digit 0 at e = 0
+    y = np.empty((2, n), dtype=np.uint64)
+    np.floor_divide(d, 10**9, out=y[0], casting="unsafe")
+    np.remainder(d, 10**9, out=y[1], casting="unsafe")
+    y *= _DIGIT_MUL
+    digits = np.empty((2, 9, n), dtype=np.uint8)
+    for j in range(9):
+        np.right_shift(y, np.uint64(57), out=digits[:, j], casting="unsafe")
+        y &= _LOW57
+        y *= np.uint64(10)
+    digits = digits.reshape(18, n)[1:]   # D's 17 digits; the first of 18 is 0
+    nd = ((digits != 0) * (_SLOT + np.uint8(1))).max(axis=0)   # without trailing zeros
+    code = np.where(fast | (x == 0.0), e + 4, _FALLBACK_CODE)
+    code[np.isnan(x)] = _NAN_CODE
+    literal = code >= _NAN_CODE
+    digits += (_SLOT < np.where(literal, 0, np.maximum(nd, e + 1))) * np.uint8(ord("0"))
+    point = np.where((e >= 0) & (nd > e + 1) & ~literal, e, 17).astype(np.uint8)
+    slots = np.empty((_FIELD, n), dtype=np.uint8)
+    slots[0] = (np.signbit(x) & (code != _NAN_CODE)) * np.uint8(ord("-"))
+    slots[1:6] = _PREFIX.take(code, axis=1)
+    # slot s holds digit s up to the point's digit, then the point, then digit s - 1
+    slots[6] = digits[0]
+    np.subtract(digits[1:], digits[:-1], out=slots[7:23])
+    slots[7:23] *= _SLOT[1:] <= point
+    slots[7:23] += digits[:-1]
+    slots[23] = digits[16] * (point < 16)
+    at = np.flatnonzero(point < 17)
+    slots.ravel()[(7 + point[at].astype(np.intp)) * n + at] = ord(".")
+    slots[24].reshape(-1, ncols)[:] = [ord(",")] * (ncols - 1) + [ord("\n")]
+    slow = np.flatnonzero(code == _FALLBACK_CODE)
+    if slow.size:
+        text = b"".join(("%.17g" % v).encode().ljust(_FIELD - 1, b"\0") for v in x[slow].tolist())
+        slots[:-1, slow] = np.frombuffer(text, dtype=np.uint8).reshape(-1, _FIELD - 1).T
+    cells = slots.T.ravel()
+    return np.compress(cells != 0, cells).tobytes()
+
+
 class CsvWriter:
-    """A table added column-wise and written with every value as %.17g."""
+    """A table added column-wise and written with every value as %.17g.
+
+    ``write`` formats ``_BLOCK_ROWS`` rows at a time with ``_format_cells``: the
+    numpy kernel for values in fixed notation, 0, -0 and nan, and ``%`` for each
+    other cell, so the file holds the bytes of one ``"%.17g" % x`` per value.
+    """
 
     def __init__(self, path: Path, columns, config_hash: str):
         self.path = path
@@ -229,11 +331,12 @@ class CsvWriter:
         self.blocks.append(np.column_stack(cols))
 
     def write(self):
-        row = ",".join(["%.17g"] * len(self.columns)) + "\n"
-        with open(self.path, "w", encoding="utf-8") as fh:
-            fh.write(f"# config_hash={self.config_hash} ctrlcost={__version__}\n")
-            fh.write(",".join(self.columns) + "\n")
-            fh.write("".join(row % tuple(r) for r in np.concatenate(self.blocks).tolist()))
+        table = np.concatenate(self.blocks)
+        with open(self.path, "wb") as fh:
+            fh.write(f"# config_hash={self.config_hash} ctrlcost={__version__}\n".encode())
+            fh.write((",".join(self.columns) + "\n").encode())
+            for i in range(0, len(table), _BLOCK_ROWS):
+                fh.write(_format_cells(table[i:i + _BLOCK_ROWS].ravel(), len(self.columns)))
 
 
 def _rows(n: int, limit: int = 4001) -> np.ndarray:
@@ -471,8 +574,10 @@ _RUNNERS = {"lz": _run_lz, "oscillator": _run_oscillator, "jc": _run_jc,
 # input stage, run and validate
 
 def _check_inputs(cfg: ExperimentConfig) -> None:
-    """The input stage: build what the model's runner builds from the config, so
+    """The input stage: the schema on the config's own fields, which a hand-built
+    config meets here, then what the model's runner builds from the config, so
     that a bad input raises its ValueError before anything runs or is written."""
+    parse_config({k: getattr(cfg, k) for k in _TOP_KEYS - {"preset", "description"}})
     if cfg.model == "lz":
         base = _lz_config(cfg, 1.0)
         if _tau_qsl(cfg) == 0.0:   # a scan runs BOB at tau_QSL, trajectories default to it

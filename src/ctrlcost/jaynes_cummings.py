@@ -106,7 +106,7 @@ def jc_schedule(cfg: JcConfig, protocol: str, n: int) -> PauliSchedule:
         raise ValueError(f"unknown protocol {protocol!r}")
     _rabi_scale(n)   # a negative index fails here, not at the first evaluation
     ramp = _sweep(cfg)
-    return PauliSchedule(duration=cfg.tau, label=f"jc-{protocol}-n{n}", crossings=ramp.zeros(),
+    return PauliSchedule(duration=cfg.tau, label=f"jc-{protocol}-n{n}", crossings=ramp.zeros,
                          fields=lambda t: _block_fields(cfg, protocol, n, ramp.rows(t)))
 
 
@@ -196,16 +196,19 @@ def ensemble_run(cfg: JcConfig, protocol: str, steps: Optional[int] = None) -> J
 def coherent_cost_scan(cfg: JcConfig, taus: Sequence[float]) -> dict:
     """Poisson-weighted sum of every block's CD and LCD :func:`jc_cost_scan`.
 
-    The quintic's scaled-time rows are evaluated once, block n's are those rows
-    times -2 sqrt(n+1), and ``landau_zener._scan_costs`` computes the parts that
+    The weights are :func:`ensemble_weights`, so a cutoff that leaves a tail
+    above ``TAIL_TOL`` raises, as in :func:`ensemble_run`. The quintic's
+    scaled-time rows are evaluated once, block n's are those rows times
+    -2 sqrt(n+1), and ``landau_zener._scan_costs`` computes the parts that
     depend on s alone once per block; the durations enter only in its last passes.
     """
+    weights, _ = ensemble_weights(cfg)
     unit = _sweep(replace(cfg, tau=1.0))
     taus, s, w = _scan_grid(taus, QUADRATURE_INTERVALS, unit.zeros())
     rows = unit.rows(s)
     costs = [_scan_costs(("cd", "lcd"), abs(cfg.delta), [_rabi_scale(n) * r for r in rows], taus, w)
              for n in range(cfg.n_cut + 1)]
-    cd, lcd = np.tensordot(coherent_weights(cfg.alpha, cfg.n_cut), costs, 1)
+    cd, lcd = np.tensordot(weights, costs, 1)
     return {"tau": taus, "cd": cd, "lcd": lcd}
 
 

@@ -142,7 +142,7 @@ def lz_schedule(cfg: LzConfig, protocol: str, bob_kicks: Optional[BobKicks] = No
             warnings.warn("LCD requires a ramp with flat start and end points; "
                           "target-state fidelity is not guaranteed for this ramp",
                           stacklevel=2)
-    return PauliSchedule(duration=cfg.tau, label=f"lz-{protocol}", crossings=ramp.zeros(),
+    return PauliSchedule(duration=cfg.tau, label=f"lz-{protocol}", crossings=ramp.zeros,
                          fields=lambda t: (0.0, *lz_fields(protocol, cfg.delta, *ramp.rows(t))))
 
 

@@ -75,14 +75,16 @@ class PauliSchedule:
     [0, duration]; a coefficient constant in time may be a scalar.
     ``breakpoints`` lists interior times where coefficients jump; the
     propagator and the cost quadrature split the interval there.
-    ``crossings`` lists where the sweep's g = 0; only the cost quadrature cuts there.
+    ``crossings`` returns where the sweep's g = 0; only the cost quadrature cuts
+    there, so only it calls ``crossings``, and a schedule that is only propagated
+    never searches for them.
     """
 
     duration: float
     fields: Callable
     breakpoints: tuple = ()
     label: str = ""
-    crossings: tuple = ()
+    crossings: Callable[[], tuple] = tuple
 
     def coefficients(self, t):
         """(c0, cx, cy, cz) at times t, broadcast to t's shape.
@@ -397,7 +399,7 @@ def integrated_cost(schedule: PauliSchedule, quadrature_steps: int = QUADRATURE_
     jump is never sampled, and the constant segments between breakpoints are
     integrated exactly.
     """
-    t, w = _cost_nodes(schedule.duration, (*schedule.breakpoints, *schedule.crossings),
+    t, w = _cost_nodes(schedule.duration, (*schedule.breakpoints, *schedule.crossings()),
                        quadrature_steps)
     return (cost_rate(schedule, t) * w).sum() / schedule.duration
 

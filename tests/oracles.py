@@ -91,3 +91,11 @@ def split_quad_cost(schedule, samples: int = 20_001) -> float:
     # closed form cancels (x^2 - 2x^3 + x^4 near x = 1) and round-off dominates
     return sum(quad(rate, a, b, epsabs=1e-16 * tau, epsrel=1e-13, limit=200)[0]
                for a, b in zip(edges[:-1], edges[1:])) / tau
+
+
+def percent_rows(table) -> bytes:
+    """A table's CSV rows as the per-row writer made them before the vectorized kernel:
+    one ``%`` call per row, every value as "%.17g"."""
+    table = np.asarray(table, dtype=float)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return "".join(row % tuple(r) for r in table.tolist()).encode()

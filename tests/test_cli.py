@@ -14,9 +14,10 @@ import pytest
 
 import ctrlcost
 from ctrlcost.cli import (parse_config, validate, run, PRESETS, main, _oc_problem, CsvWriter,
-                          _MODEL_KEYS, _TOP_KEYS)
+                          ExperimentConfig, _MODEL_KEYS, _TOP_KEYS)
 from ctrlcost.landau_zener import LzConfig, find_cd_lcd_crossover
 from ctrlcost.jaynes_cummings import JcConfig, find_jc_crossover
+from oracles import percent_rows
 
 
 def read_csv(path):
@@ -114,6 +115,19 @@ def test_unknown_protocol_rejected_with_one_line_error(model, name, tmp_path, ca
         assert err.startswith(f"error: unknown protocol {name!r} for model {model!r}")
         assert err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+def test_run_checks_a_hand_built_config_before_making_its_directory(tmp_path):
+    # the schema never sees these configs: the input stage alone must stop them
+    d = tmp_path / "o"
+    for cfg, msg in ((ExperimentConfig(model="lz", protocols=["xyz"], tau=[1.0], out=str(d)),
+                      "unknown protocol 'xyz' for model 'lz'; it takes"),
+                     (ExperimentConfig(model="jc", protocols=["bob"], out=str(d)),
+                      "unknown protocol 'bob' for model 'jc'"),
+                     (ExperimentConfig(model="xyz", out=str(d)), "unknown model 'xyz'")):
+        with pytest.raises(ValueError, match=msg):
+            run(cfg)
+        assert not d.exists()
 
 
 @pytest.mark.parametrize("model", ["lz", "oc"])
@@ -351,6 +365,50 @@ def test_column_adds_write_the_bytes_of_per_value_formatting(tmp_path):
     empty = CsvWriter(tmp_path / "e.csv", ["nfev", "q", "C"], "abc")
     empty.write()
     assert (tmp_path / "e.csv").read_text().splitlines()[1:] == ["nfev,q,C"]
+
+
+def _exactness_grid() -> np.ndarray:
+    """Over 10^6 seeded doubles for the CSV kernel: random bit patterns, every decade's
+    mantissas, the neighbours of each power of ten and exact decimal ties."""
+    rng = np.random.default_rng(20250)
+    bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False)
+    bits[:20_000] &= np.uint64(0x800F_FFFF_FFFF_FFFF)               # subnormals and +-0
+    bits[20_000:22_000] |= np.uint64(0x7FF0_0000_0000_0000)         # nan payloads, +-inf
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                        1e-4, -1e-4, 1e17, np.nextafter(1e17, 0.0), np.nextafter(1e-4, 0.0)])
+    decades = [rng.uniform(1.0, 10.0, 24_000) * 10.0**k * rng.choice([-1.0, 1.0], 24_000)
+               for k in range(-6, 20)]
+    # consecutive bit patterns are consecutive doubles: 2,000 neighbours of each 10^k
+    powers = np.array([10.0**k for k in range(-5, 19)])
+    near = (powers.view(np.int64)[:, None] + np.arange(-1_000, 1_001)).view(np.float64).ravel()
+    # N 2^-q with N odd and N 5^q of 18 digits: 18 significant digits ending in 5, a tie at 17
+    ties = []
+    for q in range(2, 26):   # 5^26 > 10^18
+        lo, hi = max(1, -(-10**17 // 5**q)), min(2**53, 10**18 // 5**q)
+        if lo < hi:
+            odd = rng.integers(lo, hi, 6_000, dtype=np.int64) | 1
+            ties.append(np.ldexp(odd.astype(float), -q) * rng.choice([-1.0, 1.0], len(odd)))
+    return np.concatenate([bits.view(np.float64), special, *decades, near, -near, *ties])
+
+
+def test_csv_kernel_writes_the_bytes_of_per_row_formatting(tmp_path):
+    x = _exactness_grid()
+    assert len(x) >= 10**6
+    table = x[:len(x) - len(x) % 5].reshape(-1, 5)
+    w = CsvWriter(tmp_path / "x.csv", list("abcde"), "abc")
+    w.add(*table.T)
+    w.write()
+    head, columns, body = (tmp_path / "x.csv").read_bytes().split(b"\n", 2)
+    assert columns == b"a,b,c,d,e"
+    assert body == percent_rows(table)
+
+
+def test_csv_kernel_decade_edges_are_the_least_doubles_at_or_above_each_power():
+    # the kernel reads e = floor(log10 |x|) off these edges with exact comparisons
+    from fractions import Fraction
+    from ctrlcost.cli import _E_EDGES
+    for j, edge in zip(range(-3, 17), _E_EDGES.tolist()):
+        assert Fraction(edge) >= Fraction(10) ** j > Fraction(np.nextafter(edge, 0.0)), j
 
 
 def test_smoke_run_outputs(tmp_path):

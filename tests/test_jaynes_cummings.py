@@ -274,8 +274,8 @@ def test_block_costs_match_quad_split_at_the_kinks(n):
 
 
 def test_coherent_scan_is_the_weighted_block_scans():
-    # a negative detuning, so the scan's |delta| is exercised too
-    cfg = JcConfig(tau=1.0, delta=-0.1, alpha=0.7, n_cut=5)
+    # a negative detuning, so the scan's |delta| is exercised too; n_cut 12 leaves a tail of 9e-15
+    cfg = JcConfig(tau=1.0, delta=-0.1, alpha=0.7, n_cut=12)
     taus = [0.3, 6.0, 16.6, 40.0, 95.0]
     scan = coherent_cost_scan(cfg, taus)
     p = coherent_weights(cfg.alpha, cfg.n_cut)
@@ -289,6 +289,14 @@ def test_coherent_scan_is_the_weighted_block_scans():
     for key in ("cd", "lcd"):
         direct = sum(w * integrated_cost(jc_schedule(at, key, n), 8192) for n, w in enumerate(p))
         assert scan[key][2] == pytest.approx(direct, rel=1e-12)
+
+
+def test_coherent_scan_rejects_a_truncating_cutoff():
+    # alpha 0.7 past n_cut 5 leaves a Poisson tail of 1.3e-5, which ensemble_run rejects too
+    cfg = JcConfig(tau=1.0, alpha=0.7, n_cut=5)
+    for scan in (lambda: coherent_cost_scan(cfg, [1.0, 5.0]), lambda: ensemble_run(cfg, "cd", 64)):
+        with pytest.raises(ValueError, match="cutoff tail 1.265e-05 above 1e-12"):
+            scan()
 
 
 def test_jc_scan_is_even_in_the_detuning():

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from oracles import cd_cost_decomposition, decomposition_cost, split_quad_cost
-from ctrlcost.ramps import bob_pulse, oc_fourier_ramp
+from ctrlcost.ramps import Ramp, bob_pulse, oc_fourier_ramp
 from ctrlcost.twolevel import (integrated_cost, instantaneous_eigenstates,
                                cost_rate)
 from ctrlcost.landau_zener import (LzConfig, lz_schedule, lz_bob,
@@ -338,6 +338,18 @@ def test_real_time_cost_samples_the_sweep_ends():
     scan = cost_scan(LzConfig(tau=1.0), [0.1], ("lcd",), 4096)
     direct = integrated_cost(lz_schedule(LzConfig(tau=0.1), "lcd"), 4096)
     assert direct == pytest.approx(scan["lcd"][0], rel=1e-15)
+
+
+def test_a_schedule_searches_its_crossings_only_for_its_cost():
+    # a reference or spectra schedule is only propagated, so its build samples no ramp
+    quintic = LzConfig(tau=2.0).ramp_or_default()
+    points = []
+    counted = Ramp(quintic.kind, quintic.duration, quintic.params,
+                   lambda t: (points.append(t.size), quintic.rows(t))[1])
+    sched = lz_schedule(LzConfig(tau=2.0, ramp=counted), "cd")
+    assert points == []
+    assert sched.crossings() == quintic.zeros() == (1.0,)
+    assert integrated_cost(sched) == integrated_cost(lz_schedule(LzConfig(tau=2.0), "cd"))
 
 
 @pytest.mark.parametrize("delta,g,taus,rtol", [
