@@ -48,6 +48,7 @@ _PROTOCOLS = {"lz": landau_zener.PROTOCOLS, "oscillator": oscillator.PROTOCOLS,
               "jc": jaynes_cummings.PROTOCOLS, "oc": ()}   # oc runs its own pulse
 _TOP_KEYS = {"model", "preset", "protocols", "tau", "params", "seed", "out",
              "trajectory_steps", "scan_points", "description", "mode", "ramp"}
+MAX_COUNT = 10**6   # ceiling on trajectory_steps, scan_points and a tau grid's num
 
 
 @dataclass
@@ -97,8 +98,9 @@ def _parse_tau(tau) -> list:
         if extra:
             raise ValueError(f"unknown tau grid keys: {sorted(extra)}")
         num = tau.get("num")
-        if not isinstance(num, int) or isinstance(num, bool) or num < 1:
-            raise ValueError(f"tau grid 'num' must be an integer >= 1, got {num!r}")
+        if not isinstance(num, int) or isinstance(num, bool) or not 1 <= num <= MAX_COUNT:
+            raise ValueError(f"tau grid 'num' must be an integer in [1, {MAX_COUNT}], "
+                             f"got {num!r}")
         log = tau.get("log", True)
         if not isinstance(log, bool):
             raise ValueError(f"tau grid 'log' must be true or false, got {log!r}")
@@ -152,6 +154,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for k, least in (("trajectory_steps", 2), ("scan_points", 1)):
         if counts[k] < least:
             raise ValueError(f"{k} must be >= {least}, got {counts[k]}")
+        if counts[k] > MAX_COUNT:
+            raise ValueError(f"{k} must be <= {MAX_COUNT}, got {counts[k]}")
     out = raw.get("out", "out")
     if not isinstance(out, str):
         raise ValueError(f"out must be a directory path, got {out!r}")
@@ -603,6 +607,11 @@ def _check_inputs(cfg: ExperimentConfig) -> None:
 def run(cfg: ExperimentConfig, threads: int = 1) -> Path:
     """Run one config after the input stage and write its outputs; ``threads`` is ignored."""
     _check_inputs(cfg)
+    return _run_checked(cfg)
+
+
+def _run_checked(cfg: ExperimentConfig) -> Path:
+    """``run`` for a config that has passed the input stage."""
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     summary = {"config_hash": cfg.digest(), "model": cfg.model,
@@ -666,6 +675,13 @@ def main(argv=None) -> int:
         else:
             raise ValueError("give a preset name or --config FILE")
         cfg = parse_config(raw)
+        if args.command == "run":
+            if args.out is not None:
+                cfg.out = args.out
+            elif cfg.preset and cfg.out == "out":
+                cfg.out = f"out_{cfg.preset}"
+            if args.seed is not None:
+                cfg.seed = args.seed
         report = validate(cfg) if args.command == "validate" else _check_inputs(cfg)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -680,14 +696,8 @@ def main(argv=None) -> int:
             return 1
         return 0
 
-    if args.out is not None:
-        cfg.out = args.out
-    elif cfg.preset and cfg.out == "out":
-        cfg.out = f"out_{cfg.preset}"
-    if args.seed is not None:
-        cfg.seed = args.seed
     try:
-        outdir = run(cfg)
+        outdir = _run_checked(cfg)
     except (ValueError, OscillatorError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

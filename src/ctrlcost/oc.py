@@ -12,19 +12,40 @@ sin(n pi t/tau) and cos(n pi t/tau) columns, where the gradient does not
 vanish at the all-zero start as the phase gradient does.
 
 ``optimize`` minimizes the time-averaged Frobenius cost C subject to
-q <= q_t with scipy's SLSQP. scipy is imported when an optimization starts,
-so the rest of the package loads with numpy alone, and with its BLAS pool
-pinned to one thread, so SLSQP gives the same bits on any host; a caller who
-imported scipy first keeps their own pool. q = |<psi_perp|psi(tau)>|^2, the
-weight on the state orthogonal to the target, cannot go negative. q_t
-is tightened by continuation, 1e-3, 1e-6, then q_target/2: aimed at
-q_target itself, the refined q (``refine_result``) lands on either side of
-it (1.0015e-9 for 1e-9 at tau = 25, n_max 16), and the margin costs about
-2e-5 of C. Two linear equalities pin the sweep's endpoints:
-g(0) - g0 = sum_n s_n = 0 and g(tau) - g1 = sum_n (-1)^n s_n = 0. The
-constraint is passed in amplitude units, (q_t - q)/sqrt(q_t) >= 0: SLSQP
-stops only once the violation is below its ftol (1e-12), which 1 - q/q_t,
-with a rounding error of about 1e-10 at q_t = 5e-10, might never reach.
+q <= q_t with an SQP loop on numpy alone (``_sqp``). q =
+|<psi_perp|psi(tau)>|^2, the weight on the state orthogonal to the target,
+cannot go negative. q_t is tightened by continuation, 1e-3, 1e-6, then
+q_target/2: aimed at q_target itself, the refined q (``refine_result``)
+lands on either side of it (1.0015e-9 for 1e-9 at tau = 25, n_max 16), and
+the margin costs about 2e-5 of C. Two linear equalities pin the sweep's
+endpoints: g(0) - g0 = sum_n s_n = 0 and g(tau) - g1 = sum_n (-1)^n s_n = 0.
+The search runs in x = N y, with N an orthonormal basis of the pins' null
+space from an SVD of the pin rows, so one constraint is left. It is taken
+in amplitude units, c = (q_t - q)/sqrt(q_t) >= 0, since 1 - q/q_t has a
+rounding error of about 1e-10 at q_t = 5e-10.
+
+The loop keeps SLSQP's rules (Kraft, DFVLR-FB 88-28, 1988). With one
+inequality its QP has a closed form. H, the inverse of a damped-BFGS
+Hessian B of the Lagrangian (Powell's 0.2/0.8 damping; Nocedal & Wright,
+Numerical Optimization, sec. 18.3), gives p = -H grad C; if the linearized
+constraint c + grad c . p is negative, p gains lambda H grad c with
+lambda = -(c + grad c . p)/(grad c . H grad c). The QP's KKT condition,
+B p = lambda grad c - grad C, supplies the B s that the damping needs, so
+nothing is solved. Each step is globalized by the L1 merit
+C + mu max(0, -c), with mu = max(lambda, (mu + lambda)/2) from 0 in each
+stage, and at most 10 Armijo (0.1) backtracks, each a quadratic
+interpolation floored at 0.1 of the last. H restarts at the identity when
+grad c . H grad c <= 0, when the merit does not descend along p, and once
+when a line search fails; it is symmetrized after every update and carried
+from stage to stage, which is where most evaluations are saved. A stage
+ends on SLSQP's KKT test, on a change of C below FTOL with c feasible to
+FTOL, or on a step shorter than FTOL whatever c is: without that rule a
+stage could sit at c ~ -1e-10 while Armijo flipped on merit changes of
+1e-17. The q_target/2 margin absorbs such a stop, and ``success`` is
+judged against q_target. A stage also ends when a line search fails, or
+the merit does not descend, on a fresh H. Each result records the stages' stop reasons, the last stage's
+lambda in q units and the KKT residual |N^T (grad C + lambda grad q)| at
+the returned point.
 
 The state is propagated by ``steps`` fourth-order commutator-free Magnus
 steps (CF4; Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006)): step k is
@@ -36,8 +57,8 @@ steps the refined q is within 2.2% of the optimizer's at the fig3-oc
 preset; 4,096 second-order steps leave 22%. One evaluation, what ``nfev``
 counts, runs the up-sweep of the prefix scan of the 2N exponentials and reads
 q off it. When 2N is not a power of two, that q may differ from the full
-scan's last prefix in the last bits. Only where SLSQP reads a gradient does
-the down-sweep run, for the exact gradients of q and C in x, q's by GRAPE
+scan's last prefix in the last bits. Only at points the line search accepts
+does the down-sweep run, for the exact gradients of q and C in x, q's by GRAPE
 (Khaneja et al., J. Magn. Reson. 172, 296 (2005)), both through the fixed
 basis as in GOAT (Machnes et al., PRL 120, 150401 (2018)). The ansatz is
 CRAB-like (Caneva et al., PRA 84, 022326 (2011)).
@@ -50,7 +71,6 @@ checked.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
@@ -64,9 +84,12 @@ from .twolevel import (_GAUSS, _MIX, _apply, _cf4_factors, _last_prefix, _ordere
 __all__ = ["OcProblem", "OcResult", "evaluate", "optimize", "refine_result"]
 
 CONTINUATION = (1e-3, 1e-6)   # intermediate infidelity targets, then q_target/2
-FTOL = 1e-12                  # SLSQP's tolerance on the change of C
+FTOL = 1e-12                  # a stage ends on a shorter step, or a smaller change of C
+ARMIJO = 0.1                  # sufficient decrease, a fraction of the merit's slope
+MAX_BACKTRACKS = 10           # per line search, each at least 0.1 of the last step
 REFINE_STEPS = 16_384         # refine_result's steps, 32x the default
 NODE_BLOCK = 2_048            # nodes per block of basis rows in q_and_cost
+MAX_BASIS = 2**22             # ceiling on steps * n_max: the kept basis is 32 B per unit
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
@@ -94,6 +117,9 @@ class OcProblem:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
+        if self.steps * self.n_max > MAX_BASIS:
+            raise ValueError(f"steps * n_max must be <= {MAX_BASIS}, got "
+                             f"{self.steps} * {self.n_max} = {self.steps * self.n_max}")
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
         if not 0.0 < self.q_target < 1.0:
@@ -122,6 +148,12 @@ def _linear(params, n_max: int) -> np.ndarray:
 def _polar(x, n_max: int) -> np.ndarray:
     b, s = x[:n_max], x[n_max:]
     return np.concatenate([np.hypot(b, s), np.arctan2(s, b)])
+
+
+def _mv(a, v):
+    """a @ v by einsum, not a BLAS matvec: its loop runs on the calling thread
+    whatever the size of the BLAS pool."""
+    return np.einsum("ij,j->i", a, v)
 
 
 class _Evaluator:
@@ -168,16 +200,13 @@ class _Evaluator:
         """(q, C) by the ordered product, g built in node blocks with no basis kept; each
         node's sum is its own, so g is bitwise lin + basis x."""
         blocks = [slice(i, i + NODE_BLOCK) for i in range(0, len(self.tt), NODE_BLOCK)]
-        g = np.concatenate([self.lin[b] + np.einsum("ij,j->i", self._rows(b), x) for b in blocks])
+        g = np.concatenate([self.lin[b] + _mv(self._rows(b), x) for b in blocks])
         rate, _, steps = self._fields(g)
         return float(abs(np.vdot(self.perp, self.final_state(steps))) ** 2), float(rate.mean())
 
     def value(self, x) -> tuple:
         """(q, C, kept) from the fields and the up-sweep alone; ``gradient`` finishes from kept."""
-        # einsum, not a BLAS matvec, here and in the gradient: threaded BLAS
-        # between SLSQP's own calls oversubscribes a 2-core host (4 s against
-        # 0.5 s per n_max-30 optimization, 16 against 2.5 ms per 8,192-row gradient)
-        g = self.lin + np.einsum("ij,j->i", self.basis, x)
+        g = self.lin + _mv(self.basis, x)
         rate, (_, _, cz), steps = self._fields(g)
         levels = _up_sweep(steps)
         eta = _apply(_last_prefix(levels) * _CONJ, self.perp)
@@ -229,9 +258,12 @@ class OcResult:
     cost: float
     success: bool
     nfev: int
-    status: int = 0            # SLSQP exit status of the last stage
-    message: str = ""
+    status: int = 0            # 9: the budget was spent; 0: the last stage met a stop rule
+    message: str = ""          # the last stage's stop reason
     stage_nfev: list = field(default_factory=list)
+    stage_stop: list = field(default_factory=list)   # each stage's stop reason
+    multiplier: float = 0.0    # lambda of q <= q_t in the last stage, -dC/dq_t
+    kkt_residual: float = 0.0  # |N^T (dC + lambda dq)| at the returned point
     trace: list = field(default_factory=list)  # best-q improvements
 
     def to_record(self) -> dict:
@@ -239,31 +271,115 @@ class OcResult:
                 "best_params": [float(x) for x in self.best_params],
                 "q": self.q, "C": self.cost, "success": self.success,
                 "nfev": self.nfev, "status": self.status, "message": self.message,
-                "stage_nfev": list(self.stage_nfev)}
+                "stage_nfev": list(self.stage_nfev), "stage_stop": list(self.stage_stop),
+                "multiplier": self.multiplier, "kkt_residual": self.kkt_residual}
 
 
 class _BudgetSpent(Exception):
     pass
 
 
+def _sqp(value, gradient, y, targets, budget) -> tuple:
+    """Minimize C(y) subject to q(y) <= q_t for each q_t of ``targets`` in turn.
+
+    ``value(y)`` gives (q, C, kept) and is one evaluation; ``gradient(kept)``
+    gives (dq/dy, dC/dy) and is made only at accepted points. Returns (y,
+    lambda of the last stage in q units, |dC + lambda dq| at y, nfev,
+    evaluations per stage, stop reason per stage, best-q improvements).
+    """
+    trace: list = []
+    nfev = 0
+
+    def point(y):
+        nonlocal nfev
+        if nfev >= budget:
+            raise _BudgetSpent
+        nfev += 1
+        q, C, kept = value(y)
+        if not trace or q < trace[-1]["q"]:
+            trace.append({"nfev": nfev, "q": q, "C": C})
+        return y, q, C, kept
+
+    def accept(pt):
+        y, q, C, kept = pt
+        return (y, q, C, *gradient(kept))
+
+    y, q, C, dq, dC = accept(point(y))
+    H, fresh = np.eye(len(y)), True
+    lam, stage_nfev, stops = 0.0, [], []
+    for q_t in targets:
+        mu, stop, scale = 0.0, None, q_t ** -0.5
+        while stop is None:
+            c, dc = (q_t - q) * scale, -dq * scale       # c >= 0 in amplitude units
+            p, hdc = -_mv(H, dC), _mv(H, dc)
+            lin, den = c + dc @ p, dc @ hdc
+            lam = -lin / den if lin < 0.0 and den > 0.0 else 0.0
+            p = p + lam * hdc
+            mu = max(lam, 0.5 * (mu + lam))
+            viol = max(0.0, -c)
+            slope = dC @ p - mu * viol                  # the merit's along p
+            if abs(dC @ p) + lam * abs(c) < FTOL and viol < FTOL:
+                stop = "KKT conditions met"
+                break
+            if (lin < 0.0 and den <= 0.0) or slope >= 0.0:
+                if fresh:
+                    stop = "no descent direction"
+                H, fresh = np.eye(len(y)), True
+                continue
+            merit0, alpha, step, trial = C + mu * viol, 1.0, p, None
+            try:
+                for _ in range(1 + MAX_BACKTRACKS):
+                    trial = point(y + step)
+                    rise = trial[2] + mu * max(0.0, (trial[1] - q_t) * scale) - merit0
+                    if rise <= ARMIJO * alpha * slope:
+                        break
+                    shrink = max(alpha * slope / (2.0 * (alpha * slope - rise)), 0.1)
+                    alpha, step, trial = alpha * shrink, step * shrink, None
+            except _BudgetSpent:
+                stop = f"evaluation budget of {budget} spent"
+                break
+            if trial is None:
+                if fresh:
+                    stop = "line search failed"
+                H, fresh = np.eye(len(y)), True
+                continue
+            y1, q1, C1, dq1, dC1 = accept(trial)
+            # damped BFGS on the Lagrangian's gradient (Powell): B p is the
+            # QP's lam dc - dC, so B step needs no solve
+            bs = alpha * (lam * dc - dC)
+            r = dC1 - dC + lam * scale * (dq1 - dq)
+            sbs, sr = step @ bs, step @ r
+            if sr < 0.2 * sbs:
+                theta = 0.8 * sbs / (sbs - sr)
+                r, sr = theta * r + (1.0 - theta) * bs, 0.2 * sbs
+            if sr > 0.0:
+                hr = _mv(H, r) / sr
+                H = (H - np.outer(step, hr) - np.outer(hr, step)
+                     + (1.0 + r @ hr) / sr * np.outer(step, step))
+                H, fresh = 0.5 * (H + H.T), False
+            change, (y, q, C, dq, dC) = abs(C1 - C), (y1, q1, C1, dq1, dC1)
+            if np.sqrt(step @ step) < FTOL:
+                stop = "step below FTOL"
+            elif change < FTOL and (q - q_t) * scale < FTOL:
+                stop = "change of C below FTOL, q feasible"
+        stage_nfev.append(nfev - sum(stage_nfev))
+        stops.append(stop)
+        if stop.startswith("evaluation budget"):
+            break
+    lam *= scale
+    kkt = dC + lam * dq
+    return y, lam, float(np.sqrt(kkt @ kkt)), nfev, stage_nfev, stops, trace
+
+
 def optimize(problem: OcProblem) -> OcResult:
     """Minimize C subject to q <= q_t, tightening q_t stage by stage.
 
-    Each stage is an SLSQP run from the previous stage's point, the first
-    from the bare linear ramp. A stage whose evaluation would exceed the
-    budget stops at its last iterate, and no later stage runs; the status
-    is then 9 (limit reached). ``success`` says whether the returned point
-    meets q_target on the optimizer's grid.
+    Each stage is an SQP run (module docstring) from the previous stage's
+    point and inverse Hessian, the first from the bare linear ramp and the
+    identity. A stage whose evaluation would exceed the budget stops at its
+    last iterate, and no later stage runs; the status is then 9. ``success``
+    says whether the returned point meets q_target on the optimizer's grid.
     """
-    held = os.environ.get("OPENBLAS_NUM_THREADS")
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"   # read once, as scipy's BLAS loads
-    try:
-        from scipy.optimize import minimize
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
-        if held is not None:
-            os.environ["OPENBLAS_NUM_THREADS"] = held
-
     ev = _Evaluator(problem)
     n = problem.n_max
     pins = np.zeros((2, 2 * n))
@@ -271,50 +387,24 @@ def optimize(problem: OcProblem) -> OcResult:
     pins[1, n:] = (-1.0) ** np.arange(1, n + 1)   # g(tau) - g1 = sum (-1)^n s_n
     if n == 1:
         pins = pins[:1]                           # both rows say s_1 = 0
-    trace: list = []
-    state = {"x": None, "nfev": 0}
+    null = np.linalg.svd(pins)[2][len(pins):].T   # orthonormal; x = null y meets the pins
 
-    def point(x, grad=False):
-        if state["x"] is None or not np.array_equal(x, state["x"]):
-            if state["nfev"] >= problem.budget:
-                raise _BudgetSpent
-            state["nfev"] += 1
-            q, C, state["kept"] = ev.value(x)
-            state["x"], state["value"], state["grad"] = np.array(x), (q, C), None
-            if not trace or q < trace[-1]["q"]:
-                trace.append({"nfev": state["nfev"], "q": q, "C": C})
-        if grad and state["grad"] is None:   # only where SLSQP reads a gradient
-            state["grad"] = ev.gradient(state["kept"])
-        return state["grad"] if grad else state["value"]
+    def gradient(kept):
+        dq, dC = ev.gradient(kept)
+        return _mv(null.T, dq), _mv(null.T, dC)
 
-    x = np.zeros(2 * n)
-    stage_nfev = []
-    status, message = 0, ""
     targets = [t for t in CONTINUATION if t > problem.q_target] + [problem.q_target / 2]
-    for q_t in targets:
-        start, last = state["nfev"], [x]
-        constraints = [   # 1 - q/q_t >= 0 in amplitude units (module docstring)
-            {"type": "ineq", "fun": lambda x, q_t=q_t: (q_t - point(x)[0]) / q_t**0.5,
-             "jac": lambda x, q_t=q_t: -point(x, grad=True)[0] / q_t**0.5},
-            {"type": "eq", "fun": lambda x: pins @ x, "jac": lambda x: pins}]
-        try:
-            res = minimize(lambda x: point(x)[1], x, jac=lambda x: point(x, grad=True)[1],
-                           method="SLSQP", constraints=constraints,
-                           callback=lambda xk: last.append(np.array(xk)),
-                           options={"maxiter": problem.budget, "ftol": FTOL})
-            x, status, message = res.x, int(res.status), str(res.message)
-        except _BudgetSpent:
-            x, status = last[-1], 9
-            message = f"evaluation budget of {problem.budget} spent"
-        stage_nfev.append(state["nfev"] - start)
-        if status == 9:
-            break
+    y, lam, kkt, nfev, stage_nfev, stops, trace = _sqp(
+        lambda y: ev.value(_mv(null, y)), gradient, np.zeros(null.shape[1]), targets,
+        problem.budget)
+    x = _mv(null, y)
     q, C = ev.q_and_cost(x)
     return OcResult(tau=problem.config.tau, n_max=n, seed=problem.seed,
                     best_params=_polar(x, n), q=q, cost=C,
-                    success=q <= problem.q_target, nfev=state["nfev"],
-                    status=status, message=message, stage_nfev=stage_nfev,
-                    trace=trace)
+                    success=q <= problem.q_target, nfev=nfev,
+                    status=9 if stops[-1].startswith("evaluation budget") else 0,
+                    message=stops[-1], stage_nfev=stage_nfev, stage_stop=stops,
+                    multiplier=lam, kkt_residual=kkt, trace=trace)
 
 
 def refine_result(problem: OcProblem, result: OcResult) -> OcResult:

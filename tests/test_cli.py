@@ -320,6 +320,27 @@ def test_bad_param_values_rejected_in_one_line(raw, match, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("raw, match", [
+    ({"preset": "fig1", "trajectory_steps": 10**6 + 1},
+     "trajectory_steps must be <= 1000000, got 1000001"),
+    ({"preset": "fig4", "tau": [], "scan_points": 10**6 + 1},
+     "scan_points must be <= 1000000, got 1000001"),
+    ({"model": "lz", "tau": {"min": 1.0, "max": 2.0, "num": 10**6 + 1}},
+     "tau grid 'num' must be an integer in [1, 1000000], got 1000001"),
+    ({"preset": "fig3-oc", "params": {"steps": 2**19, "n_max": 9}},
+     "steps * n_max must be <= 4194304, got 524288 * 9 = 4718592"),
+])
+def test_counts_above_their_ceilings_are_rejected_in_one_line(raw, match, tmp_path, capsys):
+    # a count of 10**9 would allocate gigabytes before the run could fail;
+    # every ceiling is at least 30x what a preset or a bench workload uses
+    assert input_error(tmp_path, raw, capsys) == f"error: {match}\n"
+    at_ceiling = {"preset": "fig3-oc", "params": {"steps": 2**18, "n_max": 16}}
+    for raw in ({"preset": "fig1", "trajectory_steps": 10**6},
+                {"preset": "fig4", "tau": [], "scan_points": 10**6}, at_ceiling):
+        parse_config(raw)
+    _oc_problem(parse_config(at_ceiling), 25.0)
+
+
 @pytest.mark.parametrize("params, match", [({"delta": 0}, "detuning delta must be nonzero"),
                                            ({"n_cut": -1}, "excitation cutoff must be >= 0")])
 def test_bad_jc_config_is_invalid_and_fails_run_in_one_line(params, match, tmp_path, capsys):
@@ -595,12 +616,12 @@ def test_fig5_crossover_is_null_outside_the_configured_durations(tmp_path):
 
 
 def test_import_and_numpy_presets_leave_scipy_unloaded(tmp_path):
-    # only optimal control and the test oracles load scipy
+    # only the test oracles load scipy; optimal control runs on numpy alone
     code = ("import sys\n"
             "from ctrlcost.cli import parse_config, run\n"
             "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "print(loaded())\n"
-            "for name in ('smoke', 'fig1', 'fig3', 'fig4', 'fig5'):\n"
+            "for name in ('smoke', 'fig1', 'fig3', 'fig4', 'fig5', 'fig3-oc'):\n"
             "    run(parse_config({'preset': name, 'out': sys.argv[1] + '/' + name}))\n"
             "    print(name, loaded())\n")
     src = str(Path(ctrlcost.__file__).resolve().parents[1])
@@ -608,7 +629,7 @@ def test_import_and_numpy_presets_leave_scipy_unloaded(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split("\n") == ["[]", "smoke []", "fig1 []", "fig3 []", "fig4 []",
-                                        "fig5 []", ""]
+                                        "fig5 []", "fig3-oc []", ""]
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +686,15 @@ def test_validate_exits_nonzero_when_invalid(tmp_path, capsys):
     assert "cd_validity tau=1" in captured.err
 
 
+def test_main_runs_the_input_stage_once(tmp_path, monkeypatch):
+    from ctrlcost import cli
+    calls = []
+    check = cli._check_inputs
+    monkeypatch.setattr(cli, "_check_inputs", lambda cfg: calls.append(cfg.out) or check(cfg))
+    assert main(["run", "smoke", "--out", str(tmp_path / "o")]) == 0
+    assert calls == [str(tmp_path / "o")]
+
+
 def test_main_run_smoke(tmp_path, capsys):
     rc = main(["run", "smoke", "--out", str(tmp_path / "o"), "--seed", "3"])
     assert rc == 0
@@ -707,7 +737,7 @@ def test_custom_ramp_guards(tmp_path, capsys):
 def _mutations(st, presets):
     """(raw config, its preset): one key or model param of a preset replaced by a
     value of the wrong type, a negative number, zero or NaN. Numbers stay within
-    64: counts have no upper bound, and a scan of 10**9 points would not fit."""
+    64: a count up to its ceiling of 10**6 is valid, and a run that long would be slow."""
     small = st.integers(-64, 64)
     values = st.one_of(
         st.text(max_size=4), st.booleans(), st.none(),
