@@ -20,13 +20,14 @@ each block's coefficients from those rows, one block at a time.
 
 Block n's costs are even in delta, so its cost scan and CD/LCD crossover
 are those of the LZ sweep with Delta = |delta| and g0,1 -> -2 sqrt(n+1) g0,1,
-computed by ``landau_zener.cost_scan`` and ``find_cd_lcd_crossover``.
+computed by ``landau_zener.cost_scan`` and ``find_cd_lcd_crossover``: the
+crossover is the scan's own C_CD - C_LCD, bisected to adjacent doubles.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,7 +37,7 @@ from .twolevel import (PauliSchedule, propagate, converged_final_state,
                        integrated_cost, _rate, _cost_nodes, QUADRATURE_INTERVALS,
                        _segment_grid, _gauss_nodes, _steps, _trajectory)
 from .landau_zener import (LzConfig, lz_fields, cost_scan, find_cd_lcd_crossover,
-                           _scan_costs, _scan_grid)
+                           _scan_costs, _unit_scan)
 
 __all__ = [
     "JcConfig",
@@ -72,8 +73,8 @@ class JcConfig:
     def __post_init__(self):
         if self.n_cut < 0:
             raise ValueError(f"excitation cutoff must be >= 0, got {self.n_cut}")
-        if self.tau <= 0:
-            raise ValueError(f"protocol duration must be positive, got {self.tau}")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"protocol duration must be positive and finite, got {self.tau}")
         if self.delta == 0:
             raise ValueError("detuning delta must be nonzero")
 
@@ -197,16 +198,15 @@ def coherent_cost_scan(cfg: JcConfig, taus: Sequence[float]) -> dict:
     """Poisson-weighted sum of every block's CD and LCD :func:`jc_cost_scan`.
 
     The weights are :func:`ensemble_weights`, so a cutoff that leaves a tail
-    above ``TAIL_TOL`` raises, as in :func:`ensemble_run`. The quintic's
-    scaled-time rows are evaluated once, block n's are those rows times
-    -2 sqrt(n+1), and ``landau_zener._scan_costs`` computes the parts that
-    depend on s alone once per block; the durations enter only in its last passes.
+    above ``TAIL_TOL`` raises, as in :func:`ensemble_run`. ``landau_zener._unit_scan``
+    evaluates the quintic's scaled-time rows once, and computes the parts that
+    depend on s alone once per block from those rows times -2 sqrt(n+1);
+    the durations enter only in the last passes of ``_scan_costs``.
     """
     weights, _ = ensemble_weights(cfg)
-    unit = _sweep(replace(cfg, tau=1.0))
-    taus, s, w = _scan_grid(taus, QUADRATURE_INTERVALS, unit.zeros())
-    rows = unit.rows(s)
-    costs = [_scan_costs(("cd", "lcd"), abs(cfg.delta), [_rabi_scale(n) * r for r in rows], taus, w)
+    taus, _, w, parts = _unit_scan(LzConfig(tau=1.0, delta=abs(cfg.delta), g0=cfg.g0, g1=cfg.g1),
+                                   taus)
+    costs = [_scan_costs(("cd", "lcd"), abs(cfg.delta), parts(_rabi_scale(n)), taus, w)
              for n in range(cfg.n_cut + 1)]
     cd, lcd = np.tensordot(weights, costs, 1)
     return {"tau": taus, "cd": cd, "lcd": lcd}

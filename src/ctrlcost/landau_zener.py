@@ -9,9 +9,10 @@ norm cost over protocol duration and locate the CD/LCD crossover.
 
 Every ramp here is a function of scaled time s = t/tau, and d/dt =
 (1/tau) d/ds, so theta-dot = a(s)/tau and theta-ddot = b(s)/tau^2 for the
-mixing angle theta = arccot(g/Delta). A scan evaluates the ramp once on one
-s grid, computes r^2 = Delta^2 + g^2, a and b there once, and brings in each
-duration only in the last array passes of C(tau) = int_0^1 ||H(s; tau)|| ds.
+mixing angle theta = arccot(g/Delta). A scan computes g, r^2 = Delta^2 + g^2, a
+and b once on one s grid (``_unit_scan``); each duration enters only in the last
+passes of C(tau) = int_0^1 ||H(s; tau)|| ds, and the CD/LCD crossover bisects
+that C_CD - C_LCD, one duration at a time, until its ends are adjacent doubles.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "cost_scan",
     "find_cd_lcd_crossover",
     "run_protocol",
-    "bisect_sign_change",
 ]
 
 PROTOCOLS = ("bare", "cd", "lcd", "cd-blend", "bob")   # what lz_schedule and cost_scan take
@@ -50,7 +50,6 @@ DEFAULT_GQ = 100.0
 BLEND_M = 40.0
 BLEND_EPS = 0.1
 BOB_TARGET = 0.999      # the kick fidelity that counts as success
-CROSSOVER_TOL = 1e-3    # bisection width of a CD/LCD crossover
 _SCAN_CHUNK = 1 << 15   # floats per (durations, s) temporary of a cost scan
 
 
@@ -67,8 +66,8 @@ class LzConfig:
     def __post_init__(self):
         if self.delta <= 0:
             raise ValueError(f"energy gap delta must be positive, got {self.delta}")
-        if self.tau <= 0:
-            raise ValueError(f"protocol duration must be positive, got {self.tau}")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"protocol duration must be positive and finite, got {self.tau}")
 
     def ramp_or_default(self) -> Ramp:
         if self.ramp is not None:
@@ -260,29 +259,39 @@ def _blend_rows(cfg: LzConfig, s: np.ndarray):
     return parts
 
 
-def _scan_grid(taus, quadrature_steps: int, cuts):
-    """The durations as an array, and ``_cost_nodes`` on [0, 1] cut at the unit sweep's zeros."""
+def _unit_scan(cfg: LzConfig, taus, quadrature_steps: int = QUADRATURE_INTERVALS):
+    """Durations as an array, and what a scan of the default ramp needs that none changes:
+    nodes s and weights w of ``_cost_nodes`` on [0, 1], cut at the unit sweep's zeros,
+    and ``parts(k)``, (g, r^2, a^2, Delta b) on s of the sweep scaled by k (a JC block's
+    -2 sqrt(n+1); ``_theta_rates``). Rejects a custom ramp and a tau not positive and finite."""
+    if cfg.ramp is not None:
+        raise ValueError("cost scans use the default ramps: a custom ramp cannot be scanned")
     taus = np.asarray(list(taus), dtype=float)
-    if np.any(taus <= 0):
-        raise ValueError("all tau values must be positive")
-    return (taus, *_cost_nodes(1.0, cuts, quadrature_steps))
+    if not np.all(np.isfinite(taus) & (taus > 0)):
+        raise ValueError("all tau values must be positive and finite")
+    unit = poly_smooth_ramp(cfg.g0, cfg.g1 - cfg.g0, 1.0)
+    s, w = _cost_nodes(1.0, unit.zeros(), quadrature_steps)
+    rows = unit.rows(s)
+
+    def parts(k: float = 1.0):
+        g, gs, gss = (k * r for r in rows)
+        r2, a, b = _theta_rates(cfg.delta, g, gs, gss)
+        return g, r2, a * a, cfg.delta * b
+
+    return taus, s, w, parts
 
 
-def _scan_costs(protocols, delta: float, rows, taus: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _scan_costs(protocols, delta: float, parts, taus: np.ndarray, w: np.ndarray) -> np.ndarray:
     """C(tau) = int_0^1 ||H(s; tau)|| ds, one row of costs per protocol (bare, cd or lcd).
 
-    ``rows`` are the scaled-time rows (g, g_s, g_ss) on the s grid, or for the
-    blend, whose g depends on tau, ``_blend_rows``' function of a column of durations
-    and three chunk buffers. r^2, a and b (``_theta_rates``) are computed once per ramp;
-    tau enters in the last passes over each (durations, s) chunk: 2 ||H||^2 is
-    r^2 + a^2/tau^2 for CD and Delta^2 + a^2/tau^2 + (g - b Delta / (Delta^2
-    tau^2 + a^2))^2 for LCD. A cost is one row's Simpson sum, whatever the batch.
+    ``parts`` are ``_unit_scan``'s (g, r^2, a^2, Delta b) on the s grid, or for
+    the blend, whose g depends on tau, ``_blend_rows``' function of a column of
+    durations and three chunk buffers. tau enters in the last passes over each
+    (durations, s) chunk: 2 ||H||^2 is r^2 + a^2/tau^2 for CD and Delta^2 +
+    a^2/tau^2 + (g - b Delta / (Delta^2 tau^2 + a^2))^2 for LCD. A cost is one
+    row's Simpson sum, whatever the batch.
     """
-    def parts(g, gs, gss):
-        r2, a, b = _theta_rates(delta, g, gs, gss if "lcd" in protocols else None)
-        return g, r2, a * a, None if b is None else delta * b
-
-    fixed = None if callable(rows) else parts(*rows)
+    fixed = None if callable(parts) else parts
     w = w / math.sqrt(2.0)   # ||H|| = sqrt(2 ||H||^2) / sqrt(2)
     chunk = max(1, min(len(taus), _SCAN_CHUNK // len(w)))
     buf = np.empty((2 if fixed else 5, chunk, len(w)))   # reused: fresh ones cost more than passes
@@ -290,7 +299,7 @@ def _scan_costs(protocols, delta: float, rows, taus: np.ndarray, w: np.ndarray) 
     for i in range(0, len(taus), chunk):
         tau = taus[i:i + chunk, None]
         d, h, *blend = buf[:, :len(tau)]
-        g, r2, a2, db = fixed or rows(tau, *blend)
+        g, r2, a2, db = fixed or parts(tau, *blend)
         for k, p in enumerate(protocols):
             if p == "lcd":   # d = tau^2 (Delta^2 + theta-dot^2), h = d/tau^2 + (g - db/d)^2
                 np.add((delta * tau) ** 2, a2, out=d)
@@ -313,42 +322,18 @@ def cost_scan(cfg: LzConfig, taus: Sequence[float],
     the other durations. BOB optimizes its kicks and integrates its
     piecewise-constant schedule per duration. A config with a custom ramp is rejected.
     """
-    if cfg.ramp is not None:
-        raise ValueError("cost scans use the default ramps: a custom ramp cannot be scanned")
     for p in protocols:
         if p not in PROTOCOLS:
             raise ValueError(f"unknown protocol {p!r}")
-    unit = poly_smooth_ramp(cfg.g0, cfg.g1 - cfg.g0, 1.0)
-    taus, s, w = _scan_grid(taus, quadrature_steps, unit.zeros())
+    taus, s, w, parts = _unit_scan(cfg, taus, quadrature_steps)
     quintic = [p for p in protocols if p in ("bare", "cd", "lcd")]
-    costs = dict(zip(quintic, _scan_costs(quintic, cfg.delta, unit.rows(s), taus, w)))
+    costs = dict(zip(quintic, _scan_costs(quintic, cfg.delta, parts(), taus, w)))
     if "cd-blend" in protocols:
         costs["cd-blend"] = _scan_costs(("cd",), cfg.delta, _blend_rows(cfg, s), taus, w)[0]
     if "bob" in protocols:
         costs["bob"] = np.array([integrated_cost(lz_schedule(replace(cfg, tau=float(t)), "bob"),
                                                  quadrature_steps) for t in taus])
     return {"tau": taus, **{p: costs[p] for p in protocols}}
-
-
-def bisect_sign_change(f, a: float, b: float) -> float:
-    """Root of f by bisection to width ``CROSSOVER_TOL``; f(a) and f(b) must differ in sign."""
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0:
-        raise ValueError(f"no sign change on [{a}, {b}]")
-    while b - a > CROSSOVER_TOL:
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
 
 
 def find_cd_lcd_crossover(cfg: LzConfig, taus: Optional[Sequence[float]] = None,
@@ -358,24 +343,36 @@ def find_cd_lcd_crossover(cfg: LzConfig, taus: Optional[Sequence[float]] = None,
     The bracket is read from ``scan``, a :func:`cost_scan` result with "cd"
     and "lcd" columns made at its default quadrature, when one is given
     (``taus`` is then unused); otherwise that scan of ``taus`` is computed
-    here. The bisection runs one-duration scans at the same quadrature, so
-    the bracket and the bisection take one route.
+    here. f(tau) = C_CD - C_LCD is then the scan's own, one-duration
+    ``_scan_costs`` on the parts of ``_unit_scan``, built once. The bracket is
+    bisected until its ends are adjacent doubles, and tau* is the end on the
+    side of the scan's first duration.
     """
     if scan is None:
         if taus is None:
             taus = np.geomspace(0.5, 100.0, 25)
         scan = cost_scan(cfg, taus, ("cd", "lcd"))
+    _, _, w, parts = _unit_scan(cfg, scan["tau"])
     diff = scan["cd"] - scan["lcd"]
     idx = np.where(np.sign(diff[:-1]) != np.sign(diff[1:]))[0]
     if len(idx) == 0:
         return None
     i = int(idx[0])
-
-    def f(tau):
-        c = cost_scan(cfg, [tau], ("cd", "lcd"))
-        return float(c["cd"][0] - c["lcd"][0])
-
-    return bisect_sign_change(f, float(scan["tau"][i]), float(scan["tau"][i + 1]))
+    a, b = float(scan["tau"][i]), float(scan["tau"][i + 1])
+    if diff[i] == 0.0:
+        return a
+    if diff[i + 1] == 0.0:
+        return b
+    fixed = parts()
+    while (m := 0.5 * (a + b)) != a and m != b:   # until a and b are adjacent doubles
+        cd, lcd = _scan_costs(("cd", "lcd"), cfg.delta, fixed, np.array([m]), w)[:, 0]
+        if cd == lcd:
+            return m
+        if (cd < lcd) == (diff[i] < 0):
+            a = m
+        else:
+            b = m
+    return a
 
 
 def run_protocol(cfg: LzConfig, protocol: str, steps: Optional[int] = None,

@@ -24,6 +24,20 @@ def record_criterion(number, passed, detail=""):
     ACCEPTANCE_RESULTS[number] = (passed, detail)
 
 
+def crosses_at(scan_at, tstar):
+    """True if the scan's CD - LCD changes sign across tstar (1 -+ 1e-12), or is 0 there."""
+    at = scan_at([tstar * (1.0 - 1e-12), tstar, tstar * (1.0 + 1e-12)])
+    lo, mid, hi = at["cd"] - at["lcd"]
+    return lo * hi < 0.0 or mid == 0.0
+
+
+def first_bracket(scan):
+    """The first pair of adjacent scan durations across which CD - LCD changes sign."""
+    diff = np.sign(scan["cd"] - scan["lcd"])
+    i = int(np.flatnonzero(diff[:-1] != diff[1:])[0])
+    return scan["tau"][i], scan["tau"][i + 1]
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not ACCEPTANCE_RESULTS:
         return

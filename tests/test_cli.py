@@ -572,9 +572,9 @@ def test_fig4_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 
 def test_fig3_oc_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # SLSQP's own linear algebra runs on scipy's BLAS, which reads its pool
-    # size as it loads; optimize pins it to one thread for that import, so a
-    # short fig3-oc run writes the same bytes at 1 and 2 threads
+    # OC runs on numpy alone, and its matrix-vector products are einsum loops
+    # (oc._mv), which run on the calling thread whatever the BLAS pool's size,
+    # so a short fig3-oc run writes the same bytes at 1 and 2 threads
     src = str(Path(ctrlcost.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     config = tmp_path / "oc.json"

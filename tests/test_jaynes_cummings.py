@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import crosses_at, first_bracket
 from oracles import mixing_angle_rate, split_quad_cost
 from ctrlcost.landau_zener import (LzConfig, lz_schedule, cost_scan, lz_ground_state,
                                    qsl_time)
@@ -230,20 +231,28 @@ def test_jc_crossover_from_a_given_scan_matches_its_own_scan():
     assert find_jc_crossover(cfg, scan=scan) == find_jc_crossover(cfg, taus=taus)
 
 
-def test_jc_crossover_bisects_at_the_scan_quadrature(monkeypatch):
-    import ctrlcost.landau_zener as lzm
-    steps = []
-
-    def spy(cfg, taus, protocols=("cd", "lcd"), quadrature_steps=QUADRATURE_INTERVALS):
-        steps.append(quadrature_steps)
-        return cost_scan(cfg, taus, protocols, quadrature_steps)
-
+def test_jc_crossover_bisects_at_the_scan_quadrature():
+    # block n's CD - LCD, scanned at the default quadrature, changes sign across tau*
     cfg = JcConfig(tau=10.0)
-    given = find_jc_crossover(cfg, scan=jc_cost_scan(cfg, [10.0, 20.0]))
-    monkeypatch.setattr(lzm, "cost_scan", spy)
-    tstar = find_jc_crossover(cfg, taus=[10.0, 20.0])
-    assert len(steps) > 4 and set(steps) == {QUADRATURE_INTERVALS}
-    assert tstar is not None and tstar == given
+    taus = np.geomspace(2.0, 60.0, 25)
+    for n in (0, 5):
+        scan = jc_cost_scan(cfg, taus, n)
+        tstar = find_jc_crossover(cfg, n, taus=taus)
+        assert tstar is not None and tstar == find_jc_crossover(cfg, n, scan=scan)
+        a, b = first_bracket(scan)
+        assert a <= tstar <= b
+        assert crosses_at(lambda t: jc_cost_scan(cfg, t, n, quadrature_steps=QUADRATURE_INTERVALS),
+                          tstar)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -1.0])
+def test_scans_and_configs_reject_a_duration_that_is_not_positive_and_finite(tau):
+    for call in (lambda: LzConfig(tau=tau), lambda: JcConfig(tau=tau),
+                 lambda: cost_scan(LzConfig(tau=1.0), [tau], ("cd", "lcd", "bob")),
+                 lambda: coherent_cost_scan(JcConfig(tau=10.0, alpha=2.0), [tau, 5.0])):
+        with pytest.raises(ValueError, match="positive and finite") as err:
+            call()
+        assert "\n" not in str(err.value)
 
 
 @pytest.mark.parametrize("n", [0, 5])

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
+from conftest import crosses_at, first_bracket
 from oracles import cd_cost_decomposition, decomposition_cost, split_quad_cost
 from ctrlcost.ramps import Ramp, bob_pulse, oc_fourier_ramp
 from ctrlcost.twolevel import (integrated_cost, instantaneous_eigenstates,
@@ -16,7 +17,7 @@ from ctrlcost.landau_zener import (LzConfig, lz_schedule, lz_bob,
                                    lz_ground_state, qsl_time,
                                    optimize_bob_kicks, cost_scan,
                                    find_cd_lcd_crossover, run_protocol,
-                                   blended_ramp_for, bisect_sign_change,
+                                   blended_ramp_for,
                                    _bob_final_state)
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -400,5 +401,23 @@ def test_scans_reject_a_custom_ramp():
 
 
 def test_bisect_requires_bracket():
-    with pytest.raises(ValueError, match="sign change"):
-        bisect_sign_change(lambda x: 1.0, 0.0, 1.0)
+    # CD is the cheaper protocol at every duration of the scan, so nothing is bisected
+    cfg = LzConfig(tau=1.0)
+    assert find_cd_lcd_crossover(cfg, scan=cost_scan(cfg, [0.1, 0.5, 1.0])) is None
+    assert find_cd_lcd_crossover(cfg, [50.0, 100.0]) is None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_crossover_is_the_scans_sign_change_to_round_off(seed):
+    # a seeded grid of sweeps g0 = -g -> g1 = g, each crossing inside its scan
+    rng = np.random.default_rng(seed)
+    delta, g = rng.uniform(0.05, 0.5), rng.uniform(0.1, 1.0)
+    cfg = LzConfig(tau=1.0, delta=delta, g0=-g, g1=g)
+    taus = np.geomspace(0.5, 100.0, 25)
+    tstar = find_cd_lcd_crossover(cfg, taus)
+    a, b = first_bracket(cost_scan(cfg, taus))
+    assert a <= tstar <= b
+    assert crosses_at(lambda t: cost_scan(cfg, t), tstar)
+    # a descending scan brackets from its upper end; the bisection takes either order
+    descending = find_cd_lcd_crossover(cfg, taus[::-1])
+    assert a <= descending <= b and crosses_at(lambda t: cost_scan(cfg, t), descending)
