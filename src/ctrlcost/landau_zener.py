@@ -342,28 +342,28 @@ def find_cd_lcd_crossover(cfg: LzConfig, taus: Optional[Sequence[float]] = None,
 
     The bracket is read from ``scan``, a :func:`cost_scan` result with "cd"
     and "lcd" columns made at its default quadrature, when one is given
-    (``taus`` is then unused); otherwise that scan of ``taus`` is computed
+    (``taus`` is then unused); otherwise that scan's two columns are computed
     here. f(tau) = C_CD - C_LCD is then the scan's own, one-duration
-    ``_scan_costs`` on the parts of ``_unit_scan``, built once. The bracket is
-    bisected until its ends are adjacent doubles, and tau* is the end on the
-    side of the scan's first duration.
+    ``_scan_costs`` on the parts of ``_unit_scan``, built once and shared with
+    a scan made here. The bracket is bisected until its ends are adjacent
+    doubles, and tau* is the end on the side of the scan's first duration.
     """
-    if scan is None:
-        if taus is None:
-            taus = np.geomspace(0.5, 100.0, 25)
-        scan = cost_scan(cfg, taus, ("cd", "lcd"))
-    _, _, w, parts = _unit_scan(cfg, scan["tau"])
+    if scan is None and taus is None:
+        taus = np.geomspace(0.5, 100.0, 25)
+    taus, _, w, parts = _unit_scan(cfg, taus if scan is None else scan["tau"])
+    fixed = parts()
+    if scan is None:   # cost_scan's cd and lcd columns, from the parts bisected below
+        scan = dict(zip(("cd", "lcd"), _scan_costs(("cd", "lcd"), cfg.delta, fixed, taus, w)))
     diff = scan["cd"] - scan["lcd"]
     idx = np.where(np.sign(diff[:-1]) != np.sign(diff[1:]))[0]
     if len(idx) == 0:
         return None
     i = int(idx[0])
-    a, b = float(scan["tau"][i]), float(scan["tau"][i + 1])
+    a, b = float(taus[i]), float(taus[i + 1])
     if diff[i] == 0.0:
         return a
     if diff[i + 1] == 0.0:
         return b
-    fixed = parts()
     while (m := 0.5 * (a + b)) != a and m != b:   # until a and b are adjacent doubles
         cd, lcd = _scan_costs(("cd", "lcd"), cfg.delta, fixed, np.array([m]), w)[:, 0]
         if cd == lcd:

@@ -23,6 +23,19 @@ def recursive_prefix_scan(q, mul=_qmul):
     return out
 
 
+def fourier_pulse_longdouble(g0, tau, x, t):
+    """g(t) = g0 - 2 g0 t/tau + sum_n b_n sin(n pi t/tau) + s_n cos(n pi t/tau) for the
+    linear coefficients x = (b_n, s_n), summed term by term in long double at the double
+    nodes t. On x86-64 that is the 80-bit format (eps 1.1e-19); a platform whose long
+    double is the double fails the assertion, as such an oracle would check nothing."""
+    ld = np.longdouble
+    assert np.finfo(ld).eps < 1e-18, np.finfo(ld)
+    n = len(x) // 2
+    t, tau, x = (np.asarray(v, dtype=ld) for v in (t, tau, x))
+    arg = np.outer(t * (4 * np.arctan(ld(1))) / tau, np.arange(1, n + 1, dtype=ld))
+    return ld(g0) - 2 * ld(g0) * t / tau + np.sin(arg) @ x[:n] + np.cos(arg) @ x[n:]
+
+
 def cd_cost_decomposition(cfg: LzConfig, s_grid) -> tuple:
     """Spectral decomposition of the CD cost in scaled time.
 

@@ -311,6 +311,19 @@ def test_crossover_from_a_given_scan_matches_its_own_scan():
     assert find_cd_lcd_crossover(cfg, scan=scan) == find_cd_lcd_crossover(cfg, taus)
 
 
+def test_crossover_without_a_scan_searches_the_sweeps_zeros_once(monkeypatch):
+    # the scan made here shares the bisection's unit-sweep parts, so the zeros
+    # are searched once, as with a scan given, and tau* keeps its bits
+    calls, zeros = [], Ramp.zeros
+
+    def counted(self):
+        calls.append(self)
+        return zeros(self)
+    monkeypatch.setattr(Ramp, "zeros", counted)
+    assert find_cd_lcd_crossover(LzConfig(tau=1.0)) == 11.111081670391755
+    assert len(calls) == 1
+
+
 def test_crossover_moves_left_when_gap_doubles():
     t1 = find_cd_lcd_crossover(LzConfig(tau=1.0, delta=0.1))
     t2 = find_cd_lcd_crossover(LzConfig(tau=1.0, delta=0.2))

@@ -15,7 +15,7 @@ from ctrlcost.twolevel import (converged_final_state, cost_rate, fidelity,
 from ctrlcost.oc import (OcProblem, REFINE_STEPS, evaluate, optimize, refine_result,
                          _Evaluator, _linear, _sqp)
 
-from oracles import recursive_prefix_scan
+from oracles import fourier_pulse_longdouble, recursive_prefix_scan
 
 
 def make_problem(tau=30.0, **kw):
@@ -336,9 +336,10 @@ def test_gradients_are_made_only_at_accepted_points(monkeypatch):
     assert 0 < calls["gradient"] < res.nfev
 
 
-def test_refinement_holds_no_full_basis_and_keeps_the_bits(bench_tau25):
-    # the 16,384-step basis is 32,768 x 32 floats (8 MB) plus a 4 MB argument
-    # table; built in node blocks, g and so q and C keep the whole basis's bits
+def test_refinement_builds_no_basis_and_is_its_evaluators(bench_tau25):
+    # the 16,384-step basis would be 32,768 x 32 floats (8 MB) plus a 4 MB argument
+    # table; refinement sums g by Horner's rule instead, and its (q, C) is the
+    # refine grid's q_and_cost
     prob, res, fine = bench_tau25
     tracemalloc.start()
     try:
@@ -349,10 +350,23 @@ def test_refinement_holds_no_full_basis_and_keeps_the_bits(bench_tau25):
     assert peak < 7e6, peak
     x = _linear(res.best_params, prob.n_max)
     ev = _Evaluator(prob, steps=REFINE_STEPS)
-    rate, _, steps = ev._fields(ev.lin + np.einsum("ij,j->i", ev.basis, x))
-    whole = (float(abs(np.vdot(ev.perp, ev.final_state(steps))) ** 2), float(rate.mean()))
-    assert (fine.q, fine.cost) == whole
-    assert _Evaluator(prob, steps=REFINE_STEPS).q_and_cost(x) == whole
+    assert (fine.q, fine.cost) == ev.q_and_cost(x)
+    assert "basis" not in vars(ev)
+
+
+@pytest.mark.parametrize("tau", [24.27, 25.0])
+def test_horner_pulse_is_near_the_long_double_series(tau):
+    # the optimized pulses cancel amplitudes of about 1,000 (n_max 16). On the
+    # refine grid, Horner's g is within 2e-12 of the long-double series, and no
+    # farther from it than lin + basis x, whose n pi t/tau is rounded before
+    # each sine (1.1e-11 to 1.5e-11)
+    prob = make_problem(tau=tau, n_max=16, steps=512, budget=2000, q_target=1e-9)
+    x = _linear(optimize(prob).best_params, prob.n_max)
+    ev = _Evaluator(prob, steps=REFINE_STEPS)
+    exact = fourier_pulse_longdouble(prob.config.g0, tau, x, ev.tt)
+    horner = float(np.max(np.abs(ev._pulse(x) - exact)))
+    table = float(np.max(np.abs(ev.lin + np.einsum("ij,j->i", ev.basis, x) - exact)))
+    assert horner < 2e-12 and horner <= table, (horner, table)
 
 
 def test_refined_infidelity_is_the_optimizers(bench_tau25):
