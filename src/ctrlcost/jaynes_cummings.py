@@ -91,10 +91,12 @@ def _rabi_scale(n) -> float:
 
 
 def _block_fields(cfg: JcConfig, kind: str, n: int, rows):
-    """(c0, cx, cy, cz) of block n from the ramp rows (g, g', g'')."""
-    s = _rabi_scale(n)
+    """(c0, cx, cy, cz) of block n from the ramp rows (g, g', g''), scaling only the rows
+    ``kind`` reads: bare reads g, CD g and g'."""
+    s, (g, gd, gdd) = _rabi_scale(n), rows
     return ((2 * n + 1) * cfg.omega / 2.0,
-            *lz_fields(kind, cfg.delta, *(s * r for r in rows)))
+            *lz_fields(kind, cfg.delta, s * g, None if kind == "bare" else s * gd,
+                       s * gdd if kind == "lcd" else None))
 
 
 def jc_schedule(cfg: JcConfig, protocol: str, n: int) -> PauliSchedule:
@@ -168,7 +170,8 @@ def ensemble_run(cfg: JcConfig, protocol: str, steps: Optional[int] = None) -> J
     The ramp is evaluated once on the steps' Gauss nodes, once on the grid
     nodes and once on ``integrated_cost``'s nodes, which every block shares; each block's
     coefficients follow from those rows, and the blocks are taken one at a
-    time, each fidelity from its prefix quaternions alone, so memory stays at one block's steps.
+    time, each fidelity read off its states by ``twolevel._trajectory``, so memory stays at
+    one block's steps.
     """
     weights, tail = ensemble_weights(cfg)
     if steps is None:

@@ -91,7 +91,6 @@ ARMIJO = 0.1                  # sufficient decrease, a fraction of the merit's s
 MAX_BACKTRACKS = 10           # per line search, each at least 0.1 of the last step
 REFINE_STEPS = 16_384         # refine_result's steps, 32x the default
 MAX_BASIS = 2**22             # ceiling on steps * n_max: the kept basis is 32 B per unit
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -170,7 +169,6 @@ class _Evaluator:
                                np.multiply(_GAUSS, self.dt)).ravel()
         self.lin = cfg.g0 - 2.0 * cfg.g0 * self.tt / cfg.tau
         self.psi0 = lz_ground_state(cfg.delta, cfg.g0)
-        self.units_psi0 = _apply(np.eye(4), self.psi0)   # A(e_a) psi0, a = 0..3
         target = lz_ground_state(cfg.delta, cfg.g1)
         self.perp = np.array([-target[1].conj(), target[0].conj()])
 
@@ -203,7 +201,7 @@ class _Evaluator:
         """psi(tau): the product of the CF4 factors on psi0, rescaled to unit
         norm (the rounding of 2N factors drifts it by ~1e-14)."""
         u = _ordered_product(steps)
-        return _apply(u / np.sqrt(u @ u), self.psi0)
+        return _apply(u / np.sqrt(np.vdot(u, u).real), self.psi0)
 
     def q_and_cost(self, x) -> tuple:
         """(q, C) by the ordered product, g summed by ``_pulse`` with no basis built."""
@@ -215,35 +213,46 @@ class _Evaluator:
         g = self.lin + _mv(self.basis, x)
         rate, (_, _, cz), steps = self._fields(g)
         levels = _up_sweep(steps)
-        eta = _apply(_last_prefix(levels) * _CONJ, self.perp)
-        m = self.units_psi0 @ eta.conj()                # m_a = <eta|A(e_a)|psi0>
-        return float(abs(m[0]) ** 2), float(rate.mean()), (g, rate, cz, levels, m)
+        u = _last_prefix(levels)
+        eta = _apply(np.array([u[0].conjugate(), -u[1]]), self.perp)   # U^dagger psi_perp
+        c = np.vdot(eta, self.psi0)                      # <psi_perp|U|psi0>
+        return float(abs(c) ** 2), float(rate.mean()), (g, rate, cz, levels, eta, c)
 
     def gradient(self, kept) -> tuple:
         """(dq/dx, dC/dx) from a ``value``'s kept state: the down-sweep, then GRAPE.
 
-        With P_k = Q_k ... Q_0, U = P_{2N-1} and the operator
-        A(a) = a0 - i a.sigma of a quaternion, factor k's derivative is
-        dc/dz_k = <eta| A(conj(P_k) dQ_k P_{k-1}) |psi0> for
-        eta = A(conj(U)) psi_perp. That is linear in the quaternion, so
-        dq/dz_k = 2 Re(conj(c) dc/dz_k) = mu . (conj(P_k) dQ_k P_{k-1}) for
-        one real 4-vector mu, which equals (P_k mu) . (dQ_k P_{k-1}) since
-        a . (conj(b) c) = (b a) . c for the Euclidean dot of quaternions.
-        z is an alpha mixture of the node g, symmetric, so dq/dg is the
-        same mixture of dq/dz.
+        With P_k = Q_k ... Q_0, U = P_{2N-1} and A(a) = [[alpha, -conj(beta)],
+        [beta, conj(alpha)]] for a pair a = (alpha, beta) of the real quaternion
+        algebra, factor k's derivative is dc/dz_k = <eta| A(conj(P_k) dQ_k P_{k-1})
+        |psi0> for c = <eta|psi0> and eta = U^dagger psi_perp, conj(alpha, beta) =
+        (conj(alpha), -beta). That is real-linear in the pair, so dq/dz_k =
+        2 Re(conj(c) dc/dz_k) = mu . (conj(P_k) dQ_k P_{k-1}) for one pair mu, with
+        the quaternions' Euclidean dot a . b = Re(alpha_a conj(alpha_b) + beta_a
+        conj(beta_b)). That equals (P_k mu) . (dQ_k P_{k-1}), since a . (conj(b) c)
+        = (b a) . c. z is an alpha mixture of the node g, symmetric, so dq/dg is
+        the same mixture of dq/dz.
         """
-        g, rate, cz, levels, m = kept
+        g, rate, cz, levels, eta, c = kept
         steps, prefix = levels[0], _prefix_scan(levels[0], levels=levels)
-        earlier = np.concatenate([[(1.0, 0.0, 0.0, 0.0)], prefix[:-1]])   # P_{k-1}, P_{-1} = 1
-        mu = 2.0 * (m[0].conjugate() * m).real          # c = m_0
-        # d(factor)/dz: a0 = cos h, a = s (Delta/2, 0, z), s = sin(h)/r,
+        earlier = np.empty((2, len(prefix)), complex)    # P_{k-1}, P_{-1} = 1
+        earlier[:, 0] = 1.0, 0.0
+        earlier[:, 1:] = prefix[:-1].T
+        # 2 Re(conj(c) <eta|A(a)|psi0>) = mu . a
+        (e0, e1), (p0, p1) = eta.conjugate(), self.psi0
+        c2 = 2.0 * c
+        mu = np.array([c2 * (e0 * p0).conjugate() + c2.conjugate() * (e1 * p1),
+                       c2 * (e1 * p0).conjugate() - c2.conjugate() * (e0 * p1)])
+        # d(factor)/dz: alpha = cos h - i s z, beta = -i s Delta/2, s = sin(h)/r,
         # h = r dt/2, r^2 = Delta^2/4 + z^2
         half, cx = 0.5 * self.dt, 0.5 * self.delta
-        s = steps[:, 1] / cx
-        ds = (half * steps[:, 0] - s) * cz / (cx * cx + cz * cz)
-        dstep = np.stack([-half * s * cz, ds * cx, np.zeros_like(cz), ds * cz + s]).T
-        dq_dz = np.einsum("ij,ij->i", _qmul(prefix, np.broadcast_to(mu, prefix.shape)),
-                          _qmul(dstep, earlier))
+        alpha, beta = steps.T
+        s = -beta.imag / cx
+        ds = (half * alpha.real - s) * cz / (cx * cx + cz * cz)
+        dstep = np.empty((2, len(cz)), complex)
+        dstep.real[0], dstep.imag[0] = -half * s * cz, -(ds * cz + s)
+        dstep.real[1], dstep.imag[1] = 0.0, -ds * cx
+        dot = (_qmul(prefix, mu) * _qmul(dstep.T, earlier.T).conjugate()).real
+        dq_dz = dot[:, 0] + dot[:, 1]
         dq = np.einsum("i,ij->j", (dq_dz.reshape(-1, 2) @ _MIX).ravel(), self.basis)
         dC = np.einsum("i,ij->j", g / (2.0 * len(g) * rate), self.basis)
         return dq, dC

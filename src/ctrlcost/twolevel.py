@@ -12,19 +12,22 @@ two Gauss nodes (``_GAUSS``), unitary by construction, fourth-order
 accurate, and exact on piecewise-constant parts, since a schedule's interior
 breakpoints join the grid linspace(0, tau, steps + 1).
 
-Each exponential's SU(2) part is a unit quaternion of four reals,
-(a0, a) <-> a0 * 1 - i a . sigma with a0 = cos(r dt/2) and
-a = sin(r dt/2)/r * (cx, cy, cz); products of steps are quaternion
-products. The identity part commutes with everything and is carried as one
+Each exponential's SU(2) part is its Cayley-Klein pair of complex numbers
+(Goldstein, Classical Mechanics, sec. 4.5), (alpha, beta) <->
+[[alpha, -conj(beta)], [beta, conj(alpha)]], with alpha = cos h - i s cz,
+beta = s cy - i s cx, h = r dt/2 and s = sin(h)/r: the unit quaternion
+a0 * 1 - i a . sigma with alpha = a0 - i az and beta = ay - i ax. Products
+of steps are pair products, five elementwise complex ufunc calls whatever
+the batch. The identity part commutes with everything and is carried as one
 phase: exp(-i sum theta) for a final state and exp(-i cumsum(theta)) along
 a trajectory, theta being a step's two-node Gauss sum of c0 dt. Final
 states reduce the steps pairwise; trajectories take a work-efficient
 inclusive prefix scan of them (an up-sweep of pairwise products, then a
 down-sweep, about 2n products; Ladner & Fischer, JACM 27, 831 (1980);
 Blelloch, "Prefix sums and their applications", 1990). OC reads its final
-state off the up-sweep alone (``_last_prefix``). Only ``propagate`` applies
-them to the initial state: a fidelity is a Bloch rotation, psi0's Bloch
-vector turned by each prefix.
+state off the up-sweep alone (``_last_prefix``). A trajectory applies each
+renormalized prefix to psi0 once, and reads the fidelity off those states'
+Bloch vectors (``_trajectory``).
 
 A schedule is one callable t -> (c0, cx, cy, cz), so a protocol whose
 coefficients share intermediate values (the LCD derivative chain)
@@ -97,13 +100,20 @@ class PauliSchedule:
         return tuple(c if c.shape == shape else np.broadcast_to(c, shape) for c in cs)
 
 
-def qubit_state(alpha, beta) -> np.ndarray:
-    """State vector (alpha, beta) in the sigma_z basis, norm-checked."""
-    psi = np.array([alpha, beta], dtype=complex)
+def _checked_state(psi) -> np.ndarray:
+    """psi as two complex amplitudes, finite and normalized to within ``_NORM_TOL``."""
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (2,) or not np.isfinite(psi).all():
+        raise ValueError(f"a state must be two finite amplitudes, got {psi.tolist()!r}")
     n2 = float(np.vdot(psi, psi).real)
     if abs(n2 - 1.0) > _NORM_TOL:
-        raise ValueError(f"state not normalized: |alpha|^2+|beta|^2 = {n2!r}")
+        raise ValueError(f"state not normalized: |psi_0|^2+|psi_1|^2 = {n2!r}")
     return psi
+
+
+def qubit_state(alpha, beta) -> np.ndarray:
+    """State vector (alpha, beta) in the sigma_z basis, checked finite and normalized."""
+    return _checked_state([alpha, beta])
 
 
 def fidelity(psi, phi) -> float:
@@ -148,50 +158,41 @@ def _segment_grid(duration: float, breakpoints, steps: int):
 
 
 def _su2_steps(cx, cy, cz, dt):
-    """Exact exponentials exp(-i (c . sigma/2) dt) as quaternion rows (a0, ax, ay, az).
+    """Exact exponentials exp(-i (c . sigma/2) dt) as Cayley-Klein rows (alpha, beta).
 
-    a0 = cos(r dt/2) and a = sin(r dt/2)/r * (cx, cy, cz), with r = |c| and
-    the r -> 0 limit a = (dt/2) c. Arguments broadcast against each other.
-    Rows are stored component-major (each component contiguous), the layout
-    every helper below keeps.
+    alpha = cos h - i s cz and beta = s cy - i s cx, with h = r dt/2, r = |c|,
+    s = sin(h)/r and its r -> 0 limit s = dt/2. Arguments broadcast against
+    each other. Rows are an (m, 2) view of (2, m) storage (each component
+    contiguous), the layout every helper below returns.
     """
     r = np.sqrt(cx * cx + cy * cy + cz * cz)
-    half = 0.5 * r * dt
-    s = np.where(r > 0.0, np.sin(half) / np.where(r > 0.0, r, 1.0), 0.5 * dt)
-    return np.stack([np.cos(half), s * cx, s * cy, s * cz]).T
-
-
-def _structure_constants() -> np.ndarray:
-    """T with (a b)_k = sum_ij T[k, 4 i + j] a_i b_j for quaternions a, b.
-
-    (a0, a)(b0, b) = (a0 b0 - a.b, a0 b + b0 a + a x b), the SU(2) product.
-    """
-    T = np.zeros((4, 4, 4))
-    T[0, 0, 0] = 1.0
-    for i in (1, 2, 3):
-        T[0, i, i] = -1.0
-        T[i, 0, i] = T[i, i, 0] = 1.0
-    for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        T[k, i, j], T[k, j, i] = 1.0, -1.0
-    return T.reshape(4, 16)
-
-
-_QMUL = _structure_constants()
+    half, nonzero = 0.5 * dt * r, r > 0.0
+    s = np.where(nonzero, np.sin(half) / np.where(nonzero, r, 1.0), 0.5 * dt)
+    q = np.empty((2, *s.shape), complex)
+    q.real[0], q.real[1] = np.cos(half), s * cy
+    s = -s
+    q.imag[0], q.imag[1] = s * cz, s * cx
+    return q.T
 
 
 def _qmul(a, b):
-    """Quaternion products a b of single quaternions (4,) or rows (m, 4): A @ B.
+    """Products a b of single pairs (2,) or pair rows (m, 2): the SU(2) product
+    (a_alpha b_alpha - conj(a_beta) b_beta, a_beta b_alpha + conj(a_alpha) b_beta).
 
-    The 16 elementwise products a_i b_j are contracted with the structure
-    constants in one real matrix product: a few numpy calls per level of a
-    reduction, whatever its length.
+    Five elementwise complex ufunc calls and no BLAS, so a row's product does not
+    depend on the batch it is computed in.
     """
     a, b = a.T, b.T
-    return (_QMUL @ (a[:, None] * b[None, :]).reshape(16, *a.shape[1:])).T
+    out = a * b[0]
+    c = np.conjugate(a[::-1])
+    c *= b[1]
+    out[0] -= c[0]
+    out[1] += c[1]
+    return out.T
 
 
 def _ordered_product(q: np.ndarray) -> np.ndarray:
-    """Product q[-1] ... q[0] of quaternion rows by pairwise reduction."""
+    """Product q[-1] ... q[0] of pair rows by pairwise reduction."""
     while len(q) > 1:
         head = _qmul(q[1::2], q[0:-1:2])
         q = np.concatenate([head, q[-1:]]) if len(q) % 2 else head
@@ -234,10 +235,11 @@ def _prefix_scan(q: np.ndarray, mul=_qmul, levels=None) -> np.ndarray:
 
 
 def _apply(q, psi):
-    """(a0 - i a.sigma) psi for one quaternion (4,) or quaternion rows (n, 4)."""
-    a0, ax, ay, az = q.T
-    return np.stack([(a0 - 1j * az) * psi[0] - (ay + 1j * ax) * psi[1],
-                     (ay - 1j * ax) * psi[0] + (a0 + 1j * az) * psi[1]], axis=-1)
+    """(alpha psi0 - conj(beta) psi1, beta psi0 + conj(alpha) psi1) for one pair (2,), or
+    states (n, 2) in the rows' layout for pair rows (n, 2)."""
+    a, b = q.T
+    return np.stack([a * psi[0] - b.conjugate() * psi[1],
+                     b * psi[0] + a.conjugate() * psi[1]]).T
 
 
 def _gauss_nodes(t_nodes: np.ndarray) -> np.ndarray:
@@ -254,45 +256,55 @@ def _cf4_factors(cx, cy, cz, dt):
 
 
 def _steps(coefficients, t_nodes: np.ndarray, label: str):
-    """CF4 step quaternions and identity angles from (c0, cx, cy, cz) at the Gauss nodes."""
+    """CF4 step pairs and the checked c0 from (c0, cx, cy, cz) at the Gauss nodes.
+
+    Each coefficient must be finite. One constant in time stays a float, checked
+    once; the others are (2N,) arrays.
+    """
+    dt, checked = np.diff(t_nodes), []
+    for name, c in zip(("c0", "cx", "cy", "cz"), coefficients):
+        c = np.asarray(c, dtype=float)
+        c = float(c) if c.ndim == 0 else np.broadcast_to(c, (2 * len(dt),))
+        finite = np.isfinite(c)
+        if not finite.all():
+            t = _gauss_nodes(t_nodes)[~np.broadcast_to(finite, (2 * len(dt),))][0]
+            raise ValueError(f"non-finite coefficient {name} at t={float(t)!r}"
+                             + (f" (schedule {label})" if label else ""))
+        checked.append(c)
+    _, f = _cf4_factors(*checked[1:], dt)
+    return _qmul(f[1::2], f[0::2]), checked[0]
+
+
+def _phases(c0, t_nodes: np.ndarray) -> np.ndarray:
+    """Identity angles theta, each step's two-node Gauss sum of c0 dt, for ``_steps``' c0."""
     dt = np.diff(t_nodes)
-    c0, cx, cy, cz = (np.broadcast_to(c, (2 * len(dt),)) for c in coefficients)
-    for name, c in (("c0", c0), ("cx", cx), ("cy", cy), ("cz", cz)):
-        bad = ~np.isfinite(c)
-        if bad.any():
-            raise ValueError(
-                f"non-finite coefficient {name} at t={float(_gauss_nodes(t_nodes)[bad][0])!r}"
-                + (f" (schedule {label})" if label else ""))
-    _, f = _cf4_factors(cx, cy, cz, dt)
-    return _qmul(f[1::2], f[0::2]), 0.5 * dt * c0.reshape(-1, 2).sum(1)
+    return c0 * dt if isinstance(c0, float) else 0.5 * dt * c0.reshape(-1, 2).sum(1)
 
 
 def _trajectory(q, reference, psi0):
-    """Prefix products of the steps q, and the fidelity along them to an adiabatic branch.
+    """States along the prefix products of the steps q, and their fidelity to an adiabatic branch.
 
-    ``reference`` is the reference Hamiltonian's (c0, cx, cy, cz) at the nodes. Prefix
-    P = (p0, p) turns psi0's Bloch vector s0 into s = (p0^2 - |p|^2) s0 + 2 p (p . s0)
-    + 2 p0 (p x s0); the identity phase leaves s alone. The branch tracked is the
-    reference eigenstate psi0 overlaps most at t = 0. Its projector is (1 +- n . sigma)/2
-    with n = c/|c|, so the fidelity is (|psi0|^2 +- n . s)/2, with no state formed. The
-    prefixes are renormalized to |P| = 1: the scan's round-off grows with the step count.
+    The prefixes, led by the identity at t = 0, are renormalized to |alpha|^2 + |beta|^2 = 1,
+    since the scan's round-off grows with the step count, and applied to psi0. The states
+    phi lack the identity phase, which leaves fidelities alone. ``reference`` is the reference
+    Hamiltonian's (c0, cx, cy, cz) at the nodes, and the branch tracked is its eigenstate that
+    psi0 overlaps most at t = 0. Its projector is (1 +- n . sigma)/2 with n = c/|c|, so the
+    fidelity is (|phi|^2 +- n . s)/2 for phi's Bloch vector s.
     """
-    a, b = psi0
-    aa, bb = a.real * a.real + a.imag * a.imag, b.real * b.real + b.imag * b.imag
+    p = np.empty((2, len(q) + 1), complex)
+    p[:, 0] = 1.0, 0.0
+    p[:, 1:] = _prefix_scan(q).T
+    n2 = (p * p.conjugate()).real
+    w = p.view(float).reshape(2, -1, 2)
+    w /= np.sqrt(n2[0] + n2[1])[:, None]
+    states = _apply(p.T, psi0)
+    a, b = states.T
+    aa, bb = (states.T * states.T.conjugate()).real
     ab = 2.0 * a.conjugate() * b
-    sx, sy, sz = ab.real, ab.imag, aa - bb
-    # the identity at t = 0, then the prefixes on the later nodes
-    p = np.concatenate([[[1.0], [0.0], [0.0], [0.0]], _prefix_scan(q).T], axis=1)
-    p /= np.sqrt(np.einsum("ij,ij->j", p, p))
-    p0, px, py, pz = p
-    pp = px * px + py * py + pz * pz
-    dot, c = px * sx + py * sy + pz * sz, p0 * p0 - pp
     _, rcx, rcy, rcz = reference
-    ns = (rcx * (c * sx + 2.0 * (px * dot + p0 * (py * sz - pz * sy)))
-          + rcy * (c * sy + 2.0 * (py * dot + p0 * (pz * sx - px * sz)))
-          + rcz * (c * sz + 2.0 * (pz * dot + p0 * (px * sy - py * sx)))
-          ) / np.sqrt(rcx * rcx + rcy * rcy + rcz * rcz)
-    return p[:, 1:].T, 0.5 * (aa + bb + ns if ns[0] > 0.0 else aa + bb - ns)
+    ns = ((rcx * ab.real + rcy * ab.imag + rcz * (aa - bb))
+          / np.sqrt(rcx * rcx + rcy * rcy + rcz * rcz))
+    return states, 0.5 * (aa + bb + ns if ns[0] > 0.0 else aa + bb - ns)
 
 
 # ---------------------------------------------------------------------------
@@ -419,26 +431,23 @@ def propagate(schedule: PauliSchedule, psi0, steps: int = DEFAULT_STEPS,
         schedule itself). The tracked branch is the one the initial state
         overlaps most at t = 0.
     """
-    psi0 = np.asarray(psi0, dtype=complex)
-    if abs(float(np.vdot(psi0, psi0).real) - 1.0) > _NORM_TOL:
-        raise ValueError("initial state not normalized")
+    psi0 = _checked_state(psi0)
     t = _segment_grid(schedule.duration, schedule.breakpoints, steps)
     nodes = schedule.coefficients(t)
     ref = nodes if reference is None else reference.coefficients(t)
-    q, theta = _steps(schedule.coefficients(_gauss_nodes(t)), t, schedule.label)
-    prefix, fid = _trajectory(q, ref, psi0)
-    states = np.concatenate([psi0[None], np.exp(-1j * np.cumsum(theta))[:, None]
-                             * _apply(prefix, psi0)])
+    q, c0 = _steps(schedule.fields(_gauss_nodes(t)), t, schedule.label)
+    states, fid = _trajectory(q, ref, psi0)
+    states[1:] *= np.exp(-1j * np.cumsum(_phases(c0, t)))[:, None]
     return QubitTrajectory(times=t, states=states, fidelity=fid, cost_rate=_rate(nodes),
                            steps=steps, label=schedule.label)
 
 
 def final_state(schedule: PauliSchedule, psi0, steps: int = DEFAULT_STEPS) -> np.ndarray:
     """Final state only; pairwise-reduced product of all steps."""
-    psi0 = np.asarray(psi0, dtype=complex)
+    psi0 = _checked_state(psi0)
     t = _segment_grid(schedule.duration, schedule.breakpoints, steps)
-    q, theta = _steps(schedule.coefficients(_gauss_nodes(t)), t, schedule.label)
-    return np.exp(-1j * theta.sum()) * _apply(_ordered_product(q), psi0)
+    q, c0 = _steps(schedule.fields(_gauss_nodes(t)), t, schedule.label)
+    return np.exp(-1j * _phases(c0, t).sum()) * _apply(_ordered_product(q), psi0)
 
 
 def converged_final_state(schedule: PauliSchedule, psi0,
@@ -447,7 +456,7 @@ def converged_final_state(schedule: PauliSchedule, psi0,
     """Double the step count until successive final states agree within tol.
 
     Returns (state, steps_used). Agreement is measured as the infidelity
-    between consecutive refinements.
+    between consecutive refinements; psi0 is checked as ``final_state`` checks it.
     """
     psi = final_state(schedule, psi0, steps)
     for _ in range(_MAX_DOUBLINGS):

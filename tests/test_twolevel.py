@@ -52,6 +52,20 @@ def test_qubit_state_norm_guard():
     qubit_state(1 / math.sqrt(2), 1j / math.sqrt(2))
     with pytest.raises(ValueError, match="not normalized"):
         qubit_state(1.0, 0.1)
+    with pytest.raises(ValueError, match="two finite amplitudes"):
+        qubit_state(np.nan, 0.0)
+
+
+@pytest.mark.parametrize("psi0, match", [([1.0, 1.0], r"not normalized: .* = 2\.0$"),
+                                         ([np.nan, 0.0], "two finite amplitudes"),
+                                         ([1.0, 0.0, 0.0], "two finite amplitudes")])
+def test_every_propagation_checks_its_initial_state(psi0, match):
+    # final_state once returned a state of norm sqrt(2) for [1, 1], and
+    # converged_final_state reported convergence for [2, 0] and a NaN state for [nan, 0]
+    sched = lz_schedule(LzConfig(tau=5.0), "cd")
+    for run in (propagate, final_state, converged_final_state):
+        with pytest.raises(ValueError, match=match):
+            run(sched, psi0, 100)
 
 
 def test_fidelity_basics():
@@ -163,10 +177,26 @@ def test_nan_coefficient_aborts_with_timestamp():
     # the first Gauss node past 0.5, 0.5 + (1/2 - sqrt(3)/6)/64, printed as a float
     with pytest.raises(ValueError, match=r"^non-finite coefficient cx at t=0\.5033019510219561$"):
         propagate(sched, KET0, steps=64)
+    # a constant coefficient stays a scalar through the steps and is checked
+    # once, at the first Gauss node
+    const = PauliSchedule(duration=1.0, fields=lambda t: (np.inf, 1.0, 0.0, t), label="c")
+    for run in (propagate, final_state):
+        with pytest.raises(ValueError, match=r"^non-finite coefficient c0 at t=0\.003301951021956049 \(schedule c\)$"):
+            run(const, KET0, 64)
+
+
+def test_constant_and_array_coefficients_give_the_same_states():
+    # scalars take the c/2 mixture and the c0 dt phases, arrays the Gauss-node ones
+    scalar = PauliSchedule(1.5, lambda t: (0.3, 0.7, -0.2, np.sin(t)))
+    array = PauliSchedule(1.5, lambda t: (np.full_like(t, 0.3), np.full_like(t, 0.7),
+                                          np.full_like(t, -0.2), np.sin(t)))
+    a, b = propagate(scalar, PLUS, 64), propagate(array, PLUS, 64)
+    assert np.max(np.abs(a.states - b.states)) < 1e-15
+    assert np.max(np.abs(final_state(scalar, PLUS, 64) - final_state(array, PLUS, 64))) < 1e-15
 
 
 # ---------------------------------------------------------------------------
-# quaternion step core
+# Cayley-Klein step core
 
 SIGMA = (np.array([[0, 1], [1, 0]], dtype=complex),
          np.array([[0, -1j], [1j, 0]]),
@@ -174,8 +204,9 @@ SIGMA = (np.array([[0, 1], [1, 0]], dtype=complex),
 
 
 def su2_matrix(q):
-    """a0 * 1 - i a.sigma for one quaternion (a0, ax, ay, az)."""
-    return q[0] * np.eye(2) - 1j * sum(a * s for a, s in zip(q[1:], SIGMA))
+    """[[alpha, -conj(beta)], [beta, conj(alpha)]] for one pair (alpha, beta)."""
+    alpha, beta = q
+    return np.array([[alpha, -beta.conjugate()], [beta, alpha.conjugate()]])
 
 
 def random_steps(n, seed):
@@ -236,11 +267,45 @@ def test_split_scan_is_the_recursive_scan_bitwise():
 
 
 def test_quaternion_norm_drift_at_20k_steps():
+    # a pair's |alpha|^2 + |beta|^2 is its unit quaternion's norm
     _, cx, cy, cz, dt = random_steps(20_000, seed=5)
     q = _su2_steps(cx, cy, cz, dt)
-    norms = np.sum(_prefix_scan(q) ** 2, axis=1)
+    norms = np.sum(np.abs(_prefix_scan(q)) ** 2, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
-    assert abs(np.sum(_ordered_product(q) ** 2) - 1.0) < 1e-12
+    assert abs(np.sum(np.abs(_ordered_product(q)) ** 2) - 1.0) < 1e-12
+
+
+def test_su2_steps_are_the_exponentials_as_pairs():
+    # (alpha, beta) = (cos h - i s cz, s cy - i s cx), s = sin(h)/r, h = r dt/2, and
+    # dt/2 for s at r = 0; rows are an (m, 2) view of component-major storage
+    _, cx, cy, cz, dt = random_steps(10, seed=3)
+    q = _su2_steps(cx, cy, cz, dt)
+    assert q.shape == (10, 2) and q.T.flags.c_contiguous
+    for k in range(10):
+        H = 0.5 * (cx[k] * SIGMA[0] + cy[k] * SIGMA[1] + cz[k] * SIGMA[2])
+        assert np.max(np.abs(su2_matrix(q[k]) - expm(-1j * H * dt[k]))) < 1e-14
+    assert np.array_equal(_su2_steps(0.0, 0.0, 0.0, 0.25), [1.0, 0.0])
+
+
+def test_pair_product_does_not_depend_on_its_batch():
+    # five elementwise ufunc calls, no BLAS: a row's product has the same bits
+    # alone, in any batch at any offset, as a single (2,) pair, and from a
+    # level's strided slices or from contiguous copies of them
+    rng = np.random.default_rng(11)
+    cx, cy, cz = rng.normal(0.0, 2.0, (3, 4096))
+    q = _su2_steps(cx, cy, cz, rng.uniform(0.01, 0.3, 4096))
+    later, earlier = q[1::2], q[0::2]
+    batch = _qmul(later, earlier)
+    copies = [np.ascontiguousarray(r.T).T for r in (later, earlier)]
+    assert np.array_equal(_qmul(*copies), batch)
+    for m in (1, 2, 3, 7, 8, 17, 63, 64, 65, 255, 1000, 2048):
+        for offset in (0, 1, 3, 8, 100, 1024, 2047):
+            if offset + m <= 2048:
+                rows = slice(offset, offset + m)
+                assert np.array_equal(_qmul(later[rows], earlier[rows]), batch[rows]), (m, offset)
+    for k in (0, 1, 999, 2047):
+        assert np.array_equal(_qmul(later[k], earlier[k]), batch[k]), k
+        assert np.array_equal(_qmul(np.array(later[k]), np.array(earlier[k])), batch[k]), k
 
 
 def test_trajectory_stays_on_the_unit_sphere_at_64k_steps():
