@@ -12,7 +12,8 @@ Three shortcuts are compared with the bare ramp:
   CD   exact counterdiabatic driving, valid only while the trap is not
        inverted (fails below tau ~ 1.52 for this ramp);
   LCD  a local squared-frequency modification Omega^2(t);
-  IE   invariant-based inverse engineering via the Ermakov scale b(t).
+  IE   invariant-based inverse engineering via the Ermakov scale b(t),
+       which the classical pair gives as b = sqrt(Y^2 + omega0^2 X^2).
 
 All protocols end at Q*(tau) = 1 (a perfectly adiabatic endpoint) and IE
 is the cheapest at every duration where they compete.
@@ -23,8 +24,7 @@ import math
 import numpy as np
 
 from ctrlcost import (poly_smooth_ramp, qstar_series, oscillator_cost,
-                      cd_validity_edge, classical_solutions, ermakov_solve,
-                      husimi_qstar, ie_energy)
+                      cd_validity_edge, classical_solutions, husimi_qstar)
 
 W0, W1, BETA = 1.0, 10.0, 3.0
 
@@ -51,14 +51,17 @@ print(f"  (coth(1.5)/2) * mean omega = {target:.4f}")
 for protocol in ("cd", "lcd", "ie"):
     print(f"  {protocol:5s} C = {oscillator_cost(omega, protocol, BETA):.4f}")
 
-# two independent routes to the same adiabaticity parameter
+# the Ermakov scale from the same classical pair by the Pinney relation, b(0) = 1 and
+# b'(0) = 0: an identity check of Q* = (b'^2 + w^2 b^2 + w0^2/b^2)/(2 w0 w), not an
+# independent route (the tests hold b to an RK4 loop on the Ermakov equation)
 omega = poly_smooth_ramp(W0, W1 - W0, 2.5)
 sol = classical_solutions(omega, 40_000)
-erm = ermakov_solve(omega, 40_000)
-q_xy = husimi_qstar(omega, sol)
-q_b = ie_energy(omega, erm, BETA) / (0.5 * omega.value(sol.times) / math.tanh(1.5))
-print(f"\ncross-check: Husimi route vs Ermakov-scale route agree to "
-      f"{np.max(np.abs(q_xy - q_b)):.2e}")
+b = np.sqrt(sol.Y**2 + W0**2 * sol.X**2)
+bd = (sol.Y * sol.Yd + W0**2 * sol.X * sol.Xd) / b
+w = omega.value(sol.times)
+q_b = (bd**2 + w**2 * b**2 + W0**2 / b**2) / (2.0 * W0 * w)
+print(f"\nidentity check: Husimi Q* vs Q* from the Pinney scale b agree to "
+      f"{np.max(np.abs(husimi_qstar(omega, sol) - q_b)):.2e}")
 
 try:
     import matplotlib

@@ -698,7 +698,7 @@ def main(argv=None) -> int:
 
     try:
         outdir = _run_checked(cfg)
-    except (ValueError, OscillatorError) as err:
+    except (ValueError, OSError, OscillatorError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     print(f"wrote {outdir}/")

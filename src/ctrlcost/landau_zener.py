@@ -29,7 +29,7 @@ from .ramps import (Ramp, BobPulse, bob_pulse, poly_smooth_ramp, cd_na_ramp,
 from .twolevel import (PauliSchedule, propagate,
                        converged_final_state, fidelity, integrated_cost,
                        _su2_steps, _qmul, _apply, _eigvec_pair, _cost_nodes,
-                       QUADRATURE_INTERVALS)
+                       _checked_state, QUADRATURE_INTERVALS)
 
 __all__ = [
     "LzConfig",
@@ -161,11 +161,7 @@ def qsl_time(delta: float, psi_i, psi_t) -> float:
     tau_QSL = (2/Delta) arccos(|alpha_i alpha_t| + |beta_i beta_t|) with the
     sigma_z basis coefficients of the normalized initial and target states.
     """
-    psi_i = np.asarray(psi_i, dtype=complex)
-    psi_t = np.asarray(psi_t, dtype=complex)
-    for v in (psi_i, psi_t):
-        if abs(float(np.vdot(v, v).real) - 1.0) > 1e-9:
-            raise ValueError("QSL states must be normalized")
+    psi_i, psi_t = _checked_state(psi_i), _checked_state(psi_t)
     arg = abs(psi_i[0]) * abs(psi_t[0]) + abs(psi_i[1]) * abs(psi_t[1])
     if arg > 1.0 + 1e-12:
         raise ValueError(f"arccos argument {arg!r} above 1")

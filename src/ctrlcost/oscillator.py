@@ -5,9 +5,10 @@ rows (omega, omega-dot, omega-ddot) serve the CD and LCD constructions, and
 omega0 is its value at t = 0. The preset sweep is ``poly_smooth_ramp(w0, w1 - w0, tau)``.
 The oscillator starts in thermal equilibrium of the initial trap. All
 dynamical quantities reduce to the classical auxiliary solutions X(t), Y(t)
-of x'' + omega^2(t) x = 0 (Wronskian X Y' - X' Y = -1) and the Ermakov scale
-b(t). The degree of nonadiabaticity is the Husimi parameter Q* >= 1, and the
-protocol cost is the time average of the mean energy
+of x'' + omega^2(t) x = 0 (Wronskian X Y' - X' Y = -1), even the IE
+protocol's Ermakov scale b = sqrt(Y^2 + omega0^2 X^2) (Pinney, Proc. Amer.
+Math. Soc. 1, 681 (1950)). The degree of nonadiabaticity is the Husimi
+parameter Q* >= 1, and the protocol cost is the time average of the mean energy
 
     <H_tot> = (omega_t / 2) Q*_k coth(beta omega_0 / 2),
 
@@ -22,8 +23,8 @@ Moan, Appl. Numer. Math. 56, 1519 (2006); the qubit core's ``_gauss_nodes``
 and ``_ALPHA``), a product of two closed-form 2x2 exponentials, so every step
 is unimodular and the Wronskian is -1 to round-off. The steps are carried near the identity, E = M - I, and their
 running products come from the work-efficient prefix scan of the qubit
-core (``twolevel._prefix_scan``). The Ermakov route keeps its own RK4 loop,
-an oracle independent of the transfer matrices.
+core (``twolevel._prefix_scan``). The tests check them against an RK4 loop
+on the Ermakov equation, which lives in ``tests/oracles.py`` as an oracle.
 """
 
 from __future__ import annotations
@@ -43,12 +44,8 @@ __all__ = [
     "CdValidityError",
     "LcdValidityError",
     "classical_solutions",
-    "ermakov_solve",
     "husimi_qstar",
-    "qstar_cd",
-    "qstar_ie",
     "lcd_frequency",
-    "ie_energy",
     "qstar_series",
     "oscillator_cost",
     "cd_is_valid",
@@ -84,15 +81,13 @@ class LcdValidityError(OscillatorError):
 
 @dataclass
 class OscillatorSolution:
-    """Grids of the classical pair (X, Y) and/or the Ermakov scale b."""
+    """Grids of the classical pair (X, Y) and their derivatives."""
 
     times: np.ndarray
-    X: Optional[np.ndarray] = None
-    Xd: Optional[np.ndarray] = None
-    Y: Optional[np.ndarray] = None
-    Yd: Optional[np.ndarray] = None
-    b: Optional[np.ndarray] = None
-    bd: Optional[np.ndarray] = None
+    X: np.ndarray
+    Xd: np.ndarray
+    Y: np.ndarray
+    Yd: np.ndarray
 
     def wronskian(self) -> np.ndarray:
         return self.X * self.Yd - self.Xd * self.Y
@@ -166,48 +161,11 @@ def classical_solutions(ramp: Ramp, steps: Optional[int] = None,
         raise ValueError(f"steps must be >= 2, got {steps}")
     w2 = omega2 if omega2 is not None else (lambda t: ramp.value(t) ** 2)
     t, E = _fundamental_matrix(w2, ramp.duration, steps)
-    Y, X, Yd, Xd = 1.0 + E[0], E[1], E[2], 1.0 + E[3]
-    drift = float(np.max(np.abs(X * Yd - Xd * Y + 1.0)))
+    sol = OscillatorSolution(times=t, X=E[1], Xd=1.0 + E[3], Y=1.0 + E[0], Yd=E[2])
+    drift = float(np.max(np.abs(sol.wronskian() + 1.0)))
     if drift > WRONSKIAN_TOL:
         raise OscillatorError(f"Wronskian drift {drift:.3e} above {WRONSKIAN_TOL} at {steps} steps")
-    return OscillatorSolution(times=t, X=X, Xd=Xd, Y=Y, Yd=Yd)
-
-
-def ermakov_solve(ramp: Ramp, steps: Optional[int] = None) -> OscillatorSolution:
-    """Integrate b'' + omega^2 b = omega0^2 / b^3 with b(0)=1, b'(0)=0.
-
-    The initial conditions are those of thermal equilibrium in the initial
-    trap. Classical RK4 on its own step loop, kept apart from the transfer
-    matrices of ``classical_solutions`` so that it checks them independently.
-    """
-    if steps is None:
-        steps = default_steps(ramp)
-    h = ramp.duration / steps
-    t = np.linspace(0.0, ramp.duration, steps + 1)
-    w2 = ramp.value(t) ** 2
-    w2_m = ramp.value(t[:-1] + 0.5 * h) ** 2
-    w0sq = float(ramp.value(0.0)) ** 2
-    b, bd = 1.0, 0.0
-    bs = np.empty(steps + 1)
-    bds = np.empty(steps + 1)
-    bs[0], bds[0] = b, bd
-    for k in range(steps):
-        a0, am, a1 = w2[k], w2_m[k], w2[k + 1]
-        if b <= 0.0:
-            raise OscillatorError(f"Ermakov scale b <= 0 at t={t[k]!r} (unphysical)")
-        k1b, k1v = bd, w0sq / b**3 - a0 * b
-        b2 = b + 0.5 * h * k1b
-        k2b, k2v = bd + 0.5 * h * k1v, w0sq / b2**3 - am * b2
-        b3 = b + 0.5 * h * k2b
-        k3b, k3v = bd + 0.5 * h * k2v, w0sq / b3**3 - am * b3
-        b4 = b + h * k3b
-        k4b, k4v = bd + h * k3v, w0sq / b4**3 - a1 * b4
-        b += h / 6.0 * (k1b + 2 * k2b + 2 * k3b + k4b)
-        bd += h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        bs[k + 1], bds[k + 1] = b, bd
-    if np.any(bs <= 0.0):
-        raise OscillatorError("Ermakov scale b <= 0 encountered (unphysical)")
-    return OscillatorSolution(times=t, b=bs, bd=bds)
+    return sol
 
 
 def husimi_qstar(ramp: Ramp, sol: OscillatorSolution,
@@ -225,20 +183,6 @@ def husimi_qstar(ramp: Ramp, sol: OscillatorSolution,
         raise OscillatorError("omega(t) must be positive for Q*")
     X, Xd, Y, Yd = sol.X, sol.Xd, sol.Y, sol.Yd
     return (w0**2 * (w**2 * X**2 + Xd**2) + (w**2 * Y**2 + Yd**2)) / (2.0 * w0 * w)
-
-
-def qstar_cd(ramp: Ramp, t):
-    """Closed-form Q* under counterdiabatic driving.
-
-    Q*_CD = [1 - omega_dot^2 / (4 omega^4)]^(-1/2); requires the
-    no-trap-inversion condition omega^2 > omega_dot^2 / (4 omega^2).
-    """
-    return _closed_form(ramp, "cd", t)[1]
-
-
-def qstar_ie(ramp: Ramp, t):
-    """Inverse-engineering adiabaticity parameter Q*_IE = 1 + omega_dot^2/(8 omega^4)."""
-    return _closed_form(ramp, "ie", t)[1]
 
 
 def _closed_form(ramp: Ramp, protocol: str, t):
@@ -285,20 +229,6 @@ def cd_validity_edge(omega0: float = 1.0, omega1: float = 10.0) -> float:
     x = np.linspace(0.0, 1.0, VALIDITY_SAMPLES)
     w = poly_smooth_ramp(omega0, omega1 - omega0, 1.0).value(x)
     return float(np.max(15.0 * abs(omega1 - omega0) * x**2 * (1.0 - x) ** 2 / w**2))
-
-
-def ie_energy(ramp: Ramp, sol: OscillatorSolution, beta: float):
-    """Mean energy along the invariant-based trajectory (Ermakov route), on the solution grid.
-
-    <H_IE> = (1/2) [b'^2/(2 w0) + w^2 b^2/(2 w0) + w0/(2 b^2)] coth(beta w0 / 2)
-    """
-    if sol.b is None:
-        raise ValueError("solution carries no Ermakov scale; run ermakov_solve")
-    b, bd = sol.b, sol.bd
-    w0 = float(ramp.value(0.0))
-    w = ramp.value(sol.times)
-    coth = 1.0 / math.tanh(beta * w0 / 2.0)
-    return 0.5 * (bd**2 / (2 * w0) + w**2 * b**2 / (2 * w0) + w0 / (2 * b**2)) * coth
 
 
 def _series(ramp: Ramp, protocol: str, steps: Optional[int]):

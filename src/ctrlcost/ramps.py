@@ -79,8 +79,6 @@ class Ramp:
     def deriv2(self, t):
         return self.rows(t)[2]
 
-    __call__ = value
-
     def zeros(self) -> tuple:
         """Interior times in (0, duration) where g changes sign, ascending.
 
@@ -273,10 +271,6 @@ class BobPulse:
         t = np.asarray(t, dtype=float)
         return np.where(t < self.tau_b1, self.g_q,
                         np.where(t > self.tau - self.tau_b2, -self.g_q, 0.0))
-
-    def to_dict(self) -> dict:
-        return {"kind": "bob", "parameters": {
-            "g_q": self.g_q, "tau": self.tau, "phi1": self.phi1, "phi2": self.phi2}}
 
 
 def bob_pulse(g_q: float, tau: float, kick_angles=(0.0, 0.0)) -> BobPulse:

@@ -48,7 +48,6 @@ import numpy as np
 __all__ = [
     "PauliSchedule",
     "QubitTrajectory",
-    "qubit_state",
     "fidelity",
     "propagate",
     "final_state",
@@ -111,18 +110,9 @@ def _checked_state(psi) -> np.ndarray:
     return psi
 
 
-def qubit_state(alpha, beta) -> np.ndarray:
-    """State vector (alpha, beta) in the sigma_z basis, checked finite and normalized."""
-    return _checked_state([alpha, beta])
-
-
 def fidelity(psi, phi) -> float:
     """Squared overlap |<psi|phi>|^2 of two normalized states."""
-    psi = np.asarray(psi, dtype=complex)
-    phi = np.asarray(phi, dtype=complex)
-    for v in (psi, phi):
-        if abs(float(np.vdot(v, v).real) - 1.0) > 1e-9:
-            raise ValueError("fidelity arguments must be normalized")
+    psi, phi = _checked_state(psi), _checked_state(phi)
     return float(abs(np.vdot(psi, phi)) ** 2)
 
 

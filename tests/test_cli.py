@@ -701,6 +701,18 @@ def test_main_run_smoke(tmp_path, capsys):
     assert (tmp_path / "o" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_unusable_out_directory_fails_in_one_line(out, tmp_path, capsys):
+    # --out at an existing file raised FileExistsError, and below one NotADirectoryError,
+    # each as a traceback out of the output directory's mkdir
+    (tmp_path / "file").write_text("kept\n")
+    assert main(["run", "smoke", "--out", str(tmp_path / out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
 def test_config_file_run(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"model": "lz", "protocols": ["cd"],

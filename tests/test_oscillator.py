@@ -9,13 +9,13 @@ from scipy.optimize import minimize_scalar
 
 from ctrlcost import oscillator
 from ctrlcost.ramps import Ramp, poly_smooth_ramp
-from ctrlcost.oscillator import (classical_solutions,
-                                 ermakov_solve, husimi_qstar, qstar_cd,
-                                 qstar_ie, lcd_frequency,
-                                 ie_energy, qstar_series, oscillator_cost,
+from ctrlcost.oscillator import (classical_solutions, husimi_qstar, lcd_frequency,
+                                 qstar_series, oscillator_cost,
                                  cd_is_valid, cd_validity_edge, lcd_is_valid,
                                  default_steps, CdValidityError, LcdValidityError,
-                                 OscillatorError)
+                                 OscillatorError, _closed_form)
+
+from oracles import ermakov_solve, ie_energy
 
 W0, W1, BETA = 1.0, 10.0, 3.0
 COTH = 1.0 / math.tanh(BETA * W0 / 2.0)
@@ -185,10 +185,10 @@ def test_qstar_rejects_nonpositive_frequency():
 
 def test_qstar_cd_closed_form_cases():
     omega = poly_smooth_ramp(W0, 0.0, 1.0)
-    assert float(qstar_cd(omega, 0.5)) == 1.0
+    assert float(_closed_form(omega, "cd", 0.5)[1]) == 1.0
     omega = poly_smooth_ramp(W0, W1 - W0, 2.5)
     t = np.linspace(0, 2.5, 101)
-    q = qstar_cd(omega, t)
+    q = _closed_form(omega, "cd", t)[1]
     w, wd = omega.value(t), omega.deriv1(t)
     assert np.allclose(q, (1 - wd**2 / (4 * w**4)) ** -0.5, rtol=1e-14)
     assert q[0] == 1.0 and q[-1] == 1.0
@@ -198,7 +198,7 @@ def test_cd_validity_error_carries_time():
     omega = poly_smooth_ramp(W0, W1 - W0, 1.0)  # below the edge
     assert not cd_is_valid(omega)
     with pytest.raises(CdValidityError) as err:
-        qstar_cd(omega, np.linspace(0, 1, 2001))
+        _closed_form(omega, "cd", np.linspace(0, 1, 2001))
     assert 0.0 < err.value.t < 1.0
 
 
@@ -239,7 +239,7 @@ def test_qstar_cd_diverges_toward_violation():
     peaks = []
     for tau in taus:
         omega = poly_smooth_ramp(W0, W1 - W0, tau)
-        peaks.append(float(np.max(qstar_cd(omega, np.linspace(0, tau, 4001)))))
+        peaks.append(float(np.max(_closed_form(omega, "cd", np.linspace(0, tau, 4001))[1])))
     assert np.all(np.diff(peaks) > 0)
 
 
@@ -275,15 +275,15 @@ def test_lcd_sign_reported_not_raised():
 
 def test_ermakov_constant_fixed_point():
     omega = poly_smooth_ramp(W0, 0.0, 5.0)
-    sol = ermakov_solve(omega, steps=5000)
-    assert np.max(np.abs(sol.b - 1.0)) < 1e-10
+    _, b, _ = ermakov_solve(omega, steps=5000)
+    assert np.max(np.abs(b - 1.0)) < 1e-10
 
 
 def test_ermakov_adiabatic_limit():
     omega = poly_smooth_ramp(W0, W1 - W0, 60.0)
-    sol = ermakov_solve(omega)
-    assert sol.b[-1] == pytest.approx(math.sqrt(W0 / W1), abs=2e-4)
-    assert np.all(sol.b > 0)
+    _, b, _ = ermakov_solve(omega)
+    assert b[-1] == pytest.approx(math.sqrt(W0 / W1), abs=2e-4)
+    assert np.all(b > 0)
 
 
 def test_qstar_cross_oracle_xy_vs_ermakov():
@@ -293,25 +293,38 @@ def test_qstar_cross_oracle_xy_vs_ermakov():
     sol = classical_solutions(omega, steps)
     erm = ermakov_solve(omega, steps)
     q_xy = husimi_qstar(omega, sol)
-    energy = ie_energy(omega, erm, BETA)
+    energy = ie_energy(omega, *erm, BETA)
     q_b = energy / (0.5 * omega.value(sol.times) * COTH)
     assert np.max(np.abs(q_xy - q_b)) < 1e-6
+
+
+@pytest.mark.parametrize("tau", [1.6, 2.5])
+def test_pinney_relation_gives_the_ermakov_scale(tau):
+    # b = sqrt(Y^2 + w0^2 X^2) solves the Ermakov equation with b(0) = 1, b'(0) = 0
+    # (Pinney 1950); it is the route demo 03 prints, held here to the RK4 oracle
+    omega = poly_smooth_ramp(W0, W1 - W0, tau)
+    sol = classical_solutions(omega, 40_000)
+    _, b_rk4, bd_rk4 = ermakov_solve(omega, 40_000)
+    b = np.sqrt(sol.Y**2 + W0**2 * sol.X**2)
+    bd = (sol.Y * sol.Yd + W0**2 * sol.X * sol.Xd) / b
+    assert np.max(np.abs(b - b_rk4) / b_rk4) < 1e-12
+    assert np.max(np.abs(bd - bd_rk4)) < 1e-11 * np.max(np.abs(bd_rk4))
 
 
 def test_ie_energy_thermal_start():
     omega = poly_smooth_ramp(W0, W1 - W0, 2.5)
     erm = ermakov_solve(omega, steps=2000)
-    e0 = float(ie_energy(omega, erm, BETA)[0])
+    e0 = float(ie_energy(omega, *erm, BETA)[0])
     assert e0 == pytest.approx(0.5 * COTH, rel=1e-12)
     assert e0 == pytest.approx(0.5524, abs=5e-5)
 
 
 def test_qstar_ie_closed_form():
     omega = poly_smooth_ramp(W0, 0.0, 1.0)
-    assert float(qstar_ie(omega, 0.3)) == 1.0
+    assert float(_closed_form(omega, "ie", 0.3)[1]) == 1.0
     omega = poly_smooth_ramp(W0, W1 - W0, 2.5)
     t = np.linspace(0, 2.5, 301)
-    q = qstar_ie(omega, t)
+    q = _closed_form(omega, "ie", t)[1]
     assert np.all(q >= 1.0)
     assert np.allclose(q, 1 + omega.deriv1(t) ** 2 / (8 * omega.value(t) ** 4),
                        rtol=1e-15)

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from ctrlcost.landau_zener import LzConfig, lz_schedule, lz_ground_state, qsl_time
-from ctrlcost.twolevel import (PauliSchedule, qubit_state, fidelity, propagate,
+from ctrlcost.twolevel import (PauliSchedule, fidelity, propagate,
                                final_state, converged_final_state,
                                instantaneous_eigenstates, cost_rate,
                                integrated_cost,
@@ -48,24 +48,21 @@ def random_smooth_schedule(seed=7, tau=3.0):
 # ---------------------------------------------------------------------------
 # states and fidelity
 
-def test_qubit_state_norm_guard():
-    qubit_state(1 / math.sqrt(2), 1j / math.sqrt(2))
-    with pytest.raises(ValueError, match="not normalized"):
-        qubit_state(1.0, 0.1)
-    with pytest.raises(ValueError, match="two finite amplitudes"):
-        qubit_state(np.nan, 0.0)
-
-
 @pytest.mark.parametrize("psi0, match", [([1.0, 1.0], r"not normalized: .* = 2\.0$"),
                                          ([np.nan, 0.0], "two finite amplitudes"),
                                          ([1.0, 0.0, 0.0], "two finite amplitudes")])
 def test_every_propagation_checks_its_initial_state(psi0, match):
     # final_state once returned a state of norm sqrt(2) for [1, 1], and
-    # converged_final_state reported convergence for [2, 0] and a NaN state for [nan, 0]
+    # converged_final_state reported convergence for [2, 0] and a NaN state for [nan, 0];
+    # fidelity and qsl_time returned NaN for [nan, 0]
     sched = lz_schedule(LzConfig(tau=5.0), "cd")
     for run in (propagate, final_state, converged_final_state):
         with pytest.raises(ValueError, match=match):
             run(sched, psi0, 100)
+    for check in (fidelity, lambda a, b: qsl_time(0.1, a, b)):
+        for args in ((psi0, KET0), (KET0, psi0)):
+            with pytest.raises(ValueError, match=match):
+                check(*args)
 
 
 def test_fidelity_basics():
