@@ -29,7 +29,7 @@ from .landau_zener import (LzConfig, lz_schedule,
                            lz_ground_state, qsl_time, optimize_bob_kicks,
                            cost_scan, find_cd_lcd_crossover, run_protocol,
                            blended_ramp_for, DEFAULT_GQ)
-from .oscillator import (qstar_series, oscillator_cost, cd_validity_edge,
+from .oscillator import (qstar_series, cd_validity_edge,
                          cd_is_valid, lcd_is_valid, OscillatorError)
 from .jaynes_cummings import (JcConfig, block_run, ensemble_run, jc_cost_scan,
                               coherent_cost_scan, find_jc_crossover, ensemble_weights)
@@ -480,18 +480,12 @@ def _run_oscillator(cfg: ExperimentConfig, outdir: Path, summary: dict):
     cost_protocols = [p_ for p_ in protocols if p_ != "bare"]
     w = CsvWriter(outdir / "cost_scan.csv",
                   ["tau"] + [f"C_{p_}" for p_ in cost_protocols], h)
-    for tau in taus:
-        omega = poly_smooth_ramp(w0, w1 - w0, tau)
-        row = []
-        for proto in cost_protocols:
-            try:
-                row.append(oscillator_cost(omega, proto, beta))
-            except OscillatorError as err:
-                row.append(np.nan)
-                summary.setdefault("invalid", []).append(
-                    {"model": "oscillator", "protocol": proto, "tau": tau,
-                     "reason": str(err)})
-        w.add(tau, *row)
+    costs, errors = oscillator._cost_scan(w0, w1, taus, cost_protocols, beta)
+    for (i, k), err in errors.items():   # ordered by (tau, protocol)
+        summary.setdefault("invalid", []).append(
+            {"model": "oscillator", "protocol": cost_protocols[k], "tau": taus[i],
+             "reason": str(err)})
+    w.add(np.asarray(taus, dtype=float), *costs)
     w.write()
 
 

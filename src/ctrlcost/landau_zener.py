@@ -29,7 +29,7 @@ from .ramps import (Ramp, BobPulse, bob_pulse, poly_smooth_ramp, cd_na_ramp,
 from .twolevel import (PauliSchedule, propagate,
                        converged_final_state, fidelity, integrated_cost,
                        _su2_steps, _qmul, _apply, _eigvec_pair, _cost_nodes,
-                       _checked_state, QUADRATURE_INTERVALS)
+                       _checked_state, QUADRATURE_INTERVALS, _SCAN_CHUNK)
 
 __all__ = [
     "LzConfig",
@@ -50,7 +50,6 @@ DEFAULT_GQ = 100.0
 BLEND_M = 40.0
 BLEND_EPS = 0.1
 BOB_TARGET = 0.999      # the kick fidelity that counts as success
-_SCAN_CHUNK = 1 << 15   # floats per (durations, s) temporary of a cost scan
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,7 @@ __all__ = [
 _NORM_TOL = 1e-12
 DEFAULT_STEPS = 4_000
 QUADRATURE_INTERVALS = 4_096   # Simpson intervals of every two-level cost, shared by the pieces
+_SCAN_CHUNK = 1 << 15   # floats per (durations, s) temporary of a cost scan (LZ, JC, oscillator)
 CONVERGENCE_TOL = 1e-10
 _MAX_DOUBLINGS = 8
 # CF4 (Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006)): Gauss nodes in units of

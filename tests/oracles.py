@@ -161,3 +161,25 @@ def ie_energy(ramp, times, b, bd, beta):
     w = ramp.value(times)
     coth = 1.0 / math.tanh(beta * w0 / 2.0)
     return 0.5 * (bd**2 / (2 * w0) + w**2 * b**2 / (2 * w0) + w0 / (2 * b**2)) * coth
+
+
+def exp_minus_identity(h, b):
+    """The oscillator's CF4 factor exp([[0, h/2], [-b, 0]]) - I as rows, written out as the
+    package had it before its branch-only kernel: both branches everywhere, then np.stack."""
+    z = 0.5 * h * b
+    k = np.sqrt(np.abs(z))
+    trig = z >= 0.0
+    safe_k = np.where(k > 0.0, k, 1.0)
+    s = np.where(k > 0.0, np.where(trig, np.sin(k), np.sinh(k)) / safe_k, 1.0)
+    half = np.where(trig, np.sin(0.5 * k), np.sinh(0.5 * k))
+    cm1 = np.where(trig, -2.0, 2.0) * half * half
+    return np.stack([cm1, 0.5 * h * s, -b * s, cm1]).T
+
+
+def near_identity_product(a, b):
+    """(I + a)(I + b) - I = a + b + a b for 2x2 rows (m00, m01, m10, m11), written out
+    component by component as the package had it before its einsum kernel."""
+    a0, a1, a2, a3 = a.T
+    b0, b1, b2, b3 = b.T
+    return np.stack([a0 + b0 + (a0 * b0 + a1 * b2), a1 + b1 + (a0 * b1 + a1 * b3),
+                     a2 + b2 + (a2 * b0 + a3 * b2), a3 + b3 + (a2 * b1 + a3 * b3)]).T

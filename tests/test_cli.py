@@ -466,6 +466,18 @@ def test_oscillator_invalid_cell_recorded_not_fatal(tmp_path):
     assert any(e["protocol"] == "cd" for e in summary.get("invalid", []))
 
 
+def test_oscillator_invalid_cells_come_in_tau_then_protocol_order(tmp_path):
+    # the cost scan fails a cell where CD inverts the trap (tau < 1.515) or LCD's
+    # Omega^2 turns non-positive (tau < 1.3); the summary lists them in the order the
+    # per-duration loop did: taus as given, protocols as given
+    cfg = parse_config({"model": "oscillator", "protocols": ["bare", "cd", "lcd", "ie"],
+                        "tau": [2.5, 1.0, 0.3, 1.4], "out": str(tmp_path / "o")})
+    summary = json.loads((run(cfg) / "summary.json").read_text())
+    assert [(e["tau"], e["protocol"]) for e in summary["invalid"]] == [
+        (1.0, "cd"), (1.0, "lcd"), (0.3, "cd"), (0.3, "lcd"), (1.4, "cd")]
+    assert summary["invalid"][0]["reason"] == "CD validity constraint violated at t=0.1045"
+
+
 def test_threads_do_not_change_output(tmp_path):
     out1 = run(parse_config({"preset": "smoke", "out": str(tmp_path / "a")}), threads=1)
     out2 = run(parse_config({"preset": "smoke", "out": str(tmp_path / "b")}), threads=4)

@@ -13,9 +13,11 @@ from ctrlcost.oscillator import (classical_solutions, husimi_qstar, lcd_frequenc
                                  qstar_series, oscillator_cost,
                                  cd_is_valid, cd_validity_edge, lcd_is_valid,
                                  default_steps, CdValidityError, LcdValidityError,
-                                 OscillatorError, _closed_form)
+                                 OscillatorError, _closed_form, _cost_scan,
+                                 _exp_minus_identity, _near_identity_product)
+from ctrlcost.twolevel import _SCAN_CHUNK, _prefix_scan
 
-from oracles import ermakov_solve, ie_energy
+from oracles import ermakov_solve, ie_energy, exp_minus_identity, near_identity_product
 
 W0, W1, BETA = 1.0, 10.0, 3.0
 COTH = 1.0 / math.tanh(BETA * W0 / 2.0)
@@ -124,6 +126,25 @@ def test_inverted_trap_closed_forms():
     assert np.allclose(sol.Xd, np.cosh(kappa * t), rtol=1e-12, atol=0.0)
     assert np.allclose(sol.Y, np.cosh(kappa * t), rtol=1e-12, atol=0.0)
     assert np.allclose(sol.Yd, kappa * np.sinh(kappa * t), rtol=1e-12, atol=0.0)
+
+
+def test_step_kernels_keep_the_written_out_bytes():
+    # the branch-only exponential and the einsum product against the written-out forms
+    # in tests/oracles.py, byte for byte (so signed zeros count), alone and through the
+    # prefix scan; b spans both branches and holds exact +0 and -0 fields
+    rng = np.random.default_rng(33)
+    for n in [*range(1, 301), 1023, 1024, 4001]:
+        b = rng.uniform(-2.0, 6.0, n)
+        b[::5], b[2::7] = 0.0, -0.0
+        e = _exp_minus_identity(0.05, b)
+        want = exp_minus_identity(0.05, b)
+        assert e.shape == want.shape and e.strides == want.strides, n
+        assert e.tobytes() == want.tobytes(), n
+        f = exp_minus_identity(0.07, rng.uniform(-2.0, 6.0, n))
+        assert _near_identity_product(e, f).tobytes() == near_identity_product(e, f).tobytes(), n
+        assert _near_identity_product(e[-1], f[0]).tobytes() == near_identity_product(e[-1], f[0]).tobytes(), n
+        assert (_prefix_scan(e, _near_identity_product).tobytes()
+                == _prefix_scan(e, near_identity_product).tobytes()), n
 
 
 def test_free_particle_closed_forms():
@@ -367,6 +388,49 @@ def test_default_steps_resolve_the_preset_sweep(tau):
     for proto in ("bare", "lcd"):
         assert qstar_series(omega, proto)[1][-1] == pytest.approx(
             qstar_series(omega, proto, fine)[1][-1], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
+def test_cost_rejects_a_bad_beta(beta):
+    omega = poly_smooth_ramp(W0, W1 - W0, 2.5)
+    for proto in ("cd", "lcd"):
+        with pytest.raises(ValueError, match="beta"):
+            oscillator_cost(omega, proto, beta)
+    with pytest.raises(ValueError, match="beta"):
+        _cost_scan(W0, W1, [2.5], ("ie",), beta)
+
+
+def test_scan_cells_do_not_depend_on_the_batch():
+    # ten durations at the default 4,000 steps fill one chunk and start another;
+    # 9 and 10 have counts of their own. A cell is the same alone, in the batch and
+    # in reverse order, and it is oscillator_cost's on the duration's own ramp
+    protocols = ("cd", "lcd", "ie")
+    taus = [1.55, 1.8, 2.2, 2.5, 3.0, 3.7, 4.4, 5.5, 6.6, 7.9, 9.0, 10.0]
+    assert _SCAN_CHUNK // 4001 < 10
+    batch, errors = _cost_scan(W0, W1, taus, protocols, BETA)
+    assert errors == {} and np.all(np.isfinite(batch))
+    assert np.array_equal(_cost_scan(W0, W1, taus[::-1], protocols, BETA)[0], batch[:, ::-1])
+    for j, tau in enumerate(taus):
+        assert np.array_equal(_cost_scan(W0, W1, [tau], protocols, BETA)[0][:, 0], batch[:, j]), tau
+        omega = poly_smooth_ramp(W0, W1 - W0, tau)
+        for i, proto in enumerate(protocols):
+            assert oscillator_cost(omega, proto, BETA) == pytest.approx(
+                batch[i, j], rel=1e-13, abs=0.0), (tau, proto)
+
+
+def test_scan_records_each_failed_cell():
+    # below the CD edge (1.515) and above the LCD one only the cd cell fails; at 0.3 both
+    # do. The errors come in (tau, protocol) order and carry oscillator_cost's message
+    taus = [1.5, 2.5, 0.3, 1.4]
+    costs, errors = _cost_scan(W0, W1, taus, ("cd", "lcd", "ie"), BETA)
+    assert list(errors) == [(0, 0), (2, 0), (2, 1), (3, 0)]
+    assert np.array_equal(np.isnan(costs), [[True, False, True, True],
+                                            [False, False, True, False],
+                                            [False, False, False, False]])
+    for (j, i), err in errors.items():
+        with pytest.raises(type(err)) as single:
+            oscillator_cost(poly_smooth_ramp(W0, W1 - W0, taus[j]), ("cd", "lcd")[i], BETA)
+        assert str(single.value) == str(err)
 
 
 def test_cd_cost_propagates_validity_error():
