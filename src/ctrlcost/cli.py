@@ -485,7 +485,7 @@ def _run_oscillator(cfg: ExperimentConfig, outdir: Path, summary: dict):
         summary.setdefault("invalid", []).append(
             {"model": "oscillator", "protocol": cost_protocols[k], "tau": taus[i],
              "reason": str(err)})
-    w.add(np.asarray(taus, dtype=float), *costs)
+    w.add(taus, *costs)
     w.write()
 
 
