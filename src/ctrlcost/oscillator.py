@@ -28,14 +28,14 @@ prefix scan of the qubit core (``twolevel._prefix_scan``), each product being
 a + b plus one einsum on the rows' (2, 2, m) view. The tests check them against
 an RK4 loop on the Ermakov equation, which lives in ``tests/oracles.py`` as an oracle.
 
-Costs are scanned in scaled time s = t/tau, as the Landau-Zener scans are.
-On rows (w, w_s, w_ss) in s, omega-dot^2 = w_s^2/tau^2 and omega-ddot = w_ss/tau^2,
-so Q*_cd = (1 - r/tau^2)^(-1/2) and Q*_ie = 1 + r/(2 tau^2) with r = w_s^2/(4 w^4),
-and Omega^2 = w^2 + (w_ss/(2 w) - 3 w_s^2/(4 w^2))/tau^2. ``_cost_scan`` evaluates
-the quintic's unit rows once per step count, on s and on its Gauss nodes; the
-closed forms run for all durations in chunked (durations, s) buffers, and LCD
-forms its Omega^2 per duration from the rows. ``oscillator_cost`` is the same
-kernel (``_costs``) for one ramp, on its rows in t.
+Q* comes from one kernel, ``_qstar``, for one duration; ``qstar_series``,
+``oscillator_cost`` and the cost scan ``_cost_scan`` all call it. ``_parts`` evaluates
+the rows (w, w_x, w_xx) on a grid x once. On rows in x, omega-dot^2 = k w_x^2 and
+omega-ddot = k w_xx, so Q*_cd = (1 - k r)^(-1/2) and Q*_ie = 1 + k r/2 with
+r = w_x^2/(4 w^4), and Omega^2 = w^2 + k (w_xx/(2 w) - 3 w_x^2/(4 w^2)). Rows in t
+have k = 1; the scan, like the Landau-Zener scans, uses the quintic's unit rows in
+s = t/tau, evaluated once per step count, and k = tau^-2. A cost is the Simpson sum
+of w Q* coth(beta omega_0/2)/2 on the grid.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .ramps import Ramp, poly_smooth_ramp
-from .twolevel import _ALPHA, _SCAN_CHUNK, _gauss_nodes, _prefix_scan, _simpson_weights
+from .twolevel import _ALPHA, _gauss_nodes, _prefix_scan, _simpson_weights
 
 __all__ = [
     "OscillatorSolution",
@@ -110,6 +110,15 @@ def default_steps(ramp: Ramp) -> int:
     This resolves the 1 -> 10 sweep to round-off: at tau = 1.55, 2.5 and 10 every cost and
     the bare and LCD Q*(tau) are within 2.6e-14 relative of those at 16 times the steps."""
     return _step_rule(float(ramp.value(0.0)), float(ramp.value(ramp.duration)), ramp.duration)
+
+
+def _checked_steps(ramp: Ramp, steps: Optional[int]) -> int:
+    """``steps``, or ``default_steps(ramp)`` for None; a ValueError below 2."""
+    if steps is None:
+        steps = default_steps(ramp)
+    if steps < 2:
+        raise ValueError(f"steps must be >= 2, got {steps}")
+    return steps
 
 
 def _step_rule(w_start: float, w_end: float, tau: float) -> int:
@@ -185,10 +194,7 @@ def classical_solutions(ramp: Ramp, steps: Optional[int] = None,
     a Wronskian drift is round-off of a growing solution, which a finer grid
     cannot lower: a drift above the tolerance raises OscillatorError.
     """
-    if steps is None:
-        steps = default_steps(ramp)
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
+    steps = _checked_steps(ramp, steps)
     w2 = omega2 if omega2 is not None else (lambda t: ramp.value(t) ** 2)
     t, E = _fundamental_matrix(w2, ramp.duration, steps)
     sol = OscillatorSolution(times=t, X=E[1], Xd=1.0 + E[3], Y=1.0 + E[0], Yd=E[2])
@@ -220,28 +226,18 @@ def _rate(w, wx):
     return wx**2 / (4.0 * w**4)
 
 
-def _closed_qstar(protocol: str, r, k, out=None):
+def _closed_qstar(protocol: str, r, k):
     """Q* of the cd or ie protocol from ``_rate``'s r at scale k, and cd's trap-inversion mask.
 
     k r is omega-dot^2 / (4 omega^4): k = 1 on rows in t, k = tau^-2 on rows in s = t/tau.
     cd: (1 - k r)^(-1/2), undefined where 1 - k r <= 0 (the mask); ie: 1 + k r / 2, mask None.
     """
-    out = np.multiply(r, k, out=np.empty(np.shape(r)) if out is None else out)
+    kr = np.multiply(r, k)
     if protocol == "ie":
-        return np.add(1.0, np.multiply(out, 0.5, out=out), out=out), None
-    bad = np.subtract(1.0, out, out=out) <= 0.0
+        return 1.0 + kr * 0.5, None
+    gap = 1.0 - kr
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.power(out, -0.5, out=out), bad
-
-
-def _closed_form(ramp: Ramp, protocol: str, t):
-    """omega and the closed-form Q* of the cd or ie protocol at t."""
-    t = np.asarray(t, dtype=float)
-    w, wd, _ = ramp.rows(t)
-    q, bad = _closed_qstar(protocol, _rate(w, wd), 1.0)
-    if bad is not None and np.any(bad):
-        raise CdValidityError(float(np.atleast_1d(t)[np.atleast_1d(bad)][0]))
-    return w, q
+        return np.power(gap, -0.5), gap <= 0.0
 
 
 def _lcd_parts(w, wx, wxx):
@@ -287,28 +283,62 @@ def cd_validity_edge(omega0: float = 1.0, omega1: float = 10.0) -> float:
     return float(np.max(15.0 * abs(omega1 - omega0) * x**2 * (1.0 - x) ** 2 / w**2))
 
 
-def _lcd_checked(w2, tau: float) -> np.ndarray:
-    """Omega from Omega^2 on the grid of [0, tau], or LcdValidityError at its first w2 <= 0."""
-    if np.any(w2 <= 0.0):
-        raise LcdValidityError(float(np.linspace(0.0, tau, len(w2))[np.argmax(w2 <= 0.0)]))
-    return np.sqrt(w2)
+# ---------------------------------------------------------------------------
+# Q* and costs: one kernel per duration, on rows evaluated once per grid
+
+def _parts(rows_at, x: np.ndarray, protocols) -> dict:
+    """What ``_qstar`` needs of ``protocols`` at any scale k, from the rows on the grid x.
+
+    ``rows_at(x)`` gives (w, w_x, w_xx), evaluated once: on x (w; r = ``_rate`` for cd and
+    ie; ``_lcd_parts`` for lcd) and, for the Husimi protocols, on x's Gauss nodes (w^2 for
+    bare, ``_lcd_parts`` for lcd), where ``classical_solutions`` takes the squared frequency.
+    """
+    for p in protocols:
+        if p not in PROTOCOLS:
+            raise ValueError(f"unknown protocol {p!r}")
+    w, wx, wxx = rows_at(x)
+    parts = {"w": w}
+    if "cd" in protocols or "ie" in protocols:
+        parts["rate"] = _rate(w, wx)
+    if "lcd" in protocols:
+        parts["lcd"] = _lcd_parts(w, wx, wxx)
+    if "bare" in protocols or "lcd" in protocols:
+        nodes = rows_at(_gauss_nodes(x))
+        parts["bare nodes"] = nodes[0] ** 2 if "bare" in protocols else None
+        parts["lcd nodes"] = _lcd_parts(*nodes) if "lcd" in protocols else None
+    return parts
 
 
-def _series(ramp: Ramp, protocol: str, steps: Optional[int]):
-    """(t, frequency, Q*) of one protocol, with omega (LCD: Omega) evaluated once on the grid."""
-    if steps is None:
-        steps = default_steps(ramp)
-    t = np.linspace(0.0, ramp.duration, steps + 1)
+def _qstar(protocol: str, parts: dict, k, ramp: Ramp, steps: int):
+    """(frequency, Q*) of one protocol and duration on the grid of ``_parts``.
+
+    k = 1 for rows in t and k = tau^-2 for rows in s = t/tau (``_closed_qstar``); ``ramp``
+    is the duration's own, of ``steps`` steps, and the errors carry times on its grid.
+    The frequency is omega, or Omega for lcd. Raises CdValidityError, LcdValidityError or
+    the OscillatorError of ``classical_solutions``.
+    """
+    w = parts["w"]
     if protocol in ("cd", "ie"):
-        return (t, *_closed_form(ramp, protocol, t))
-    if protocol == "bare":
-        w, sol = ramp.value(t), classical_solutions(ramp, steps)
-    elif protocol == "lcd":
-        w = _lcd_checked(lcd_frequency(ramp, t), ramp.duration)
-        sol = classical_solutions(ramp, steps, omega2=lambda tt: lcd_frequency(ramp, tt))
-    else:
-        raise ValueError(f"unknown protocol {protocol!r}")
-    return t, w, husimi_qstar(ramp, sol, omega_ref=w[0], omega=w)
+        q, bad = _closed_qstar(protocol, parts["rate"], k)
+        if bad is not None and np.any(bad):
+            raise CdValidityError(float(np.linspace(0.0, ramp.duration, len(w))[np.argmax(bad)]))
+        return w, q
+    w2 = parts["bare nodes"]
+    if protocol == "lcd":
+        w = _lcd_omega2(parts["lcd"], k)
+        if np.any(w <= 0.0):
+            raise LcdValidityError(float(np.linspace(0.0, ramp.duration, len(w))[np.argmax(w <= 0.0)]))
+        w, w2 = np.sqrt(w), _lcd_omega2(parts["lcd nodes"], k)
+    # omega2 is called once, on the Gauss nodes of the ramp's grid: w2 is there
+    sol = classical_solutions(ramp, steps, omega2=lambda _: w2)
+    return w, husimi_qstar(ramp, sol, omega_ref=w[0], omega=w)
+
+
+def _weights(steps: int, beta: float, w0) -> np.ndarray:
+    """Simpson weights on [0, 1] times coth(beta w0/2)/2: a cost is sum(w Q* weights)."""
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise ValueError(f"inverse temperature beta must be positive and finite, got {beta}")
+    return _simpson_weights(steps, 1.0 / steps) * (0.5 / math.tanh(beta * float(w0) / 2.0))
 
 
 def qstar_series(ramp: Ramp, protocol: str,
@@ -320,111 +350,9 @@ def qstar_series(ramp: Ramp, protocol: str,
     lcd:  Husimi Q* with omega -> Omega in the dynamics and the formula.
     ie:   closed form.
     """
-    t, _, q = _series(ramp, protocol, steps)
-    return t, q
-
-
-# ---------------------------------------------------------------------------
-# costs: one kernel over durations that share a grid
-
-def _costs(protocols, rows_at, x: np.ndarray, ramps, scale: np.ndarray, beta: float):
-    """Costs of ``ramps`` that share the grid x of n + 1 points, and the cells that failed.
-
-    ``rows_at(x)`` gives (w, w_x, w_xx): x is s = t/tau with ``scale`` tau^-2 in a scan,
-    or t with scale 1 for one ramp (``_closed_qstar``). C = (1/tau) int <H_tot> dt =
-    int_0^1 (w/2) Q* coth(beta w0/2) ds is a row's Simpson sum, whatever the batch.
-    Returns (costs (protocols, ramps), {(ramp index, protocol index): OscillatorError});
-    a failed cell is NaN. The Husimi protocols run first, so that the node rows are let
-    go before the closed forms' (durations, x) chunk buffer is made.
-    """
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise ValueError(f"inverse temperature beta must be positive and finite, got {beta}")
-    for p in protocols:
-        if p not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {p!r}")
-    n = len(x) - 1
-    rows = rows_at(x)
-    weights = _simpson_weights(n, 1.0 / n) * (0.5 / math.tanh(beta * float(rows[0][0]) / 2.0))
-    costs = np.full((len(protocols), len(ramps)), np.nan)
-    errors = {}
-    husimi = [(i, p) for i, p in enumerate(protocols) if p in ("bare", "lcd")]
-    closed = [(i, p) for i, p in enumerate(protocols) if p in ("cd", "ie")]
-    if husimi:
-        _husimi_costs(husimi, rows_at, x, rows, ramps, scale, weights, costs, errors)
-    if closed:
-        _closed_costs(closed, rows, ramps, scale, weights, costs, errors)
-    return costs, errors
-
-
-def _husimi_costs(protocols, rows_at, x, rows, ramps, scale, weights, costs, errors):
-    """Bare and LCD cells of ``_costs``: one ``classical_solutions`` per ramp, on the squared
-    frequency formed from the rows at the grid's Gauss nodes, evaluated here once."""
-    steps = len(x) - 1
-    node_rows = rows_at(_gauss_nodes(x))
-    bare = node_rows[0] ** 2 if any(p == "bare" for _, p in protocols) else None
-    lcd = _lcd_parts(*node_rows) if any(p == "lcd" for _, p in protocols) else None
-    del node_rows
-    lcd_grid = _lcd_parts(*rows) if lcd is not None else None
-    for j, (ramp, k) in enumerate(zip(ramps, scale)):
-        for i, p in protocols:
-            try:
-                if p == "bare":
-                    w, w2 = rows[0], bare
-                else:
-                    w = _lcd_checked(_lcd_omega2(lcd_grid, k), ramp.duration)
-                    w2 = _lcd_omega2(lcd, k)
-                # omega2 is called once, on the Gauss nodes of this grid in t: w2 is there
-                sol = classical_solutions(ramp, steps, omega2=lambda _, w2=w2: w2)
-                q = husimi_qstar(ramp, sol, omega_ref=w[0], omega=w)
-            except OscillatorError as err:
-                errors[j, i] = err
-                continue
-            costs[i, j] = np.multiply(q, np.multiply(w, weights)).sum()
-
-
-def _closed_costs(protocols, rows, ramps, scale, weights, costs, errors):
-    """CD and IE cells of ``_costs``, in (durations, x) chunks of ``_SCAN_CHUNK`` floats."""
-    w, wx, _ = rows
-    r, ww = _rate(w, wx), w * weights
-    chunk = max(1, min(len(ramps), _SCAN_CHUNK // len(w)))
-    buf = np.empty((chunk, len(w)))   # reused: fresh ones cost more than passes
-    for j0 in range(0, len(ramps), chunk):
-        k = scale[j0:j0 + chunk, None]
-        q = buf[:len(k)]
-        for i, p in protocols:
-            _, bad = _closed_qstar(p, r, k, q)
-            costs[i, j0:j0 + len(k)] = np.multiply(q, ww, out=q).sum(-1)
-            inverted = np.flatnonzero(bad.any(-1)) if bad is not None else ()
-            for row in inverted:
-                j = j0 + int(row)
-                costs[i, j] = np.nan
-                errors[j, i] = CdValidityError(
-                    float(np.linspace(0.0, ramps[j].duration, len(w))[np.argmax(bad[row])]))
-
-
-def _cost_scan(omega0: float, omega1: float, taus, protocols, beta: float = 3.0):
-    """``oscillator_cost`` of the quintic sweep omega0 -> omega1 for every duration, in s = t/tau.
-
-    Durations that share a ``default_steps`` count share the unit sweep's rows on s and its
-    Gauss nodes, evaluated once; tau enters through k = tau^-2 (``_costs``). Returns
-    (costs (protocols, taus), {(tau index, protocol index): OscillatorError}), a failed cell
-    being NaN; a cell does not depend on the other durations.
-    """
-    taus = np.asarray(list(taus), dtype=float)
-    if not np.all(np.isfinite(taus) & (taus > 0)):
-        raise ValueError("all tau values must be positive and finite")
-    unit = poly_smooth_ramp(omega0, omega1 - omega0, 1.0)
-    ends = float(unit.value(0.0)), float(unit.value(1.0))
-    steps = [_step_rule(*ends, tau) for tau in taus]
-    costs, errors = np.empty((len(protocols), len(taus))), {}
-    for n in sorted(set(steps)):   # not np.unique, which imports numpy.ma
-        idx = np.flatnonzero(np.equal(steps, n))
-        ramps = [poly_smooth_ramp(omega0, omega1 - omega0, float(t)) for t in taus[idx]]
-        c, e = _costs(protocols, unit.rows, np.linspace(0.0, 1.0, n + 1), ramps,
-                      1.0 / (taus[idx] * taus[idx]), beta)
-        costs[:, idx] = c
-        errors.update({(int(idx[j]), i): err for (j, i), err in e.items()})
-    return costs, dict(sorted(errors.items()))
+    steps = _checked_steps(ramp, steps)
+    t = np.linspace(0.0, ramp.duration, steps + 1)
+    return t, _qstar(protocol, _parts(ramp.rows, t, (protocol,)), 1.0, ramp, steps)[1]
 
 
 def oscillator_cost(ramp: Ramp, protocol: str, beta: float = 3.0,
@@ -432,13 +360,41 @@ def oscillator_cost(ramp: Ramp, protocol: str, beta: float = 3.0,
     """Time-averaged mean energy C = (1/tau) int <H_tot> dt for one protocol.
 
     <H_tot> = (w_t/2) Q*_k coth(beta w0/2); for LCD the prefactor frequency
-    is Omega(t). It is the one-duration case of ``_costs``, on the ramp's rows
-    on its time grid. Validity violations raise the corresponding typed error.
+    is Omega(t). C is the Simpson sum of w Q* on the ramp's time grid, with Q*
+    from ``_qstar`` at k = 1. Validity violations raise the corresponding typed error.
     """
-    if steps is None:
-        steps = default_steps(ramp)
-    costs, errors = _costs((protocol,), ramp.rows, np.linspace(0.0, ramp.duration, steps + 1),
-                           [ramp], np.ones(1), beta)
-    if errors:
-        raise errors[0, 0]
-    return float(costs[0, 0])
+    steps = _checked_steps(ramp, steps)
+    parts = _parts(ramp.rows, np.linspace(0.0, ramp.duration, steps + 1), (protocol,))
+    weights = _weights(steps, beta, parts["w"][0])
+    w, q = _qstar(protocol, parts, 1.0, ramp, steps)
+    return float(np.multiply(q, np.multiply(w, weights)).sum())
+
+
+def _cost_scan(omega0: float, omega1: float, taus, protocols, beta: float = 3.0):
+    """``oscillator_cost`` of the quintic sweep omega0 -> omega1 for every duration, in s = t/tau.
+
+    Durations that share a ``default_steps`` count share the unit sweep's ``_parts`` on s,
+    built once; tau enters ``_qstar`` through k = tau^-2. Returns (costs (protocols, taus),
+    {(tau index, protocol index): OscillatorError}), a failed cell being NaN; a cell does
+    not depend on the other durations.
+    """
+    taus = np.asarray(list(taus), dtype=float)
+    if not np.all(np.isfinite(taus) & (taus > 0)):
+        raise ValueError("all tau values must be positive and finite")
+    unit = poly_smooth_ramp(omega0, omega1 - omega0, 1.0)
+    ends = float(unit.value(0.0)), float(unit.value(1.0))
+    steps = [_step_rule(*ends, tau) for tau in taus]
+    costs, errors = np.full((len(protocols), len(taus)), np.nan), {}
+    for n in sorted(set(steps)):   # not np.unique, which imports numpy.ma
+        parts = _parts(unit.rows, np.linspace(0.0, 1.0, n + 1), protocols)
+        weights = _weights(n, beta, parts["w"][0])
+        for j in np.flatnonzero(np.equal(steps, n)):
+            ramp = poly_smooth_ramp(omega0, omega1 - omega0, float(taus[j]))
+            for i, p in enumerate(protocols):
+                try:
+                    w, q = _qstar(p, parts, 1.0 / (taus[j] * taus[j]), ramp, n)
+                except OscillatorError as err:
+                    errors[int(j), i] = err
+                    continue
+                costs[i, j] = np.multiply(q, np.multiply(w, weights)).sum()
+    return costs, dict(sorted(errors.items()))

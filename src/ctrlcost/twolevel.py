@@ -60,7 +60,7 @@ __all__ = [
 _NORM_TOL = 1e-12
 DEFAULT_STEPS = 4_000
 QUADRATURE_INTERVALS = 4_096   # Simpson intervals of every two-level cost, shared by the pieces
-_SCAN_CHUNK = 1 << 15   # floats per (durations, s) temporary of a cost scan (LZ, JC, oscillator)
+_SCAN_CHUNK = 1 << 15   # floats per (durations, s) temporary of a cost scan (LZ and JC)
 CONVERGENCE_TOL = 1e-10
 _MAX_DOUBLINGS = 8
 # CF4 (Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006)): Gauss nodes in units of
@@ -145,7 +145,11 @@ def _segment_grid(duration: float, breakpoints, steps: int):
         raise ValueError(f"steps must be >= 2, got {steps}")
     t = np.linspace(0.0, duration, steps + 1)
     inner = [float(b) for b in breakpoints if 0.0 < float(b) < duration]
-    return np.union1d(t, inner) if inner else t
+    if not inner:
+        return t
+    # sorted and without repeats, as np.union1d gives, which would import numpy.ma
+    t = np.sort(np.concatenate([t, inner]))
+    return t[np.concatenate([[True], t[1:] != t[:-1]])]
 
 
 def _su2_steps(cx, cy, cz, dt):

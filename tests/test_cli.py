@@ -628,10 +628,12 @@ def test_fig5_crossover_is_null_outside_the_configured_durations(tmp_path):
 
 
 def test_import_and_numpy_presets_leave_scipy_unloaded(tmp_path):
-    # only the test oracles load scipy; optimal control runs on numpy alone
+    # only the test oracles load scipy; optimal control runs on numpy alone. No preset
+    # loads numpy.ma either (np.unique and np.union1d do; numpy.matrixlib is another module)
     code = ("import sys\n"
             "from ctrlcost.cli import parse_config, run\n"
-            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "                        or m.split('.')[:2] == ['numpy', 'ma'])\n"
             "print(loaded())\n"
             "for name in ('smoke', 'fig1', 'fig3', 'fig4', 'fig5', 'fig3-oc'):\n"
             "    run(parse_config({'preset': name, 'out': sys.argv[1] + '/' + name}))\n"

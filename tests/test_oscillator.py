@@ -13,9 +13,9 @@ from ctrlcost.oscillator import (classical_solutions, husimi_qstar, lcd_frequenc
                                  qstar_series, oscillator_cost,
                                  cd_is_valid, cd_validity_edge, lcd_is_valid,
                                  default_steps, CdValidityError, LcdValidityError,
-                                 OscillatorError, _closed_form, _cost_scan,
+                                 OscillatorError, _cost_scan,
                                  _exp_minus_identity, _near_identity_product)
-from ctrlcost.twolevel import _SCAN_CHUNK, _prefix_scan
+from ctrlcost.twolevel import _prefix_scan, _simpson_weights
 
 from oracles import ermakov_solve, ie_energy, exp_minus_identity, near_identity_product
 
@@ -206,10 +206,11 @@ def test_qstar_rejects_nonpositive_frequency():
 
 def test_qstar_cd_closed_form_cases():
     omega = poly_smooth_ramp(W0, 0.0, 1.0)
-    assert float(_closed_form(omega, "cd", 0.5)[1]) == 1.0
+    t, q = qstar_series(omega, "cd", steps=2)
+    assert t[1] == 0.5 and float(q[1]) == 1.0
     omega = poly_smooth_ramp(W0, W1 - W0, 2.5)
-    t = np.linspace(0, 2.5, 101)
-    q = _closed_form(omega, "cd", t)[1]
+    t, q = qstar_series(omega, "cd", steps=100)
+    assert np.array_equal(t, np.linspace(0, 2.5, 101))
     w, wd = omega.value(t), omega.deriv1(t)
     assert np.allclose(q, (1 - wd**2 / (4 * w**4)) ** -0.5, rtol=1e-14)
     assert q[0] == 1.0 and q[-1] == 1.0
@@ -219,7 +220,7 @@ def test_cd_validity_error_carries_time():
     omega = poly_smooth_ramp(W0, W1 - W0, 1.0)  # below the edge
     assert not cd_is_valid(omega)
     with pytest.raises(CdValidityError) as err:
-        _closed_form(omega, "cd", np.linspace(0, 1, 2001))
+        qstar_series(omega, "cd", steps=2000)
     assert 0.0 < err.value.t < 1.0
 
 
@@ -260,7 +261,7 @@ def test_qstar_cd_diverges_toward_violation():
     peaks = []
     for tau in taus:
         omega = poly_smooth_ramp(W0, W1 - W0, tau)
-        peaks.append(float(np.max(_closed_form(omega, "cd", np.linspace(0, tau, 4001))[1])))
+        peaks.append(float(np.max(qstar_series(omega, "cd", steps=4000)[1])))
     assert np.all(np.diff(peaks) > 0)
 
 
@@ -342,10 +343,11 @@ def test_ie_energy_thermal_start():
 
 def test_qstar_ie_closed_form():
     omega = poly_smooth_ramp(W0, 0.0, 1.0)
-    assert float(_closed_form(omega, "ie", 0.3)[1]) == 1.0
+    t, q = qstar_series(omega, "ie", steps=10)
+    assert t[3] == pytest.approx(0.3, abs=1e-15) and float(q[3]) == 1.0
     omega = poly_smooth_ramp(W0, W1 - W0, 2.5)
-    t = np.linspace(0, 2.5, 301)
-    q = _closed_form(omega, "ie", t)[1]
+    t, q = qstar_series(omega, "ie", steps=300)
+    assert np.array_equal(t, np.linspace(0, 2.5, 301))
     assert np.all(q >= 1.0)
     assert np.allclose(q, 1 + omega.deriv1(t) ** 2 / (8 * omega.value(t) ** 4),
                        rtol=1e-15)
@@ -401,12 +403,11 @@ def test_cost_rejects_a_bad_beta(beta):
 
 
 def test_scan_cells_do_not_depend_on_the_batch():
-    # ten durations at the default 4,000 steps fill one chunk and start another;
-    # 9 and 10 have counts of their own. A cell is the same alone, in the batch and
-    # in reverse order, and it is oscillator_cost's on the duration's own ramp
+    # ten durations share the default 4,000 steps; 9 and 10 have counts of their own.
+    # A cell is the same alone, in the batch and in reverse order, and it is
+    # oscillator_cost's on the duration's own ramp
     protocols = ("cd", "lcd", "ie")
     taus = [1.55, 1.8, 2.2, 2.5, 3.0, 3.7, 4.4, 5.5, 6.6, 7.9, 9.0, 10.0]
-    assert _SCAN_CHUNK // 4001 < 10
     batch, errors = _cost_scan(W0, W1, taus, protocols, BETA)
     assert errors == {} and np.all(np.isfinite(batch))
     assert np.array_equal(_cost_scan(W0, W1, taus[::-1], protocols, BETA)[0], batch[:, ::-1])
@@ -431,6 +432,29 @@ def test_scan_records_each_failed_cell():
         with pytest.raises(type(err)) as single:
             oscillator_cost(poly_smooth_ramp(W0, W1 - W0, taus[j]), ("cd", "lcd")[i], BETA)
         assert str(single.value) == str(err)
+
+
+@pytest.mark.parametrize("tau", [1.6, 2.5, 10.0])
+@pytest.mark.parametrize("protocol", ["bare", "cd", "lcd", "ie"])
+def test_cost_is_the_simpson_sum_of_the_series(tau, protocol):
+    # the series and the cost come from one Q* kernel: the cost is, bitwise, the Simpson
+    # sum of qstar_series times the frequency (Omega for lcd) and coth(beta w0/2)/2
+    omega = poly_smooth_ramp(W0, W1 - W0, tau)
+    t, q = qstar_series(omega, protocol)
+    w = np.sqrt(lcd_frequency(omega, t)) if protocol == "lcd" else omega.value(t)
+    n = len(t) - 1
+    weights = _simpson_weights(n, 1.0 / n) * (0.5 / math.tanh(BETA * W0 / 2.0))
+    assert oscillator_cost(omega, protocol, BETA) == float((q * (w * weights)).sum())
+
+
+@pytest.mark.parametrize("steps", [0, 1])
+@pytest.mark.parametrize("protocol", ["bare", "cd", "lcd", "ie"])
+def test_series_and_cost_reject_fewer_than_two_steps(protocol, steps):
+    omega = poly_smooth_ramp(W0, W1 - W0, 2.5)
+    for call in (lambda: qstar_series(omega, protocol, steps),
+                 lambda: oscillator_cost(omega, protocol, BETA, steps)):
+        with pytest.raises(ValueError, match=f"^steps must be >= 2, got {steps}$"):
+            call()
 
 
 def test_cd_cost_propagates_validity_error():
