@@ -11,7 +11,7 @@ from ctrlcost.landau_zener import LzConfig, lz_schedule, lz_ground_state
 from ctrlcost.ramps import oc_fourier_ramp
 from ctrlcost.twolevel import (converged_final_state, cost_rate, fidelity,
                                integrated_cost, _GAUSS, _MIX, _apply, _cf4_factors,
-                               _qmul, _simpson_weights)
+                               _ordered_product, _qmul, _simpson_weights)
 from ctrlcost.oc import (FTOL, OcProblem, REFINE_STEPS, evaluate, optimize, refine_result,
                          _Evaluator, _linear, _sqp)
 
@@ -202,7 +202,7 @@ def test_infidelity_is_the_orthogonal_weight(rng):
     ev = _Evaluator(make_problem(tau=30.0))
     for x in (np.zeros(16), rng.normal(0.0, 0.03, 16)):
         q, _ = ev.q_and_cost(x)
-        psi = ev.final_state(cf4_steps(ev, x))
+        psi = ev.final_state(_ordered_product(cf4_steps(ev, x)))
         assert q >= 0.0
         assert q == pytest.approx(1.0 - fidelity(lz_ground_state(0.1, 0.2), psi), abs=1e-14)
 
@@ -217,7 +217,7 @@ def test_cf4_steps_converge_at_fourth_order():
 
     def amplitude(steps):
         ev = _Evaluator(prob, steps=steps)
-        return np.vdot(ev.perp, ev.final_state(cf4_steps(ev, x)))
+        return np.vdot(ev.perp, ev.final_state(_ordered_product(cf4_steps(ev, x))))
 
     reference = amplitude(8192)
     errors = [abs(amplitude(n) - reference) for n in (64, 128, 256, 512)]
