@@ -80,7 +80,7 @@ from typing import Optional
 import numpy as np
 
 from .landau_zener import LzConfig, lz_ground_state, qsl_time
-from .twolevel import (_GAUSS, _MIX, _apply, _blocked_product, _cf4_factors, _last_prefix,
+from .twolevel import (_GAUSS, _MIX, _apply, _cf4_factors, _last_prefix, _ordered_product,
                        _prefix_scan, _qmul, _up_sweep)
 
 __all__ = ["OcProblem", "OcResult", "evaluate", "optimize", "refine_result"]
@@ -91,6 +91,7 @@ ARMIJO = 0.1                  # sufficient decrease, a fraction of the merit's s
 MAX_BACKTRACKS = 10           # per line search, each at least 0.1 of the last step
 REFINE_STEPS = 16_384         # refine_result's steps, 32x the default
 MAX_BASIS = 2**22             # ceiling on steps * n_max: the kept basis is 32 B per unit
+_BLOCK = 4_096                # CF4 factors per block of q_and_cost's product; a power of two
 
 
 @dataclass(frozen=True)
@@ -150,6 +151,20 @@ def _polar(x, n_max: int) -> np.ndarray:
     return np.concatenate([np.hypot(b, s), np.arctan2(s, b)])
 
 
+def _blocked_product(n: int, rows) -> np.ndarray:
+    """Product of n CF4 factors, ``rows(lo, hi)`` building factors lo..hi-1 for
+    ``_ordered_product``: all at once or, when ``_BLOCK`` divides n > ``_BLOCK``, one
+    aligned block at a time, then the block products. The pairwise reduction's first
+    log2(_BLOCK) levels lie inside the blocks, so the bits are the same either way,
+    provided ``rows`` gives each factor the bits it has in ``rows(0, n)`` (pointwise)."""
+    if n <= _BLOCK or n % _BLOCK:
+        return _ordered_product(rows(0, n))
+    tops = np.empty((2, n // _BLOCK), complex)   # the layout of the reduction's levels
+    for k in range(n // _BLOCK):
+        tops[:, k] = _ordered_product(rows(k * _BLOCK, (k + 1) * _BLOCK))
+    return _ordered_product(tops.T)
+
+
 def _mv(a, v):
     """a @ v by einsum, not a BLAS matvec: its loop runs on the calling thread
     whatever the size of the BLAS pool."""
@@ -204,8 +219,8 @@ class _Evaluator:
         return _apply(u / np.sqrt(np.vdot(u, u).real), self.psi0)
 
     def q_and_cost(self, x) -> tuple:
-        """(q, C) by ``twolevel._blocked_product``, each block's g summed by ``_pulse`` with
-        no basis built; the node cost rates are kept whole, so C is one mean."""
+        """(q, C) by ``_blocked_product``, each block's g summed by ``_pulse`` with no
+        basis built; the node cost rates are kept whole, so C is one mean."""
         rate = np.empty(len(self.tt))
 
         def rows(lo, hi):

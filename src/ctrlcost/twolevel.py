@@ -21,17 +21,11 @@ of steps are pair products, five elementwise complex ufunc calls whatever
 the batch. The identity part commutes with everything and is carried as one
 phase: exp(-i sum theta) for a final state and exp(-i cumsum(theta)) along
 a trajectory, theta being a step's two-node Gauss sum of c0 dt. Final
-states reduce the steps pairwise (``_ordered_product``). When ``_BLOCK`` =
-4,096 = 2^12 divides the CF4 factor count n > ``_BLOCK``, the factors are
-built and reduced one aligned block at a time, then the block products
-(``_blocked_product``, OC's refined evaluation too): the reduction's first
-twelve levels lie inside the blocks, so the product keeps the bits of one
-reduction of all n in one block's memory, and the angles theta, kept whole,
-are summed once. Trajectories take a work-efficient inclusive prefix scan
-of the steps (an up-sweep of pairwise products, then a down-sweep, about 2n
-products; Ladner & Fischer, JACM 27, 831 (1980); Blelloch, "Prefix sums and
-their applications", 1990). OC's optimizer reads its final state off the
-up-sweep alone (``_last_prefix``). A trajectory applies each
+states reduce the steps pairwise; trajectories take a work-efficient
+inclusive prefix scan of them (an up-sweep of pairwise products, then a
+down-sweep, about 2n products; Ladner & Fischer, JACM 27, 831 (1980);
+Blelloch, "Prefix sums and their applications", 1990). OC reads its final
+state off the up-sweep alone (``_last_prefix``). A trajectory applies each
 renormalized prefix to psi0 once, and reads the fidelity off those states'
 Bloch vectors (``_trajectory``).
 
@@ -69,7 +63,6 @@ QUADRATURE_INTERVALS = 4_096   # Simpson intervals of every two-level cost, shar
 _SCAN_CHUNK = 1 << 15   # floats per (durations, s) temporary of a cost scan (LZ and JC)
 CONVERGENCE_TOL = 1e-10
 _MAX_DOUBLINGS = 8
-_BLOCK = 4_096   # CF4 factors per block of a long final-state product; a power of two
 # CF4 (Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006)): Gauss nodes in units of
 # the step, weights a1 > 0 > a2; a step is exp(h(a2 A1 + a1 A2)) exp(h(a1 A1 + a2 A2))
 _GAUSS = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
@@ -199,19 +192,6 @@ def _ordered_product(q: np.ndarray) -> np.ndarray:
         head = _qmul(q[1::2], q[0:-1:2])
         q = np.concatenate([head, q[-1:]]) if len(q) % 2 else head
     return q[0]
-
-
-def _blocked_product(n: int, rows) -> np.ndarray:
-    """Product of n CF4 factors, ``rows(lo, hi)`` building factors lo..hi-1 (or their step
-    pairs) for ``_ordered_product``: all at once or, when ``_BLOCK`` divides n > ``_BLOCK``,
-    one aligned block at a time, then the block products. The pairwise reduction's first
-    log2(_BLOCK) levels lie inside the blocks, so the bits are the same either way."""
-    if n <= _BLOCK or n % _BLOCK:
-        return _ordered_product(rows(0, n))
-    tops = np.empty((2, n // _BLOCK), complex)   # the layout of the reduction's levels
-    for k in range(n // _BLOCK):
-        tops[:, k] = _ordered_product(rows(k * _BLOCK, (k + 1) * _BLOCK))
-    return _ordered_product(tops.T)
 
 
 def _up_sweep(q: np.ndarray, mul=_qmul) -> list:
@@ -458,20 +438,11 @@ def propagate(schedule: PauliSchedule, psi0, steps: int = DEFAULT_STEPS,
 
 
 def final_state(schedule: PauliSchedule, psi0, steps: int = DEFAULT_STEPS) -> np.ndarray:
-    """Final state only: the pairwise-reduced product of all steps, in blocks of
-    ``_BLOCK`` factors where it divides their count (``_blocked_product``)."""
+    """Final state only; pairwise-reduced product of all steps."""
     psi0 = _checked_state(psi0)
     t = _segment_grid(schedule.duration, schedule.breakpoints, steps)
-    theta = np.empty(len(t) - 1)   # kept whole, so its sum is the unblocked one
-
-    def rows(lo, hi):   # the step pairs of factors lo..hi-1; their angles go to theta
-        tb = t[lo // 2:hi // 2 + 1]
-        q, c0 = _steps(schedule.fields(_gauss_nodes(tb)), tb, schedule.label)
-        theta[lo // 2:hi // 2] = _phases(c0, tb)
-        return q
-
-    u = _blocked_product(2 * len(theta), rows)
-    return np.exp(-1j * theta.sum()) * _apply(u, psi0)
+    q, c0 = _steps(schedule.fields(_gauss_nodes(t)), t, schedule.label)
+    return np.exp(-1j * _phases(c0, t).sum()) * _apply(_ordered_product(q), psi0)
 
 
 def converged_final_state(schedule: PauliSchedule, psi0,

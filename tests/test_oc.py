@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
+from ctrlcost import oc
 from ctrlcost.landau_zener import LzConfig, lz_schedule, lz_ground_state
 from ctrlcost.ramps import oc_fourier_ramp
 from ctrlcost.twolevel import (converged_final_state, cost_rate, fidelity,
@@ -361,6 +362,48 @@ def test_refinement_builds_no_basis_and_is_its_evaluators(bench_tau25):
     ev = _Evaluator(prob, steps=REFINE_STEPS)
     assert (fine.q, fine.cost) == ev.q_and_cost(x)
     assert "basis" not in vars(ev)
+
+
+def test_blocked_product_keeps_its_bits(monkeypatch):
+    # q_and_cost in blocks of 64 factors, then in one block: the same bits. 1,000
+    # steps make 2,000 factors, which 64 does not divide, so they stay one block
+    prob = OcProblem(config=LzConfig(tau=25.0), n_max=16)
+    x = np.random.default_rng(3).normal(0.0, 0.05, 32)
+    calls = []
+
+    def counted(q, reduce=oc._ordered_product):
+        calls.append(len(q))
+        return reduce(q)
+
+    monkeypatch.setattr(oc, "_ordered_product", counted)
+
+    def products():
+        calls.clear()
+        out = [_Evaluator(prob, steps=n).q_and_cost(x) for n in (512, 1000, 2048, REFINE_STEPS)]
+        return out, len(calls)
+
+    monkeypatch.setattr(oc, "_BLOCK", 64)
+    blocked, blocked_calls = products()
+    monkeypatch.setattr(oc, "_BLOCK", 1 << 30)
+    whole, whole_calls = products()
+    assert whole_calls == 4
+    # a reduction per block and one of the block products: 1,024, 4,096 and 32,768 factors
+    assert blocked_calls == 17 + 1 + 65 + 513
+    assert np.array(blocked).tobytes() == np.array(whole).tobytes()
+
+
+def test_refinement_takes_bounded_memory():
+    # the refine grid's 32,768 factors in blocks of 4,096: built all at once, an
+    # evaluation peaked at about 3 MB of traced memory
+    ev = _Evaluator(OcProblem(config=LzConfig(tau=25.0), n_max=16), steps=REFINE_STEPS)
+    x = np.random.default_rng(3).normal(0.0, 0.05, 32)
+    tracemalloc.start()
+    try:
+        ev.q_and_cost(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
 
 
 @pytest.mark.parametrize("tau", [24.27, 25.0])

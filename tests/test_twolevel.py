@@ -1,18 +1,13 @@
 """Two-level engine: propagation, eigenstates, cost, invariants."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from ctrlcost import twolevel
-from ctrlcost.jaynes_cummings import JcConfig, jc_schedule
-from ctrlcost.landau_zener import LzConfig, lz_bob, lz_schedule, lz_ground_state, qsl_time
-from ctrlcost.oc import REFINE_STEPS, OcProblem, _Evaluator
-from ctrlcost.ramps import bob_pulse
+from ctrlcost.landau_zener import LzConfig, lz_schedule, lz_ground_state, qsl_time
 from ctrlcost.twolevel import (PauliSchedule, fidelity, propagate,
                                final_state, converged_final_state,
                                instantaneous_eigenstates, cost_rate,
@@ -320,61 +315,6 @@ def test_trajectory_stays_on_the_unit_sphere_at_64k_steps():
     traj = propagate(lz_schedule(LzConfig(tau=tqsl), "cd"), psi0, steps=64_000)
     assert np.max(np.abs(traj.norms() - 1.0)) <= 1e-14
     assert abs(1.0 - traj.fidelity[-1]) <= 1e-14
-
-
-def test_blocked_products_keep_their_bits(monkeypatch):
-    # final_state and OC's q_and_cost in blocks of 64 factors, then in one block: the
-    # same bits. The JC block's c0 is nonzero, so its identity phases count; the BOB grid's
-    # breakpoints make 4,100 factors and 1,000 steps 2,000, which 64 does not divide
-    cfg = LzConfig(tau=10.0)
-    psi0 = lz_ground_state(cfg.delta, cfg.g0)
-    runs = [(lz_schedule(cfg, "cd"), psi0, 2048), (lz_schedule(cfg, "lcd"), psi0, 2048),
-            (jc_schedule(JcConfig(tau=20.0), "lcd", 3), KET1, 2048),
-            (lz_bob(cfg, bob_pulse(100.0, 10.0, (1.0, 0.5))), psi0, 2048),
-            (lz_schedule(cfg, "lcd"), psi0, 1000)]
-    prob = OcProblem(config=LzConfig(tau=25.0), n_max=16)
-    x = np.random.default_rng(3).normal(0.0, 0.05, 32)
-    calls = []
-
-    def counted(q, reduce=_ordered_product):
-        calls.append(len(q))
-        return reduce(q)
-
-    monkeypatch.setattr(twolevel, "_ordered_product", counted)
-
-    def products():
-        calls.clear()
-        out = [final_state(*run) for run in runs]
-        out += [np.array(_Evaluator(prob, steps=n).q_and_cost(x)) for n in (512, 2048)]
-        return out, len(calls)
-
-    monkeypatch.setattr(twolevel, "_BLOCK", 64)
-    blocked, blocked_calls = products()
-    monkeypatch.setattr(twolevel, "_BLOCK", 1 << 30)
-    whole, whole_calls = products()
-    assert whole_calls == 7
-    # 65 products for each 4,096 factors, 17 and 65 for OC's 1,024 and 4,096
-    assert blocked_calls == 3 * 65 + 1 + 1 + 17 + 65
-    for a, b in zip(blocked, whole):
-        assert a.tobytes() == b.tobytes()
-
-
-def test_long_final_states_and_refinement_take_bounded_memory():
-    # products in blocks of 4,096 factors: built all at once, 256,000 steps peaked at
-    # about 60 MB of traced memory, and an evaluation on the refine grid at about 3 MB
-    cfg = LzConfig(tau=10.0)
-    sched, psi0 = lz_schedule(cfg, "lcd"), lz_ground_state(cfg.delta, cfg.g0)
-    ev = _Evaluator(OcProblem(config=LzConfig(tau=25.0), n_max=16), steps=REFINE_STEPS)
-    x = np.random.default_rng(3).normal(0.0, 0.05, 32)
-    peaks = []
-    for run in (lambda: final_state(sched, psi0, 256_000), lambda: ev.q_and_cost(x)):
-        tracemalloc.start()
-        try:
-            run()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[0] < 12e6 and peaks[1] < 1e6, peaks
 
 
 def test_breakpoints_are_extra_nodes_of_the_uniform_grid():
