@@ -17,7 +17,7 @@ import numpy as np
 
 from ctrlcost import (LzConfig, lz_bob, lz_ground_state, qsl_time, cost_scan,
                       find_cd_lcd_crossover, optimize_bob_kicks,
-                      integrated_cost, bob_pulse)
+                      integrated_cost)
 
 cfg = LzConfig(tau=1.0)
 taus = np.geomspace(0.1, 100.0, 13)
@@ -35,7 +35,7 @@ print(f"                  tau* = {tstar2:.3f} at Delta = 0.2 (larger gap -> earl
 
 tau_qsl = qsl_time(0.1, lz_ground_state(0.1, -0.2), lz_ground_state(0.1, 0.2))
 kicks = optimize_bob_kicks(LzConfig(tau=tau_qsl))
-sched = lz_bob(LzConfig(tau=tau_qsl), bob_pulse(100.0, tau_qsl, (kicks.phi1, kicks.phi2)))
+sched = lz_bob(LzConfig(tau=tau_qsl), kicks.phi1, kicks.phi2, 100.0)
 print(f"\nBOB point: tau = tau_QSL = {tau_qsl:.2f}, C = {integrated_cost(sched):.4f} "
       f"(fidelity {kicks.fidelity:.6f})")
 

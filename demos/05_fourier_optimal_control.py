@@ -15,8 +15,7 @@ protocol and below the bang-off-bang benchmark.
 import numpy as np
 
 from ctrlcost import (LzConfig, OcProblem, optimize, lz_bob, lz_ground_state,
-                      qsl_time, optimize_bob_kicks, integrated_cost, bob_pulse,
-                      oc_fourier_ramp)
+                      qsl_time, optimize_bob_kicks, integrated_cost, oc_fourier_ramp)
 from ctrlcost.oc import refine_result
 
 tau = 25.0
@@ -35,8 +34,7 @@ for entry in result.trace[:: max(1, len(result.trace) // 8)]:
 
 tau_qsl = qsl_time(0.1, lz_ground_state(0.1, -0.2), lz_ground_state(0.1, 0.2))
 kicks = optimize_bob_kicks(LzConfig(tau=tau_qsl))
-c_bob = integrated_cost(lz_bob(LzConfig(tau=tau_qsl),
-                               bob_pulse(100.0, tau_qsl, (kicks.phi1, kicks.phi2))))
+c_bob = integrated_cost(lz_bob(LzConfig(tau=tau_qsl), kicks.phi1, kicks.phi2, 100.0))
 print(f"\nbang-off-bang benchmark at tau_QSL: C = {c_bob:.4f}")
 print(f"optimal control at tau = {tau}:     C = {result.cost:.4f}")
 

@@ -8,9 +8,8 @@ Jaynes-Cummings model, with a norm-based cost functional and a batch CLI.
 
 __version__ = "0.1.0"
 
-from .ramps import (Ramp, BobPulse, poly_smooth_ramp, oc_fourier_ramp,
-                    cd_na_ramp, cd_a_ramp, cd_blended_ramp, bob_pulse,
-                    ramp_from_dict)
+from .ramps import (Ramp, poly_smooth_ramp, oc_fourier_ramp, cd_na_ramp,
+                    cd_a_ramp, cd_blended_ramp, ramp_from_dict)
 from .twolevel import (PauliSchedule, QubitTrajectory, fidelity,
                        propagate, final_state, converged_final_state,
                        instantaneous_eigenstates, cost_rate, integrated_cost)
@@ -24,8 +23,8 @@ from .jaynes_cummings import (JcConfig, jc_schedule, coherent_weights, block_run
 from .oc import OcProblem, OcResult, optimize
 
 __all__ = [
-    "Ramp", "BobPulse", "poly_smooth_ramp", "oc_fourier_ramp", "cd_na_ramp",
-    "cd_a_ramp", "cd_blended_ramp", "bob_pulse", "ramp_from_dict",
+    "Ramp", "poly_smooth_ramp", "oc_fourier_ramp", "cd_na_ramp",
+    "cd_a_ramp", "cd_blended_ramp", "ramp_from_dict",
     "PauliSchedule", "QubitTrajectory",
     "fidelity", "propagate", "final_state", "converged_final_state",
     "instantaneous_eigenstates", "cost_rate", "integrated_cost",

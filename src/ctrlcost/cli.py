@@ -48,7 +48,8 @@ _PROTOCOLS = {"lz": landau_zener.PROTOCOLS, "oscillator": oscillator.PROTOCOLS,
               "jc": jaynes_cummings.PROTOCOLS, "oc": ()}   # oc runs its own pulse
 _TOP_KEYS = {"model", "preset", "protocols", "tau", "params", "seed", "out",
              "trajectory_steps", "scan_points", "description", "mode", "ramp"}
-MAX_COUNT = 10**6   # ceiling on trajectory_steps, scan_points and a tau grid's num
+MAX_COUNT = 10**6   # ceiling on trajectory_steps, scan_points, a tau grid's num and n_cut
+QSTAR_TAUS = (1.6, 2.5)   # the durations of an oscillator run's Q* curves
 
 
 @dataclass
@@ -133,6 +134,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ValueError(f"unknown params for model {model!r}: {sorted(bad)}")
     for name, value in params.items():
         _number(f"param {name!r}", value, _MODEL_KEYS[model][name])
+    if params.get("n_cut", 0) > MAX_COUNT:   # jc's cutoff, one block per excitation number
+        raise ValueError(f"param 'n_cut' must be <= {MAX_COUNT}, got {params['n_cut']!r}")
     tau = _parse_tau(raw.get("tau", []))
     mode = raw.get("mode", "")
     if mode not in ("", "trajectory", "scan"):
@@ -446,15 +449,22 @@ def _run_lz(cfg: ExperimentConfig, outdir: Path, summary: dict):
                       "cost": integrated_cost(lz_schedule(at_qsl, "bob", kicks, g_q))}
 
 
+def _oscillator_runs(cfg: ExperimentConfig) -> tuple:
+    """(omega0, omega1, CD validity edge, protocols, durations) of an oscillator config:
+    each protocol runs on ``QSTAR_TAUS``, and all but bare on the durations, the
+    config's or scan_points from max(1.05 edge, 1.55) to 10."""
+    w0, w1 = cfg.params.get("omega0", 1.0), cfg.params.get("omega1", 10.0)
+    edge = cd_validity_edge(w0, w1)
+    return (w0, w1, edge, cfg.protocols or list(oscillator.PROTOCOLS),
+            cfg.tau or list(np.geomspace(max(1.05 * edge, 1.55), 10.0, cfg.scan_points)))
+
+
 def _run_oscillator(cfg: ExperimentConfig, outdir: Path, summary: dict):
     h = cfg.digest()
-    p = cfg.params
-    w0, w1, beta = p.get("omega0", 1.0), p.get("omega1", 10.0), p.get("beta", 3.0)
-    edge = cd_validity_edge(w0, w1)
+    w0, w1, edge, protocols, taus = _oscillator_runs(cfg)
     summary["cd_validity_edge"] = edge
-    protocols = cfg.protocols or ["bare", "cd", "lcd", "ie"]
 
-    for tau in (1.6, 2.5):
+    for tau in QSTAR_TAUS:
         omega = poly_smooth_ramp(w0, w1 - w0, tau)
         w = CsvWriter(outdir / f"qstar_tau{tau:g}.csv",
                       ["t"] + [f"qstar_{p_}" for p_ in protocols], h)
@@ -476,11 +486,11 @@ def _run_oscillator(cfg: ExperimentConfig, outdir: Path, summary: dict):
             summary.setdefault("qstar_end", []).append(
                 {"tau": tau, "protocol": proto, "qstar_final": float(q[-1])})
 
-    taus = cfg.tau or list(np.geomspace(max(1.05 * edge, 1.55), 10.0, cfg.scan_points))
     cost_protocols = [p_ for p_ in protocols if p_ != "bare"]
     w = CsvWriter(outdir / "cost_scan.csv",
                   ["tau"] + [f"C_{p_}" for p_ in cost_protocols], h)
-    costs, errors = oscillator._cost_scan(w0, w1, taus, cost_protocols, beta)
+    costs, errors = oscillator._cost_scan(w0, w1, taus, cost_protocols,
+                                          cfg.params.get("beta", 3.0))
     for (i, k), err in errors.items():   # ordered by (tau, protocol)
         summary.setdefault("invalid", []).append(
             {"model": "oscillator", "protocol": cost_protocols[k], "tau": taus[i],
@@ -616,19 +626,20 @@ def _run_checked(cfg: ExperimentConfig) -> Path:
     return outdir
 
 
+_VALIDITY = (("cd", cd_is_valid, "trap inversion: no CD protocol below the validity edge"),
+             ("lcd", lcd_is_valid, "effective LCD frequency must stay positive"))
+
+
 def validate(cfg: ExperimentConfig) -> dict:
     """The input stage, then the oscillator's physics-validity report; a dry run."""
     _check_inputs(cfg)
     checks = []
     if cfg.model == "oscillator":
-        p = cfg.params
-        w0, w1 = p.get("omega0", 1.0), p.get("omega1", 10.0)
-        for tau in cfg.tau or [1.6, 2.5]:
+        w0, w1, _, protocols, taus = _oscillator_runs(cfg)
+        for tau in dict.fromkeys([*QSTAR_TAUS, *taus]):   # where run evaluates cd and lcd
             omega = poly_smooth_ramp(w0, w1 - w0, tau)
-            checks += [{"check": f"cd_validity tau={tau:g}", "ok": cd_is_valid(omega),
-                        "detail": "trap inversion: no CD protocol below the validity edge"},
-                       {"check": f"lcd_validity tau={tau:g}", "ok": lcd_is_valid(omega),
-                        "detail": "effective LCD frequency must stay positive"}]
+            checks += [{"check": f"{proto}_validity tau={tau:g}", "ok": ok(omega), "detail": detail}
+                       for proto, ok, detail in _VALIDITY if proto in protocols]
     return {"model": cfg.model, "checks": checks, "valid": all(c["ok"] for c in checks)}
 
 

@@ -117,7 +117,12 @@ def coherent_weights(alpha: float, n_cut: int) -> np.ndarray:
     """Poisson populations p_n = e^{-|a|^2} |a|^{2n} / n! for n = 0..n_cut."""
     if n_cut < 0:
         raise ValueError("n_cut must be >= 0")
-    lam = abs(alpha) ** 2
+    try:
+        lam = abs(alpha) ** 2
+    except OverflowError:   # a float's square past the largest double
+        lam = math.inf
+    if not math.isfinite(lam):
+        raise ValueError(f"|alpha|^2 is not finite for alpha={alpha}")
     p = np.empty(n_cut + 1)
     p[0] = math.exp(-lam)
     for n in range(n_cut):
@@ -153,11 +158,11 @@ class JcEnsembleResult:
 def ensemble_weights(cfg: JcConfig) -> tuple[np.ndarray, float]:
     """The blocks' Poisson weights and the tail mass past the cutoff, at most ``TAIL_TOL``."""
     weights = coherent_weights(cfg.alpha, cfg.n_cut)
-    tail = max(0.0, 1.0 - float(weights.sum()))
-    if tail > TAIL_TOL:
+    tail = 1.0 - float(weights.sum())
+    if not tail <= TAIL_TOL:   # a NaN tail fails too
         raise ValueError(
             f"cutoff tail {tail:.3e} above {TAIL_TOL}: increase n_cut for alpha={cfg.alpha}")
-    return weights, tail
+    return weights, max(0.0, tail)
 
 
 def ensemble_run(cfg: JcConfig, protocol: str, steps: Optional[int] = None) -> JcEnsembleResult:

@@ -3,9 +3,9 @@
 Bare model: H0 = Delta sigma_x/2 + g(t) sigma_z/2, swept through the avoided
 crossing from g(0) = g0 to g(tau) = g1. A protocol is a name in ``PROTOCOLS``:
 bare, counterdiabatic (CD), local counterdiabatic (LCD), CD on the blended
-ramp, or the bang-off-bang (BOB) pulse. ``lz_schedule`` builds its
-PauliSchedule and ``run_protocol`` propagates it; scan helpers integrate the
-norm cost over protocol duration and locate the CD/LCD crossover.
+ramp, or the bang-off-bang (BOB) pulse. ``lz_schedule`` builds its PauliSchedule
+(BOB's by ``lz_bob``) and ``run_protocol`` propagates it; scan helpers integrate
+the norm cost over protocol duration and locate the CD/LCD crossover.
 
 Every ramp here is a function of scaled time s = t/tau, and d/dt =
 (1/tau) d/ds, so theta-dot = a(s)/tau and theta-ddot = b(s)/tau^2 for the
@@ -24,8 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ramps import (Ramp, BobPulse, bob_pulse, poly_smooth_ramp, cd_na_ramp,
-                    cd_a_ramp, cd_blended_ramp, blend_weight)
+from .ramps import Ramp, poly_smooth_ramp, cd_na_ramp, cd_a_ramp, cd_blended_ramp, blend_weight
 from .twolevel import (PauliSchedule, propagate,
                        converged_final_state, fidelity, integrated_cost,
                        _su2_steps, _qmul, _apply, _eigvec_pair, _cost_nodes,
@@ -127,7 +126,7 @@ def lz_schedule(cfg: LzConfig, protocol: str, bob_kicks: Optional[BobKicks] = No
     """
     if protocol == "bob":
         kicks = bob_kicks or optimize_bob_kicks(cfg, g_q)
-        return lz_bob(cfg, bob_pulse(g_q, cfg.tau, (kicks.phi1, kicks.phi2)))
+        return lz_bob(cfg, kicks.phi1, kicks.phi2, g_q)
     if protocol == "cd-blend":
         return lz_schedule(replace(cfg, ramp=blended_ramp_for(cfg, cfg.tau)), "cd")
     if protocol not in ("bare", "cd", "lcd"):
@@ -144,14 +143,21 @@ def lz_schedule(cfg: LzConfig, protocol: str, bob_kicks: Optional[BobKicks] = No
                          fields=lambda t: (0.0, *lz_fields(protocol, cfg.delta, *ramp.rows(t))))
 
 
-def lz_bob(cfg: LzConfig, pulse: BobPulse) -> PauliSchedule:
-    """Bang-off-bang schedule with rectangular kicks at both ends."""
-    if abs(pulse.tau - cfg.tau) > 1e-12:
-        raise ValueError("pulse duration differs from config tau")
-    return PauliSchedule(duration=cfg.tau,
-                         fields=lambda t: (0.0, cfg.delta, 0.0, pulse.amplitude(t)),
-                         breakpoints=(pulse.tau_b1, cfg.tau - pulse.tau_b2),
-                         label="lz-bob")
+def lz_bob(cfg: LzConfig, phi1: float, phi2: float, g_q: float = DEFAULT_GQ) -> PauliSchedule:
+    """Bang-off-bang schedule: field +g_q on [0, tb1), 0 on [tb1, tau - tb2], -g_q after it;
+    each kick angle phi in [0, 2 pi) is a rectangle of duration tb = phi / g_q < tau / 2."""
+    phi1, phi2 = float(phi1), float(phi2)
+    if g_q <= 0:
+        raise ValueError(f"quench amplitude must be positive, got {g_q}")
+    tb1, tb2, tau = phi1 / g_q, phi2 / g_q, cfg.tau
+    for phi, tb in ((phi1, tb1), (phi2, tb2)):
+        if not 0.0 <= phi < 2.0 * math.pi:
+            raise ValueError(f"kick angle {phi} outside [0, 2 pi)")
+        if tb >= tau / 2.0:
+            raise ValueError(f"kick duration {tb} >= tau/2 = {tau / 2}: kicks would overlap")
+    return PauliSchedule(duration=tau, breakpoints=(tb1, tau - tb2), label="lz-bob",
+                         fields=lambda t: (0.0, cfg.delta, 0.0, np.where(
+                             t < tb1, g_q, np.where(t > tau - tb2, -g_q, 0.0))))
 
 
 def qsl_time(delta: float, psi_i, psi_t) -> float:

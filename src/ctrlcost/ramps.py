@@ -29,14 +29,12 @@ import numpy as np
 
 __all__ = [
     "Ramp",
-    "BobPulse",
     "poly_smooth_ramp",
     "oc_fourier_ramp",
     "cd_na_ramp",
     "cd_a_ramp",
     "cd_blended_ramp",
     "blend_weight",
-    "bob_pulse",
     "ramp_from_dict",
 ]
 
@@ -242,55 +240,6 @@ def cd_blended_ramp(g_a: Ramp, g_na: Ramp, eps: float, tau: float) -> Ramp:
     return Ramp("blended", tau,
                 {"eps": eps, "tau": tau, "g_a": g_a.to_dict(), "g_na": g_na.to_dict()},
                 rows)
-
-
-@dataclass(frozen=True)
-class BobPulse:
-    """Bang-off-bang pulse: rectangular kicks of amplitude +-g_q at the ends.
-
-    The idealized pulse applies field only at t = 0 and t = tau; here each
-    kick is a finite rectangle of duration tau_b = phi / g_q carrying the
-    same rotation angle phi.
-    """
-
-    g_q: float
-    tau: float
-    phi1: float
-    phi2: float
-
-    @property
-    def tau_b1(self) -> float:
-        return self.phi1 / self.g_q
-
-    @property
-    def tau_b2(self) -> float:
-        return self.phi2 / self.g_q
-
-    def amplitude(self, t):
-        """Field value at time t: +g_q, 0, or -g_q."""
-        t = np.asarray(t, dtype=float)
-        return np.where(t < self.tau_b1, self.g_q,
-                        np.where(t > self.tau - self.tau_b2, -self.g_q, 0.0))
-
-
-def bob_pulse(g_q: float, tau: float, kick_angles=(0.0, 0.0)) -> BobPulse:
-    """Build a bang-off-bang pulse from kick rotation angles.
-
-    Each angle phi_i in [0, 2 pi) is realized as a rectangle of duration
-    phi_i / g_q; the kicks must not overlap (phi_i / g_q < tau / 2).
-    """
-    phi1, phi2 = float(kick_angles[0]), float(kick_angles[1])
-    if g_q <= 0:
-        raise ValueError(f"quench amplitude must be positive, got {g_q}")
-    if tau <= 0:
-        raise ValueError(f"pulse duration must be positive, got {tau}")
-    for phi in (phi1, phi2):
-        if not 0.0 <= phi < 2.0 * math.pi:
-            raise ValueError(f"kick angle {phi} outside [0, 2 pi)")
-        if phi / g_q >= tau / 2.0:
-            raise ValueError(
-                f"kick duration {phi / g_q} >= tau/2 = {tau / 2}: kicks would overlap")
-    return BobPulse(g_q, tau, phi1, phi2)
 
 
 _RAMP_KEYS = {"polynomial": ("g0", "g_d", "tau"), "fourier": ("g0", "tau"),

@@ -14,7 +14,7 @@ from scipy.integrate import quad
 from conftest import record_criterion
 from oracles import decomposition_cost, ermakov_solve, ie_energy, mixing_angle_rate
 
-from ctrlcost.ramps import bob_pulse, poly_smooth_ramp
+from ctrlcost.ramps import poly_smooth_ramp
 from ctrlcost.twolevel import integrated_cost
 from ctrlcost.landau_zener import (LzConfig, lz_schedule, lz_bob, lz_ground_state,
                                    qsl_time, optimize_bob_kicks, cost_scan,
@@ -46,8 +46,7 @@ def tau_qsl():
 @pytest.fixture(scope="module")
 def bob(tau_qsl):
     kicks = optimize_bob_kicks(LzConfig(tau=tau_qsl), g_q=100.0)
-    sched = lz_bob(LzConfig(tau=tau_qsl),
-                   bob_pulse(100.0, tau_qsl, (kicks.phi1, kicks.phi2)))
+    sched = lz_bob(LzConfig(tau=tau_qsl), kicks.phi1, kicks.phi2, 100.0)
     return kicks, integrated_cost(sched)
 
 

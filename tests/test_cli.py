@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import ctrlcost
+from ctrlcost import jaynes_cummings
 from ctrlcost.cli import (parse_config, validate, run, PRESETS, main, _oc_problem, CsvWriter,
-                          ExperimentConfig, _MODEL_KEYS, _TOP_KEYS)
+                          ExperimentConfig, _MODEL_KEYS, _TOP_KEYS, MAX_COUNT)
 from ctrlcost.landau_zener import LzConfig, find_cd_lcd_crossover
 from ctrlcost.jaynes_cummings import JcConfig, find_jc_crossover
 from oracles import percent_rows
@@ -218,9 +219,45 @@ def test_oscillator_cd_below_edge_flagged():
     assert checks["cd_validity tau=1"] is False
 
 
+@pytest.mark.parametrize("raw, invalid", [
+    # the Q* curves at tau = 1.6 and 2.5 run whatever the scan's durations
+    ({"model": "oscillator", "tau": [6.0, 8.0], "params": {"omega0": 1.0, "omega1": 40.0}},
+     ["cd_validity tau=1.6", "lcd_validity tau=1.6", "cd_validity tau=2.5"]),
+    # no cd or lcd, so nothing to trap-invert at tau = 1
+    ({"model": "oscillator", "protocols": ["bare", "ie"], "tau": [1.0]}, [])])
+def test_oscillator_validate_checks_where_run_evaluates(raw, invalid, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**raw, "out": str(tmp_path / "o")}))
+    assert main(["validate", "--config", str(path)]) == (1 if invalid else 0)
+    report = json.loads(capsys.readouterr().out)
+    assert [c["check"] for c in report["checks"] if not c["ok"]] == invalid
+    assert main(["run", "--config", str(path)]) == 0
+    cells = json.loads((tmp_path / "o" / "summary.json").read_text()).get("invalid", [])
+    assert [f"{c['protocol']}_validity tau={c['tau']:g}" for c in cells] == invalid
+
+
 def test_jc_large_alpha_tail_flagged(tmp_path, capsys):
     err = input_error(tmp_path, {"model": "jc", "params": {"alpha": 5.0, "n_cut": 40}}, capsys)
     assert err == "error: cutoff tail 2.036e-03 above 1e-12: increase n_cut for alpha=5.0\n"
+
+
+def test_jc_alpha_with_an_infinite_square_or_tail_is_rejected(tmp_path, capsys, monkeypatch):
+    err = input_error(tmp_path, {"model": "jc", "params": {"alpha": 1e160}}, capsys)
+    assert err == "error: |alpha|^2 is not finite for alpha=1e+160\n"
+    # max(0, nan) is 0: a NaN tail must fail the tail check, not pass it
+    monkeypatch.setattr(jaynes_cummings, "coherent_weights", lambda alpha, n_cut: np.full(3, np.nan))
+    with pytest.raises(ValueError, match="cutoff tail nan above 1e-12"):
+        jaynes_cummings.ensemble_weights(JcConfig(tau=10.0, alpha=2.0))
+
+
+def test_jc_cutoff_above_the_count_ceiling_is_rejected_before_any_weight(tmp_path, capsys,
+                                                                        monkeypatch):
+    def no_weights(*args):
+        raise AssertionError("weights made for an n_cut above the ceiling")
+
+    monkeypatch.setattr(jaynes_cummings, "coherent_weights", no_weights)
+    err = input_error(tmp_path, {"preset": "fig5", "params": {"n_cut": MAX_COUNT + 1}}, capsys)
+    assert err == f"error: param 'n_cut' must be <= {MAX_COUNT}, got {MAX_COUNT + 1}\n"
 
 
 def test_oc_below_qsl_flagged(tmp_path, capsys):

@@ -10,9 +10,9 @@ from scipy.optimize import minimize
 
 from conftest import crosses_at, first_bracket
 from oracles import cd_cost_decomposition, decomposition_cost, split_quad_cost
-from ctrlcost.ramps import Ramp, bob_pulse, oc_fourier_ramp
+from ctrlcost.ramps import Ramp, oc_fourier_ramp
 from ctrlcost.twolevel import (integrated_cost, instantaneous_eigenstates,
-                               cost_rate)
+                               cost_rate, DEFAULT_STEPS)
 from ctrlcost.landau_zener import (LzConfig, lz_schedule, lz_bob,
                                    lz_ground_state, qsl_time,
                                    optimize_bob_kicks, cost_scan,
@@ -160,9 +160,56 @@ def test_lcd_warns_on_nonflat_ramp():
 # ---------------------------------------------------------------------------
 # BOB
 
+def test_lz_bob_field_profile():
+    sched = lz_bob(LzConfig(tau=22.14), math.pi / 2, math.pi / 2, 100.0)
+    assert sched.breakpoints[0] == pytest.approx(math.pi / 200)
+    t = np.array([1e-4, 11.0, 22.13])
+    assert np.allclose(sched.coefficients(t)[3], [100.0, 0.0, -100.0])
+
+
+def test_lz_bob_zero_kicks_is_field_free():
+    sched = lz_bob(LzConfig(tau=5.0), 0.0, 0.0, 100.0)
+    t = np.linspace(0, 5, 23)
+    assert np.allclose(sched.coefficients(t)[3], 0.0)
+
+
+def test_lz_bob_rejects_overlapping_kicks():
+    with pytest.raises(ValueError, match="overlap"):
+        lz_bob(LzConfig(tau=2.0), 1.5, 0.0, 1.0)
+
+
+def test_lz_bob_rejects_bad_inputs():
+    with pytest.raises(ValueError, match="quench amplitude must be positive"):
+        lz_bob(LzConfig(tau=5.0), 0.1, 0.1, -1.0)
+    with pytest.raises(ValueError, match=r"outside \[0, 2 pi\)"):
+        lz_bob(LzConfig(tau=5.0), 7.0, 0.1, 100.0)
+
+
+def test_lz_bob_field_at_the_kick_edges():
+    # +g_q on [0, tb1), free on [tb1, tau - tb2], -g_q on (tau - tb2, tau]
+    gi, gt = reference_states()
+    cfg, g_q = LzConfig(tau=qsl_time(0.1, gi, gt)), 100.0
+    kicks = optimize_bob_kicks(cfg, g_q)
+    sched = lz_bob(cfg, kicks.phi1, kicks.phi2, g_q)
+    tb1, tb2 = kicks.phi1 / g_q, kicks.phi2 / g_q
+    assert kicks.phi1 != kicks.phi2 and sched.breakpoints == (tb1, cfg.tau - tb2)
+    probes = {0.0: g_q, np.nextafter(tb1, 0.0): g_q, tb1: 0.0, np.nextafter(tb1, np.inf): 0.0,
+              np.nextafter(cfg.tau - tb2, 0.0): 0.0, cfg.tau - tb2: 0.0,
+              np.nextafter(cfg.tau - tb2, np.inf): -g_q, cfg.tau: -g_q}
+    c0, cx, cy, cz = sched.coefficients(np.array(list(probes)))
+    assert cz.tolist() == list(probes.values())
+    assert np.all(c0 == 0.0) and np.all(cx == 0.1) and np.all(cy == 0.0)
+    # fig1's grid at tau_QSL: the protocol name builds the same schedule, bit for bit
+    t = np.linspace(0.0, cfg.tau, DEFAULT_STEPS + 1)
+    by_name = lz_schedule(cfg, "bob", kicks, g_q)
+    assert by_name.breakpoints == sched.breakpoints and by_name.label == sched.label == "lz-bob"
+    for a, b in zip(by_name.coefficients(t), sched.coefficients(t)):
+        assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
 def test_bob_zero_kicks_free_evolution():
     cfg = LzConfig(tau=5.0)
-    sched = lz_bob(cfg, bob_pulse(100.0, 5.0, (0.0, 0.0)))
+    sched = lz_bob(cfg, 0.0, 0.0, 100.0)
     t = np.linspace(0, 5, 11)
     assert np.allclose(sched.coefficients(t)[3], 0.0)
     assert np.allclose(sched.coefficients(t)[1], 0.1)
@@ -181,7 +228,7 @@ def test_bob_optimized_kicks_reach_target():
 
 def test_bob_cost_rate_between_kicks():
     cfg = LzConfig(tau=22.14)
-    sched = lz_bob(cfg, bob_pulse(100.0, 22.14, (math.pi / 2, math.pi / 2)))
+    sched = lz_bob(cfg, math.pi / 2, math.pi / 2, 100.0)
     assert float(cost_rate(sched, 11.0)) == pytest.approx(0.1 / math.sqrt(2), rel=1e-14)
     assert float(cost_rate(sched, 11.0)) == pytest.approx(0.0707, abs=5e-5)
 
@@ -190,7 +237,7 @@ def test_bob_kick_cost_analytic_vs_brute_force():
     g_q, tau = 100.0, 22.142974355881808
     phi1 = phi2 = math.pi / 2
     cfg = LzConfig(tau=tau)
-    sched = lz_bob(cfg, bob_pulse(g_q, tau, (phi1, phi2)))
+    sched = lz_bob(cfg, phi1, phi2, g_q)
     kick_rate = math.sqrt((0.1**2 + g_q**2) / 2.0)
     expected = (kick_rate * (phi1 + phi2) / g_q
                 + (0.1 / math.sqrt(2)) * (tau - (phi1 + phi2) / g_q)) / tau

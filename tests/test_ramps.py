@@ -8,7 +8,7 @@ import pytest
 
 from ctrlcost.ramps import (poly_smooth_ramp, oc_fourier_ramp, cd_na_ramp,
                             cd_a_ramp, cd_blended_ramp, blend_weight,
-                            bob_pulse, ramp_from_dict)
+                            ramp_from_dict)
 
 DELTA, G0, G1 = 0.1, -0.2, 0.2
 
@@ -223,34 +223,6 @@ def test_rows_keep_the_shape_of_t(ramp):
         for row in rows:
             assert np.shape(row) == np.shape(t)
             assert np.all(np.isfinite(row))
-
-
-# ---------------------------------------------------------------------------
-# BOB pulse
-
-def test_bob_pulse_amplitude_profile():
-    p = bob_pulse(100.0, 22.14, (math.pi / 2, math.pi / 2))
-    assert p.tau_b1 == pytest.approx(math.pi / 200)
-    t = np.array([1e-4, 11.0, 22.13])
-    assert np.allclose(p.amplitude(t), [100.0, 0.0, -100.0])
-
-
-def test_bob_pulse_zero_kicks_is_field_free():
-    p = bob_pulse(100.0, 5.0, (0.0, 0.0))
-    t = np.linspace(0, 5, 23)
-    assert np.allclose(p.amplitude(t), 0.0)
-
-
-def test_bob_pulse_rejects_overlapping_kicks():
-    with pytest.raises(ValueError, match="overlap"):
-        bob_pulse(1.0, 2.0, (1.5, 0.0))
-
-
-def test_bob_pulse_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        bob_pulse(-1.0, 5.0, (0.1, 0.1))
-    with pytest.raises(ValueError):
-        bob_pulse(100.0, 5.0, (7.0, 0.1))  # angle outside [0, 2 pi)
 
 
 # ---------------------------------------------------------------------------
